@@ -57,14 +57,12 @@ from .trees import (
     IdentifierTable,
     NodeName,
     can_co_occur,
-    canonical_identifier_table,
     chain,
     classify,
     closed_chain,
     compress,
     full_tree,
     height,
-    identifier_of,
     is_order_closed,
     precedes,
 )

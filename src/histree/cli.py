@@ -12,16 +12,18 @@ from pathlib import Path
 
 from .determinize import Determinizer
 from .dot import emit_dot
-from .errors import HistreeError
+from .errors import HistreeError, InputError
 from .formats import emit_rabin, parse_nbw
 from .oracle import bounded_equiv
 from .trees import IdentifierTable
 
 
 def _read_automaton(path: str):
-    if path == "-":
-        return parse_nbw(sys.stdin.read())
-    return parse_nbw(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    return parse_nbw(text)
 
 
 def _cmd_determinize(args) -> int:
@@ -32,16 +34,22 @@ def _cmd_determinize(args) -> int:
     return 0
 
 
+def _targets(nbw, strict: bool):
+    """The builds that verify and stats report on.  One canonical engine
+    explores once for both canonical targets; a baseline engine gives the
+    third."""
+    canonical = Determinizer(nbw, "canonical", strict)
+    return [
+        ("canonical-drtw", canonical.build_drtw()),
+        ("baseline-drtw", Determinizer(nbw, "baseline", strict).build_drtw()),
+        ("canonical-drw", canonical.build_drw()),
+    ]
+
+
 def _cmd_verify(args) -> int:
     nbw = _read_automaton(args.infile)
-    strict = args.strict_paper_marks
-    targets = [
-        ("canonical-drtw", Determinizer(nbw, "canonical", strict).build_drtw()),
-        ("baseline-drtw", Determinizer(nbw, "baseline", strict).build_drtw()),
-        ("canonical-drw", Determinizer(nbw, "canonical", strict).build_drw()),
-    ]
     failed = False
-    for label, automaton in targets:
+    for label, automaton in _targets(nbw, args.strict_paper_marks):
         report = bounded_equiv(nbw, automaton, args.max_u, args.max_v)
         sys.stdout.write(f"target={label}\n")
         sys.stdout.write(report.to_text())
@@ -56,13 +64,9 @@ def _cmd_gen_table(args) -> int:
 
 def _cmd_stats(args) -> int:
     nbw = _read_automaton(args.infile)
-    for label, build in (
-        ("canonical-drtw", lambda: Determinizer(nbw, "canonical").build_drtw()),
-        ("baseline-drtw", lambda: Determinizer(nbw, "baseline").build_drtw()),
-        ("canonical-drw", lambda: Determinizer(nbw, "canonical").build_drw()),
-    ):
+    for label, automaton in _targets(nbw, strict=False):
         sys.stdout.write(f"target={label}\n")
-        sys.stdout.write(build().stats.to_text())
+        sys.stdout.write(automaton.stats.to_text())
     return 0
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Hashable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .automata import (
     DRTW,
@@ -43,6 +43,7 @@ from .trees import (
     IdentifierTable,
     NodeName,
     ROOT,
+    children,
     classify,
     compress,
     height,
@@ -211,9 +212,8 @@ class Determinizer:
 
         def scrub(name: NodeName, poison: FrozenSet[str]) -> None:
             deduped[name] = spawned[name] - poison
-            kids = sorted(n for n in spawned if n[:-1] == name and len(n) == len(name) + 1)
             seen: FrozenSet[str] = frozenset()
-            for kid in kids:
+            for kid in children(spawned, name):
                 scrub(kid, poison | seen)
                 seen |= spawned[kid]
 
@@ -227,13 +227,8 @@ class Determinizer:
         # the whole subtree below it and counts as accepting.
         covered: Set[NodeName] = set()
         for name, label in nonempty.items():
-            kid_union: Set[str] = set()
-            has_kid = False
-            for other, other_label in nonempty.items():
-                if other[:-1] == name and len(other) == len(name) + 1:
-                    has_kid = True
-                    kid_union |= other_label
-            if has_kid and kid_union == label:
+            kids = children(nonempty, name)
+            if kids and frozenset().union(*(nonempty[k] for k in kids)) == label:
                 covered.add(name)
         doomed = {
             n
@@ -280,40 +275,35 @@ class Determinizer:
 
     # -- automaton construction --------------------------------------------
 
-    def _explore(self, start_payload, step):
-        """Breadth-first fixpoint over payloads; `step` maps (payload,
-        symbol) to (next payload, annotation).  Deterministic numbering:
-        discovery order with the alphabet in declared order."""
-        payloads: List = [start_payload]
-        index = {start_payload: 0}
+    @cached_property
+    def _graph(self):
+        """The reachable tree graph, explored breadth-first once per engine:
+        (trees, transitions, largest tree, off-table name count).
+        Deterministic numbering: discovery order with the alphabet in
+        declared order."""
+        start = self.initial_tree()
+        trees = [start]
+        index = {start: 0}
         transitions: Dict[Tuple[int, Symbol], Edge] = {}
         off_table: Set[NodeName] = set()
         max_nodes = 0
-        frontier = 0
-        while frontier < len(payloads):
-            sid = frontier
-            frontier += 1
-            payload = payloads[sid]
-            max_nodes = max(max_nodes, self._payload_tree(payload).node_count)
+        for sid, tree in enumerate(trees):
+            max_nodes = max(max_nodes, tree.node_count)
             for symbol in self.nbw.alphabet:
-                nxt, annotation, extra_off = step(payload, symbol)
-                tid = index.get(nxt)
+                trace = self.successor_trace(tree, symbol)
+                tid = index.get(trace.result)
                 if tid is None:
-                    if len(payloads) >= self.max_states:
+                    if len(trees) >= self.max_states:
                         raise CapacityError(
                             f"state limit {self.max_states} exceeded",
-                            partial=self._stats(len(payloads), len(transitions), 0, max_nodes, len(off_table)),
+                            partial=self._stats(len(trees), len(transitions), 0, max_nodes, len(off_table)),
                         )
-                    tid = len(payloads)
-                    payloads.append(nxt)
-                    index[nxt] = tid
-                transitions[(sid, symbol)] = (tid, annotation)
-                off_table |= extra_off
-        return payloads, transitions, max_nodes, off_table
-
-    @staticmethod
-    def _payload_tree(payload) -> HistoryTree:
-        return payload.tree if isinstance(payload, EnrichedHistoryTree) else payload
+                    tid = len(trees)
+                    trees.append(trace.result)
+                    index[trace.result] = tid
+                transitions[(sid, symbol)] = (tid, trace.annotation)
+                off_table |= trace.off_table
+        return tuple(trees), transitions, max_nodes, len(off_table)
 
     def _stats(self, states, transitions, pairs, max_nodes, off_table) -> BuildStats:
         return BuildStats(
@@ -327,17 +317,11 @@ class Determinizer:
         )
 
     def build_drtw(self) -> DRTW:
-        def step(tree: HistoryTree, symbol: Symbol):
-            trace = self.successor_trace(tree, symbol)
-            return trace.result, trace.annotation, trace.off_table
-
-        payloads, transitions, max_nodes, off_table = self._explore(self.initial_tree(), step)
+        trees, transitions, max_nodes, off_table = self._graph
         acceptance = assemble_pairs(transitions, strict_marks=self.strict_marks)
-        stats = self._stats(
-            len(payloads), len(transitions), len(acceptance.pairs), max_nodes, len(off_table)
-        )
+        stats = self._stats(len(trees), len(transitions), len(acceptance.pairs), max_nodes, off_table)
         return DRTW(
-            payloads=tuple(payloads),
+            payloads=trees,
             alphabet=self.nbw.alphabet,
             initial=0,
             transitions=transitions,
@@ -346,31 +330,36 @@ class Determinizer:
         )
 
     def build_drw(self) -> DRW:
-        def step(payload: EnrichedHistoryTree, symbol: Symbol):
-            trace = self.successor_trace(payload.tree, symbol)
-            return (
-                EnrichedHistoryTree(trace.result, trace.annotation),
-                trace.annotation,
-                trace.off_table,
-            )
-
+        """Split each tree of the DRTW by the annotation of the edge that
+        entered it.  A DRW state is a (tree id, incoming annotation) pair
+        whose edge on a symbol is its tree's edge on that symbol, so no
+        successor is computed again."""
+        trees, tree_edges, max_nodes, off_table = self._graph
         # Nodes of the initial tree count as stably present at time zero,
         # so re-entering the same tree through a quiet transition merges
         # with the start state.
-        tree0 = self.initial_tree()
-        start = EnrichedHistoryTree(
-            tree0,
-            TransitionAnnotation(stable=frozenset(self.index_of(n) for n in tree0.names)),
-        )
-        payloads, transitions, max_nodes, off_table = self._explore(start, step)
-        acceptance = assemble_state_pairs(
-            [p.incoming for p in payloads], strict_marks=self.strict_marks
-        )
-        stats = self._stats(
-            len(payloads), len(transitions), len(acceptance.pairs), max_nodes, len(off_table)
-        )
+        start = (0, TransitionAnnotation(stable=frozenset(self.index_of(n) for n in trees[0].names)))
+        states = [start]
+        index = {start: 0}
+        transitions: Dict[Tuple[int, Symbol], Edge] = {}
+        for sid, (tree_id, _) in enumerate(states):
+            for symbol in self.nbw.alphabet:
+                target = tree_edges[(tree_id, symbol)]
+                did = index.get(target)
+                if did is None:
+                    if len(states) >= self.max_states:
+                        raise CapacityError(
+                            f"state limit {self.max_states} exceeded",
+                            partial=self._stats(len(states), len(transitions), 0, max_nodes, off_table),
+                        )
+                    did = len(states)
+                    states.append(target)
+                    index[target] = did
+                transitions[(sid, symbol)] = (did, target[1])
+        acceptance = assemble_state_pairs([ann for _, ann in states], strict_marks=self.strict_marks)
+        stats = self._stats(len(states), len(transitions), len(acceptance.pairs), max_nodes, off_table)
         return DRW(
-            payloads=tuple(payloads),
+            payloads=tuple(EnrichedHistoryTree(trees[t], ann) for t, ann in states),
             alphabet=self.nbw.alphabet,
             initial=0,
             transitions=transitions,
@@ -380,6 +369,21 @@ class Determinizer:
 
 
 # -- pair assembly ----------------------------------------------------------
+
+
+def _assemble(kind: str, marks: Mapping[Hashable, TransitionAnnotation], strict_marks: bool) -> RabinPairSet:
+    """Rabin pairs over the keys of `marks`, one per index that some key
+    marks accepting; see assemble_pairs for the rejecting rule."""
+    pairs = []
+    for idx in sorted({i for ann in marks.values() for i in ann.accepting}):
+        acc = frozenset(key for key, ann in marks.items() if idx in ann.accepting)
+        rej = frozenset(
+            key
+            for key, ann in marks.items()
+            if idx in ann.unstable or (not strict_marks and idx not in ann.stable)
+        )
+        pairs.append(RabinPair(index=idx, accepting=acc, rejecting=rej))
+    return RabinPairSet(kind=kind, pairs=tuple(pairs))
 
 
 def assemble_pairs(
@@ -396,17 +400,7 @@ def assemble_pairs(
     node carries the index: a node that vanished, or re-entered the tree
     only by renaming, cannot witness progress.
     """
-    marked = sorted({i for _, ann in transitions.values() for i in ann.accepting})
-    pairs = []
-    for idx in marked:
-        acc = frozenset(key for key, (_, ann) in transitions.items() if idx in ann.accepting)
-        rej = set(key for key, (_, ann) in transitions.items() if idx in ann.unstable)
-        if not strict_marks:
-            rej |= {
-                key for key, (_, ann) in transitions.items() if idx not in ann.stable
-            }
-        pairs.append(RabinPair(index=idx, accepting=acc, rejecting=frozenset(rej)))
-    return RabinPairSet(kind="transition", pairs=tuple(pairs))
+    return _assemble("transition", {key: ann for key, (_, ann) in transitions.items()}, strict_marks)
 
 
 def assemble_state_pairs(
@@ -416,15 +410,7 @@ def assemble_state_pairs(
 ) -> RabinPairSet:
     """State-based variant: marks and stable carriers are read off each
     state's incoming annotation."""
-    marked = sorted({i for ann in incoming for i in ann.accepting})
-    pairs = []
-    for idx in marked:
-        acc = frozenset(sid for sid, ann in enumerate(incoming) if idx in ann.accepting)
-        rej = set(sid for sid, ann in enumerate(incoming) if idx in ann.unstable)
-        if not strict_marks:
-            rej |= {sid for sid, ann in enumerate(incoming) if idx not in ann.stable}
-        pairs.append(RabinPair(index=idx, accepting=acc, rejecting=frozenset(rej)))
-    return RabinPairSet(kind="state", pairs=tuple(pairs))
+    return _assemble("state", dict(enumerate(incoming)), strict_marks)
 
 
 # -- validation --------------------------------------------------------------
@@ -461,8 +447,8 @@ def check_history_tree(
         if not label <= frozenset(nbw.states):
             problems.append(f"label at {name_str(name)} mentions unknown states")
         kid_union: Set[str] = set()
-        kids = [k for k in names if k[:-1] == name and len(k) == len(name) + 1]
-        for kid in sorted(kids):
+        kids = children(names, name)
+        for kid in kids:
             if labels[kid] & kid_union:
                 problems.append(f"sibling labels overlap below {name_str(name)}")
             kid_union |= labels[kid]

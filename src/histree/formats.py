@@ -539,6 +539,8 @@ def parse_nbw_native(text: str) -> NBW:
             records.append((lineno, json.loads(raw)))
         except json.JSONDecodeError as exc:
             raise ParseError(f"bad JSON: {exc.msg}", lineno, exc.colno) from None
+        except RecursionError:
+            raise ParseError("bad JSON: nested too deeply", lineno, 1) from None
     if not records:
         raise ParseError("empty document", 1, 1)
     lineno, header = records[0]

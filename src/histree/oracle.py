@@ -236,6 +236,8 @@ def bounded_equiv(a: NBW, d: Union[DRTW, DRW], max_u: int, max_v: int) -> EquivR
     in enumeration order is reported, so results are deterministic."""
     if tuple(a.alphabet) != tuple(d.alphabet):
         raise InputError("automata to compare must share one alphabet")
+    if max_u < 0 or max_v < 1:
+        raise InputError(f"lasso bounds need max_u >= 0 and max_v >= 1 (got {max_u}, {max_v})")
     start = time.monotonic()
     tested = 0
     for lasso in lassos_upto(a.alphabet, max_u, max_v):
@@ -254,10 +256,6 @@ def bounded_equiv(a: NBW, d: Union[DRTW, DRW], max_u: int, max_v: int) -> EquivR
 # -- exhaustive tree census ---------------------------------------------------
 
 Shape = Tuple["Shape", ...]  # a node is the tuple of its child shapes
-
-
-def _shapes_with_nodes(k: int) -> Tuple[Shape, ...]:
-    return _shapes_cached(k)
 
 
 @lru_cache(maxsize=None)
@@ -311,42 +309,40 @@ def _labelings_with_root_size(shape: Shape, size: int) -> int:
     return place(0, size)
 
 
-def _census(n: int) -> Tuple[int, int]:
-    """(tree count, identifier-annotated tree count) for n automaton states."""
+def _census(n: int) -> int:
+    """Labeled order-closed trees for n automaton states, checking along
+    the way that identifiers are injective within every tree shape."""
     cap = tree_enumeration_cap()
     if n > cap:
         raise CapacityError(f"tree enumeration capped at n <= {cap} (got {n})")
     if n < 1:
         raise InputError("census requires n >= 1")
     table = IdentifierTable(n)
-    plain = 0
-    annotated = 0
+    total = 0
     for k in range(1, n + 1):
-        for shape in _shapes_with_nodes(k):
-            count = sum(
+        for shape in _shapes_cached(k):
+            total += sum(
                 comb(n, size) * _labelings_with_root_size(shape, size)
                 for size in range(1, n + 1)
             )
-            plain += count
             idents = [table.lookup(name) for name in _shape_names(shape)]
             if len(set(idents)) != len(idents):
                 raise HistreeError(
                     f"identifier collision inside an order-closed tree: {shape}"
                 )
-            annotated += count
-    return plain, annotated
+    return total
 
 
 def enumerate_history_trees(n: int) -> int:
     """hist(n): labeled order-closed trees over an n-state automaton."""
-    return _census(n)[0]
+    return _census(n)
 
 
 def enumerate_full(n: int) -> int:
     """histf(n): the same census with identifiers attached per node name;
     identifiers are a function of the name, so the count cannot grow, and
     the per-tree injectivity check is asserted along the way."""
-    return _census(n)[1]
+    return _census(n)
 
 
 # -- identifier bound report --------------------------------------------------

@@ -95,10 +95,6 @@ def children(names: Iterable[NodeName], parent: NodeName) -> List[NodeName]:
     return sorted(kids)
 
 
-def degree(names: Iterable[NodeName], parent: NodeName) -> int:
-    return len(children(names, parent))
-
-
 @dataclass(frozen=True)
 class TreeClasses:
     """Partition of a tree's nodes by order-closedness damage."""
@@ -168,8 +164,7 @@ def full_tree(n: int) -> FrozenSet[NodeName]:
     for _ in range(n - 1):
         fresh = set()
         for name in names:
-            deg = sum(1 for other in names if other[:-1] == name and len(other) == len(name) + 1)
-            fresh.add(name + (deg + 1,))
+            fresh.add(name + (len(children(names, name)) + 1,))
         names |= fresh
     return frozenset(names)
 
@@ -255,15 +250,6 @@ class IdentifierTable:
             ident = self._assigned[name]
             lines.append(f"{name_str(name)}\t{ident.height}\t{ident.flag}")
         return "\n".join(lines) + "\n"
-
-
-def identifier_of(table: IdentifierTable, name: NodeName) -> Identifier:
-    """Table lookup, extending the table lazily for transient names."""
-    return table.lookup(name)
-
-
-def canonical_identifier_table(n: int) -> IdentifierTable:
-    return IdentifierTable(n)
 
 
 def _spine_order(n: int) -> List[NodeName]:

@@ -97,3 +97,26 @@ def test_unsupported_acceptance_is_input_error(tmp_path, capsys):
     assert main(["determinize", "--in", str(path)]) == 2
     err = capsys.readouterr().err
     assert "acceptance" in err
+
+
+def test_non_utf8_file_is_input_error(tmp_path, capsys):
+    path = tmp_path / "latin1.native"
+    path.write_bytes(emit_nbw_native(e1()).replace('"p"', '"\u00e9"').encode("latin-1"))
+    assert main(["determinize", "--in", str(path)]) == 2
+    assert "UTF-8" in capsys.readouterr().err
+
+
+def test_deeply_nested_native_line_is_parse_error(tmp_path, capsys):
+    path = tmp_path / "deep.native"
+    depth = 100_000
+    path.write_text('{"format": ' + "[" * depth + "]" * depth + "}\n", encoding="utf-8")
+    assert main(["determinize", "--in", str(path)]) == 2
+    assert "nested too deeply" in capsys.readouterr().err
+
+
+def test_verify_rejects_empty_lasso_bounds(e1_file, capsys):
+    for bounds in (["--max-v", "0"], ["--max-u", "-1"]):
+        assert main(["verify", "--in", e1_file, *bounds]) == 2
+        captured = capsys.readouterr()
+        assert "counterexample=none" not in captured.out
+        assert "error:" in captured.err

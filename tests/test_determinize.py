@@ -148,6 +148,43 @@ def test_drw_refines_drtw(corpus_sample):
         assert len(build_drw(a).payloads) >= len(build_drtw(a).payloads)
 
 
+def test_drw_is_the_edge_split_of_the_drtw(corpus_sample):
+    """A DRW state is a DRTW state paired with the annotation of the edge
+    that entered it: its edges are the DRTW's edges, and its states are the
+    start pair plus the distinct (target, annotation) pairs of DRTW edges."""
+    for a in corpus_sample:
+        for mode in ("canonical", "baseline"):
+            engine = Determinizer(a, mode)
+            drtw, drw = build_drtw(a, mode), build_drw(a, mode)
+            tree_id = {tree: t for t, tree in enumerate(drtw.payloads)}
+            split = [(tree_id[p.tree], p.incoming) for p in drw.payloads]
+            for (sid, symbol), (did, ann) in drw.transitions.items():
+                assert drtw.transitions[(split[sid][0], symbol)] == (split[did][0], ann)
+                assert split[did][1] == ann
+            t0 = drtw.payloads[0]
+            start = (0, TransitionAnnotation(stable=frozenset(engine.index_of(n) for n in t0.names)))
+            assert split[0] == start
+            assert len(set(split)) == len(split)
+            assert set(split) == {start} | set(drtw.transitions.values())
+
+
+def test_build_drw_after_build_drtw_makes_no_successor_calls(e1_nbw, monkeypatch):
+    engine = Determinizer(e1_nbw, "canonical")
+    calls = []
+    kernel = engine.successor_trace
+
+    def counting(tree, symbol):
+        calls.append(symbol)
+        return kernel(tree, symbol)
+
+    monkeypatch.setattr(engine, "successor_trace", counting)
+    drtw = engine.build_drtw()
+    assert len(calls) == len(drtw.transitions)
+    drw = engine.build_drw()
+    assert len(drw.payloads) > len(drtw.payloads)
+    assert len(calls) == len(drtw.transitions)
+
+
 def test_assemble_pairs_absence_rule():
     mark = "X"
     kept = frozenset({mark})
@@ -192,10 +229,11 @@ def test_assemble_state_pairs_absence_rule():
 
 def test_capacity_error_carries_partial_stats(corpus_sample):
     target = next(a for a in corpus_sample if len(a.states) >= 3)
-    with pytest.raises(CapacityError) as err:
-        build_drtw(target, max_states=1)
-    assert err.value.partial is not None
-    assert err.value.partial.states >= 1
+    for build in (build_drtw, build_drw):
+        with pytest.raises(CapacityError) as err:
+            build(target, max_states=1)
+        assert err.value.partial is not None
+        assert err.value.partial.states >= 1
 
 
 def test_invalid_inputs_rejected(e1_nbw):
