@@ -374,15 +374,27 @@ class Determinizer:
 def _assemble(kind: str, marks: Mapping[Hashable, TransitionAnnotation], strict_marks: bool) -> RabinPairSet:
     """Rabin pairs over the keys of `marks`, one per index that some key
     marks accepting; see assemble_pairs for the rejecting rule."""
+    # One pass: per index, the keys marking it accepting, unstable and
+    # stably carrying it.
+    accepting: Dict[PairIndex, Set[Hashable]] = {}
+    unstable: Dict[PairIndex, Set[Hashable]] = {}
+    carrying: Dict[PairIndex, Set[Hashable]] = {}
+    for key, ann in marks.items():
+        for by_index, indices in (
+            (accepting, ann.accepting),
+            (unstable, ann.unstable),
+            (carrying, ann.stable),
+        ):
+            for idx in indices:
+                by_index.setdefault(idx, set()).add(key)
+    keys = frozenset(marks)
     pairs = []
-    for idx in sorted({i for ann in marks.values() for i in ann.accepting}):
-        acc = frozenset(key for key, ann in marks.items() if idx in ann.accepting)
-        rej = frozenset(
-            key
-            for key, ann in marks.items()
-            if idx in ann.unstable or (not strict_marks and idx not in ann.stable)
-        )
-        pairs.append(RabinPair(index=idx, accepting=acc, rejecting=rej))
+    for idx in sorted(accepting):
+        rej = unstable.get(idx, set())
+        if not strict_marks:
+            # Every key but those stably carrying idx without marking it unstable.
+            rej = keys - (carrying.get(idx, set()) - rej)
+        pairs.append(RabinPair(index=idx, accepting=frozenset(accepting[idx]), rejecting=frozenset(rej)))
     return RabinPairSet(kind=kind, pairs=tuple(pairs))
 
 

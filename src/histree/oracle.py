@@ -29,6 +29,7 @@ NONE, PATH, FINAL = 0, 1, 2
 DEFAULT_TREE_CAP = 6
 TREE_CAP_ENV = "HISTREE_TREE_CAP"
 IDENTIFIER_BOUND_CAP = 12
+LASSO_CAP = 1_000_000  # most lassos one bounded_equiv call may enumerate
 
 
 def tree_enumeration_cap() -> int:
@@ -231,13 +232,34 @@ def lassos_upto(alphabet: Sequence[Symbol], max_u: int, max_v: int):
                     yield LassoWord(prefix, period)
 
 
+def lasso_count(letters: int, max_u: int, max_v: int) -> int:
+    """How many lassos lassos_upto yields over `letters` symbols:
+    (sum of letters**u for u <= max_u) * (sum of letters**v for 1 <= v <= max_v).
+    Exact up to 2**64; any larger count comes out as at least 2**64."""
+
+    def powers(lo: int, hi: int) -> int:
+        if letters == 1:
+            return max(hi - lo + 1, 0)
+        # Past e = 64 a term is 0, or alone exceeds 2**64.
+        return sum(letters**e for e in range(lo, min(hi, 64) + 1))
+
+    return powers(0, max_u) * powers(1, max_v)
+
+
 def bounded_equiv(a: NBW, d: Union[DRTW, DRW], max_u: int, max_v: int) -> EquivReport:
     """Compare acceptance of every bounded lasso; the first disagreement
-    in enumeration order is reported, so results are deterministic."""
+    in enumeration order is reported, so results are deterministic.
+    Bounds that would enumerate more than LASSO_CAP lassos raise
+    CapacityError before any is tested."""
     if tuple(a.alphabet) != tuple(d.alphabet):
         raise InputError("automata to compare must share one alphabet")
     if max_u < 0 or max_v < 1:
         raise InputError(f"lasso bounds need max_u >= 0 and max_v >= 1 (got {max_u}, {max_v})")
+    if lasso_count(len(a.alphabet), max_u, max_v) > LASSO_CAP:
+        raise CapacityError(
+            f"lasso bounds max_u={max_u}, max_v={max_v} over {len(a.alphabet)} letters "
+            f"exceed {LASSO_CAP} lassos"
+        )
     start = time.monotonic()
     tested = 0
     for lasso in lassos_upto(a.alphabet, max_u, max_v):

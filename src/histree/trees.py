@@ -11,6 +11,7 @@ present).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Set, Tuple
 
 from .errors import InputError
@@ -160,13 +161,12 @@ def full_tree(n: int) -> FrozenSet[NodeName]:
     """
     if n < 1:
         raise InputError("full_tree requires n >= 1")
-    names: Set[NodeName] = {ROOT}
+    degree: Dict[NodeName, int] = {ROOT: 0}  # name -> number of children
     for _ in range(n - 1):
-        fresh = set()
-        for name in names:
-            fresh.add(name + (len(children(names, name)) + 1,))
-        names |= fresh
-    return frozenset(names)
+        for name, kids in list(degree.items()):
+            degree[name] = kids + 1
+            degree[name + (kids + 1,)] = 0
+    return frozenset(degree)
 
 
 class Identifier(NamedTuple):
@@ -180,87 +180,116 @@ class Identifier(NamedTuple):
 
 
 class IdentifierTable:
-    """Greedy flag assignment for every node of full_tree(n).
+    """(height, flag) identifiers for the names of full_tree(n), computed
+    one name at a time.
 
-    Flags are handed out in spine order: leaves are visited left to right,
-    each contributing the not-yet-seen part of its closed chain (ordered by
-    height).  A node receives the smallest flag not already held by a
-    same-height node that could share an order-closed tree of <= n nodes
-    with it.  Two same-height names that can co-occur therefore always get
-    distinct flags, which makes (height, flag) unique within any one tree.
+    The flags are those of a greedy scan: visit full_tree(n) in spine order
+    (leaves left to right, each contributing the not-yet-seen part of its
+    closed chain, ordered by height) and give each name the smallest flag
+    not held by an earlier same-height name that could share an
+    order-closed tree of <= n nodes with it.  Two same-height names that
+    can co-occur therefore get distinct flags, which makes (height, flag)
+    unique within any one tree.  Three facts turn the scan into a closed
+    form:
 
-    Lookups outside full_tree(n) (transient names produced mid-transition)
-    extend the table by the same rule and are cached; existing entries are
-    never changed.
+    1. Within one height, spine order is lexicographic order.  A closed
+       chain has exactly one node at each height 0..h, so sorting a spine
+       by height leaves no ties, and a name x of height h first appears in
+       the spine of the leaf x + (1,) * (n-1-h).
+    2. Conflict is an equivalence.  Two names of height h can co-occur
+       exactly when their closed chains share the node at height
+       k = 2h+1-n; when k <= 0 they always can.
+    3. So the greedy flag is a rank: 1 plus the number of lexicographically
+       smaller height-h names whose chain passes through x's node at
+       height k.  Each such class has min(2**(h-1), 2**(n-1-h)) names.
+
+    `lookup` computes that rank (see `_flag`) and memoizes it.  Names of
+    height >= n lie outside full_tree(n) (transient names produced
+    mid-transition); their chains are longer than n, so they conflict with
+    nothing and get flag 1.  The whole-table views look up every spine
+    name first.
     """
 
     def __init__(self, n: int):
         if n < 1:
             raise InputError("identifier table requires n >= 1")
         self.n = n
-        self.spine_order: List[NodeName] = _spine_order(n)
         self._assigned: Dict[NodeName, Identifier] = {}
-        # Per height: list of (closed chain, flag) already assigned, for
-        # conflict scans during greedy assignment.
-        self._by_height: Dict[int, List[Tuple[FrozenSet[NodeName], int]]] = {}
-        for name in self.spine_order:
-            self._assign(name)
 
-    def _assign(self, name: NodeName) -> Identifier:
-        h = height(name)
-        cc = closed_chain(name)
-        taken = {
-            flag
-            for other_cc, flag in self._by_height.get(h, ())
-            if len(other_cc | cc) <= self.n
-        }
-        flag = 1
-        while flag in taken:
-            flag += 1
-        ident = Identifier(h, flag)
-        self._assigned[name] = ident
-        self._by_height.setdefault(h, []).append((cc, flag))
-        return ident
+    @cached_property
+    def spine_order(self) -> List[NodeName]:
+        """All nodes of full_tree(n): leaves left to right, each
+        contributing the unseen part of its closed chain ordered by height."""
+        full = full_tree(self.n)
+        leaves = sorted(name for name in full if height(name) == self.n - 1)
+        order: List[NodeName] = []
+        seen: Set[NodeName] = set()
+        for leaf in leaves:
+            spine = sorted(closed_chain(leaf) - seen, key=height)
+            order.extend(spine)
+            seen.update(spine)
+        return order
 
     def lookup(self, name: NodeName) -> Identifier:
         got = self._assigned.get(name)
         if got is None:
-            got = self._assign(name)
+            got = self._assigned[name] = Identifier(height(name), _flag(name, self.n))
         return got
 
-    def __contains__(self, name: NodeName) -> bool:
-        return name in self._assigned
+    def _identifiers(self) -> Iterable[Identifier]:
+        """Every identifier assigned so far, once every spine name has one."""
+        for name in self.spine_order:
+            self.lookup(name)
+        return self._assigned.values()
 
     def flags_used(self) -> Set[int]:
-        return {ident.flag for ident in self._assigned.values()}
+        return {ident.flag for ident in self._identifiers()}
 
     def flags_by_height(self) -> Dict[int, Set[int]]:
         out: Dict[int, Set[int]] = {}
-        for ident in self._assigned.values():
+        for ident in self._identifiers():
             out.setdefault(ident.height, set()).add(ident.flag)
         return out
 
     def distinct_identifiers(self) -> Set[Identifier]:
-        return set(self._assigned.values())
+        return set(self._identifiers())
 
     def dump_text(self) -> str:
         """One line per node in spine order: name TAB height TAB flag."""
         lines = []
         for name in self.spine_order:
-            ident = self._assigned[name]
+            ident = self.lookup(name)
             lines.append(f"{name_str(name)}\t{ident.height}\t{ident.flag}")
         return "\n".join(lines) + "\n"
 
 
-def _spine_order(n: int) -> List[NodeName]:
-    """All nodes of full_tree(n): leaves left to right, each contributing
-    the unseen part of its closed chain ordered by height."""
-    full = full_tree(n)
-    leaves = sorted(n_ for n_ in full if height(n_) == n - 1)
-    order: List[NodeName] = []
-    seen: Set[NodeName] = set()
-    for leaf in leaves:
-        spine = sorted(closed_chain(leaf) - seen, key=height)
-        order.extend(spine)
-        seen.update(spine)
-    return order
+def _flag(name: NodeName, n: int) -> int:
+    """The greedy flag of `name` in the capacity-n table, as a rank.
+
+    The names of height h whose chain passes through the node z at height
+    k = 2h+1-n are z's path extended to height h.  Write z as p + (c,):
+    the members are p + (c + d,) + rest with d >= 0, and reading each as
+    the composition (d + 1,) + rest of M = h-k+1 keeps their order.  For
+    k <= 0 the class is every composition of M = h.  The lexicographic
+    rank of a composition of M is the (M-1)-bit number with a 1 for every
+    gap between units that is not a cut between parts.
+    """
+    h = height(name)
+    k = 2 * h + 1 - n
+    if h == 0 or k > h:
+        return 1
+    comp = name
+    if k > 0:
+        below = 0  # height of the prefix before component i
+        for i, part in enumerate(name):
+            if below + part >= k:
+                comp = (below + part - k + 1,) + name[i + 1 :]
+                break
+            below += part
+    total = sum(comp)
+    rank = (1 << (total - 1)) - 1
+    cut = 0
+    for part in comp[:-1]:
+        cut += part
+        rank -= 1 << (total - 1 - cut)
+    return rank + 1

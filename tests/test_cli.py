@@ -1,3 +1,4 @@
+import time
 from pathlib import Path
 
 import pytest
@@ -120,3 +121,14 @@ def test_verify_rejects_empty_lasso_bounds(e1_file, capsys):
         captured = capsys.readouterr()
         assert "counterexample=none" not in captured.out
         assert "error:" in captured.err
+
+
+def test_verify_rejects_lasso_bounds_past_the_cap(tmp_path, capsys):
+    path = tmp_path / "sdr.native"
+    path.write_text(emit_nbw_native(spawn_die_respawn()), encoding="utf-8")
+    started = time.monotonic()
+    assert main(["verify", "--in", str(path), "--max-u", "30"]) == 2
+    assert time.monotonic() - started < 10
+    captured = capsys.readouterr()
+    assert "counterexample=" not in captured.out
+    assert "exceed" in captured.err

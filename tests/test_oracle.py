@@ -7,7 +7,7 @@ import pytest
 from histree.automata import LassoWord, NBW, RabinPair, RabinPairSet
 from histree.determinize import build_drtw, build_drw
 from histree.errors import CapacityError, InputError
-from histree.fixtures import e1, finitely_many_b, no_finals
+from histree.fixtures import e1, finitely_many_b, no_finals, spawn_die_respawn
 from histree.oracle import (
     Counterexample,
     EquivReport,
@@ -16,6 +16,8 @@ from histree.oracle import (
     det_lasso_member,
     enumerate_full,
     enumerate_history_trees,
+    LASSO_CAP,
+    lasso_count,
     lassos_upto,
     nbw_lasso_member,
     symbol_profile,
@@ -362,3 +364,25 @@ def test_lasso_enumeration_is_lexicographic():
 
     assert lassos == sorted(lassos, key=key)
     assert len(lassos) == len(set(lassos))
+
+
+def test_lasso_count_matches_enumeration():
+    for letters in range(0, 4):
+        alphabet = tuple("abc"[:letters])
+        for max_u in range(0, 4):
+            for max_v in range(1, 4):
+                assert lasso_count(letters, max_u, max_v) == sum(
+                    1 for _ in lassos_upto(alphabet, max_u, max_v)
+                )
+    assert lasso_count(3, 4, 4) == 14_520
+    assert lasso_count(2, 10**9, 4) >= 2**64
+
+
+def test_bounded_equiv_refuses_bounds_past_the_cap():
+    a = spawn_die_respawn()
+    d = build_drtw(a)
+    assert lasso_count(len(a.alphabet), 30, 4) > LASSO_CAP
+    with pytest.raises(CapacityError):
+        bounded_equiv(a, d, 30, 4)
+    # A one-letter alphabet keeps the same bounds small.
+    assert bounded_equiv(e1(), build_drtw(e1()), 30, 4).tested == 31 * 4

@@ -1,11 +1,16 @@
 from functools import lru_cache
 from itertools import combinations, product
+from math import ceil
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from histree.automata import NBW
+from histree.determinize import Determinizer
 from histree.errors import InputError
+from histree.oracle import verify_identifier_bounds
 from histree.trees import (
     IdentifierTable,
     ROOT,
@@ -222,6 +227,86 @@ def test_full_tree_rejects_bad_n():
 
 
 # -- identifier tables ---------------------------------------------------------
+
+
+class GreedyReferenceTable:
+    """The eager greedy table the closed form in IdentifierTable replaces,
+    kept as a test oracle.  Every name of full_tree(n) is assigned in spine
+    order, taking the smallest flag not held by an earlier same-height name
+    whose closed chain fits with its own in n nodes; lookups of other names
+    extend the table by the same rule."""
+
+    def __init__(self, n):
+        self.n = n
+        self.assigned = {}
+        self.by_height = {}  # height -> [(closed chain, flag)]
+        for name in IdentifierTable(n).spine_order:
+            self.lookup(name)
+
+    def lookup(self, name):
+        got = self.assigned.get(name)
+        if got is None:
+            h = height(name)
+            cc = closed_chain(name)
+            taken = {
+                flag for other_cc, flag in self.by_height.get(h, ()) if len(other_cc | cc) <= self.n
+            }
+            flag = 1
+            while flag in taken:
+                flag += 1
+            got = self.assigned[name] = (h, flag)
+            self.by_height.setdefault(h, []).append((cc, flag))
+        return got
+
+
+def test_closed_form_matches_greedy_reference():
+    """Identical identifiers for every name of full_tree(n), n = 1..12, and
+    for off-table names up to height n + 2 (all of them up to n = 9; beyond
+    that the reference's quadratic scan limits them to <= 3 components)."""
+    for n in range(1, 13):
+        reference = GreedyReferenceTable(n)
+        table = IdentifierTable(n)
+        for name in full_tree(n):
+            assert table.lookup(name) == reference.lookup(name), (n, name)
+        for h in range(n, n + 3):
+            for parts in range(1, h + 1 if n <= 9 else 4):
+                for name in _compositions(h, parts):
+                    assert table.lookup(name) == reference.lookup(name), (n, name)
+
+
+def test_identifier_bounds_reports_unchanged_up_to_12():
+    """verify_identifier_bounds(n).to_text() for n = 1..12, as the eager
+    greedy table produced it."""
+    golden = Path(__file__).parent / "fixtures" / "identifier_bounds_1_12.txt"
+    got = "".join(verify_identifier_bounds(n).to_text() for n in range(1, 13))
+    assert got == golden.read_text(encoding="utf-8")
+
+
+def test_flag_counts_are_tight():
+    """The paper's bounds are met with equality: min(2**(h-1), 2**(n-h-1))
+    flags at each height h and 2**(ceil((n-1)/2)-1) flags in all."""
+    for n in range(2, 13):
+        table = IdentifierTable(n)
+        by_height = table.flags_by_height()
+        for h in range(1, n):
+            assert len(by_height[h]) == min(2 ** (h - 1), 2 ** (n - h - 1)), (n, h)
+        assert len(table.flags_used()) == 2 ** (ceil((n - 1) / 2) - 1), n
+
+
+def test_canonical_build_at_16_states_looks_up_only_reached_names():
+    """A 16-state cycle with one final state and one chord: the canonical
+    build assigns identifiers only to the names it meets, where an eager
+    2**15-name table would take minutes, and it has the baseline's shape."""
+    n = 16
+    states = tuple(f"q{i}" for i in range(n))
+    transitions = [(f"q{i}", "a", f"q{(i + 1) % n}") for i in range(n)] + [("q0", "a", "q2")]
+    nbw = NBW.make(states, ("a",), transitions, ("q0",), ("q0",))
+    canonical = Determinizer(nbw, "canonical")
+    drtw = canonical.build_drtw()
+    baseline = Determinizer(nbw, "baseline").build_drtw()
+    assert len(canonical.table._assigned) < 100
+    assert drtw.stats.max_tree_nodes == 15
+    assert (drtw.stats.states, drtw.stats.transitions) == (baseline.stats.states, baseline.stats.transitions)
 
 
 def test_root_identifier_is_0_1_for_all_n():
