@@ -46,8 +46,8 @@ from .oracle import (
     IdentifierBoundsReport,
     TransitionProfile,
     bounded_equiv,
+    check_identifiers_injective,
     det_lasso_member,
-    enumerate_full,
     enumerate_history_trees,
     nbw_lasso_member,
     verify_identifier_bounds,

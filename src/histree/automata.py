@@ -219,6 +219,7 @@ class DRTW:
     transitions: Mapping[Tuple[int, Symbol], Edge]
     acceptance: RabinPairSet
     stats: BuildStats = field(compare=False, default=None)
+    table: object = field(compare=False, default=None)  # identifiers shown in state labels
 
     def __post_init__(self):
         _check_total(self)
@@ -237,6 +238,7 @@ class DRW:
     transitions: Mapping[Tuple[int, Symbol], Edge]
     acceptance: RabinPairSet
     stats: BuildStats = field(compare=False, default=None)
+    table: object = field(compare=False, default=None)  # identifiers shown in state labels
 
     def __post_init__(self):
         _check_total(self)

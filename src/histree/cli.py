@@ -35,14 +35,14 @@ def _cmd_determinize(args) -> int:
 
 
 def _targets(nbw, strict: bool):
-    """The builds that verify and stats report on.  One canonical engine
-    explores once for both canonical targets; a baseline engine gives the
-    third."""
-    canonical = Determinizer(nbw, "canonical", strict)
+    """The builds that verify and stats report on, all from one engine and
+    one exploration; the canonical builds relabel the baseline build's
+    pair indices."""
+    engine = Determinizer(nbw, "canonical", strict)
     return [
-        ("canonical-drtw", canonical.build_drtw()),
-        ("baseline-drtw", Determinizer(nbw, "baseline", strict).build_drtw()),
-        ("canonical-drw", canonical.build_drw()),
+        ("canonical-drtw", engine.build_drtw()),
+        ("baseline-drtw", engine.build_drtw("baseline")),
+        ("canonical-drw", engine.build_drw()),
     ]
 
 

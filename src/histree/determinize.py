@@ -12,10 +12,11 @@ child per node, strip states already owned by older siblings, drop empty
 nodes, collapse subtrees whose children cover their parent, and compress
 sibling gaps).  A node whose children covered it is recorded as accepting
 for that transition; a node displaced by compression is recorded as
-unstable.  The recorded marks index Rabin pairs either by the node's name
-(baseline mode) or by its (height, flag) identifier (canonical mode),
-which merges names that can never share a tree and so lowers the number
-of pairs.
+unstable.  The marks name nodes, and one exploration of the tree graph
+serves every build.  A baseline build indexes its Rabin pairs by those
+names.  A canonical build is the same build with its pair indices
+relabeled through the (height, flag) identifier table, which merges names
+that can never share a tree and so lowers the number of pairs.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from .automata import (
 )
 from .errors import CapacityError, InputError
 from .trees import (
-    Identifier,
     IdentifierTable,
     NodeName,
     ROOT,
@@ -60,30 +60,18 @@ DEFAULT_MAX_STATES = 100_000
 class HistoryTree:
     """Immutable labeled tree payload; the empty tree is the rejecting sink.
 
-    `entries` holds (name, label) pairs sorted by name; `ids` holds the
-    per-node identifiers in canonical mode and is None in baseline mode.
+    `entries` holds (name, label) pairs sorted by name.
     """
 
     entries: Tuple[Tuple[NodeName, FrozenSet[str]], ...]
-    ids: Optional[Tuple[Tuple[NodeName, Identifier], ...]] = None
 
     @classmethod
-    def from_maps(
-        cls,
-        labels: Mapping[NodeName, FrozenSet[str]],
-        ids: Optional[Mapping[NodeName, Identifier]] = None,
-    ) -> "HistoryTree":
-        entries = tuple(sorted((n, frozenset(l)) for n, l in labels.items()))
-        id_entries = None if ids is None else tuple(sorted(ids.items()))
-        return cls(entries, id_entries)
+    def from_maps(cls, labels: Mapping[NodeName, FrozenSet[str]]) -> "HistoryTree":
+        return cls(tuple(sorted((n, frozenset(l)) for n, l in labels.items())))
 
     @cached_property
     def label_map(self) -> Dict[NodeName, FrozenSet[str]]:
         return dict(self.entries)
-
-    @cached_property
-    def id_map(self) -> Optional[Dict[NodeName, Identifier]]:
-        return None if self.ids is None else dict(self.ids)
 
     @cached_property
     def names(self) -> FrozenSet[NodeName]:
@@ -97,15 +85,16 @@ class HistoryTree:
     def node_count(self) -> int:
         return len(self.entries)
 
-    def render(self) -> str:
-        """Stable one-line rendering used for state names and DOT labels."""
+    def render(self, table: Optional[IdentifierTable] = None) -> str:
+        """Stable one-line rendering used for state names and DOT labels;
+        with a table, each node also shows its identifier."""
         if self.is_sink:
             return "sink"
         parts = []
         for name, label in self.entries:
             text = f"{name_str(name)}:{{{','.join(sorted(label))}}}"
-            if self.id_map is not None:
-                text += f"{self.id_map[name]}"
+            if table is not None:
+                text += f"{table.lookup(name)}"
             parts.append(text)
         return " ".join(parts)
 
@@ -117,10 +106,10 @@ class EnrichedHistoryTree:
     tree: HistoryTree
     incoming: TransitionAnnotation
 
-    def render(self) -> str:
+    def render(self, table: Optional[IdentifierTable] = None) -> str:
         plus = ",".join(str(i) for i in sorted(self.incoming.accepting))
         minus = ",".join(str(i) for i in sorted(self.incoming.unstable))
-        return f"{self.tree.render()} [+{{{plus}}} -{{{minus}}}]"
+        return f"{self.tree.render(table)} [+{{{plus}}} -{{{minus}}}]"
 
 
 @dataclass(frozen=True)
@@ -138,12 +127,37 @@ class StepTrace:
     renaming: Dict[NodeName, NodeName]
     off_table: FrozenSet[NodeName]
     result: HistoryTree
-    annotation: TransitionAnnotation
+    marks: TransitionAnnotation  # indexed by node name
+    table: Optional[IdentifierTable]  # the engine's labeling; None for names
+
+    @property
+    def annotation(self) -> TransitionAnnotation:
+        """The marks indexed as the engine's Rabin pairs."""
+        return relabel(self.marks, self.table)
+
+
+def relabel(marks: TransitionAnnotation, table: Optional[IdentifierTable]) -> TransitionAnnotation:
+    """Re-index name-indexed marks by the identifiers of `table`; without a
+    table the names stay the pair indices."""
+    if table is None:
+        return marks
+    lookup = table.lookup
+    return TransitionAnnotation(
+        frozenset(map(lookup, marks.accepting)),
+        frozenset(map(lookup, marks.unstable)),
+        frozenset(map(lookup, marks.stable)),
+    )
+
+
+def _check_mode(mode: str) -> None:
+    if mode not in MODES:
+        raise InputError(f"unknown mode {mode!r}; expected one of {MODES}")
 
 
 class Determinizer:
-    """Bundles one input automaton with a mode, mark semantics and the
-    shared identifier table; all methods are pure with respect to trees."""
+    """Bundles one input automaton with a mode and mark semantics; all
+    methods are pure with respect to trees.  The mode is the default
+    labeling of the builds."""
 
     def __init__(
         self,
@@ -152,8 +166,7 @@ class Determinizer:
         strict_marks: bool = False,
         max_states: int = DEFAULT_MAX_STATES,
     ):
-        if mode not in MODES:
-            raise InputError(f"unknown mode {mode!r}; expected one of {MODES}")
+        _check_mode(mode)
         problems = validate_nbw(nbw)
         if problems:
             raise InputError("invalid automaton: " + "; ".join(problems))
@@ -162,29 +175,19 @@ class Determinizer:
         self.strict_marks = strict_marks
         self.max_states = max_states
         self.n = len(nbw.states)
-        self.table: Optional[IdentifierTable] = (
-            IdentifierTable(max(self.n, 1)) if mode == "canonical" else None
-        )
 
-    # -- indexing ---------------------------------------------------------
+    @cached_property
+    def table(self) -> IdentifierTable:
+        return IdentifierTable(max(self.n, 1))
 
-    def index_of(self, name: NodeName) -> PairIndex:
-        if self.mode == "baseline":
-            return name
-        return self.table.lookup(name)
-
-    # -- tree construction -------------------------------------------------
+    def _table_for(self, mode: str) -> Optional[IdentifierTable]:
+        """The table that indexes pairs in `mode`; None when node names
+        are the indices."""
+        _check_mode(mode)
+        return self.table if mode == "canonical" else None
 
     def initial_tree(self) -> HistoryTree:
-        if not self.nbw.initial:
-            return self._freeze({})
-        return self._freeze({ROOT: frozenset(self.nbw.initial)})
-
-    def _freeze(self, labels: Mapping[NodeName, FrozenSet[str]]) -> HistoryTree:
-        if self.mode == "baseline":
-            return HistoryTree.from_maps(labels, None)
-        ids = {n: self.table.lookup(n) for n in labels}
-        return HistoryTree.from_maps(labels, ids)
+        return HistoryTree.from_maps({ROOT: frozenset(self.nbw.initial)} if self.nbw.initial else {})
 
     def successor_trace(self, tree: HistoryTree, symbol: Symbol) -> StepTrace:
         if symbol not in self.nbw.alphabet:
@@ -243,15 +246,9 @@ class Determinizer:
         renaming = compress(pruned)
         stable_accepting = accepting & parts.stable
         final_labels = {renaming[n]: l for n, l in pruned.items()}
-        result = self._freeze(final_labels)
-
-        plus = frozenset(self.index_of(n) for n in stable_accepting)
-        if self.strict_marks:
-            minus_names = parts.unstable - accepting
-        else:
-            minus_names = parts.unstable
-        minus = frozenset(self.index_of(n) for n in minus_names)
-        stable_carried = frozenset(self.index_of(n) for n in parts.stable)
+        result = HistoryTree.from_maps(final_labels)
+        minus = parts.unstable - accepting if self.strict_marks else parts.unstable
+        marks = TransitionAnnotation(stable_accepting, minus, parts.stable)
 
         off_table = frozenset(n for n in spawned if height(n) >= self.n)
         return StepTrace(
@@ -266,7 +263,8 @@ class Determinizer:
             renaming=renaming,
             off_table=off_table,
             result=result,
-            annotation=TransitionAnnotation(plus, minus, stable_carried),
+            marks=marks,
+            table=self._table_for(self.mode),
         )
 
     def successor(self, tree: HistoryTree, symbol: Symbol) -> Tuple[HistoryTree, TransitionAnnotation]:
@@ -277,10 +275,10 @@ class Determinizer:
 
     @cached_property
     def _graph(self):
-        """The reachable tree graph, explored breadth-first once per engine:
-        (trees, transitions, largest tree, off-table name count).
-        Deterministic numbering: discovery order with the alphabet in
-        declared order."""
+        """The reachable tree graph with name-indexed marks, explored
+        breadth-first once per engine: (trees, transitions, largest tree,
+        off-table name count).  Deterministic numbering: discovery order
+        with the alphabet in declared order."""
         start = self.initial_tree()
         trees = [start]
         index = {start: 0}
@@ -296,18 +294,18 @@ class Determinizer:
                     if len(trees) >= self.max_states:
                         raise CapacityError(
                             f"state limit {self.max_states} exceeded",
-                            partial=self._stats(len(trees), len(transitions), 0, max_nodes, len(off_table)),
+                            partial=self._stats(self.mode, len(trees), len(transitions), 0, max_nodes, len(off_table)),
                         )
                     tid = len(trees)
                     trees.append(trace.result)
                     index[trace.result] = tid
-                transitions[(sid, symbol)] = (tid, trace.annotation)
+                transitions[(sid, symbol)] = (tid, trace.marks)
                 off_table |= trace.off_table
         return tuple(trees), transitions, max_nodes, len(off_table)
 
-    def _stats(self, states, transitions, pairs, max_nodes, off_table) -> BuildStats:
+    def _stats(self, mode, states, transitions, pairs, max_nodes, off_table) -> BuildStats:
         return BuildStats(
-            mode=self.mode,
+            mode=mode,
             strict_marks=self.strict_marks,
             states=states,
             transitions=transitions,
@@ -316,10 +314,24 @@ class Determinizer:
             off_table_intermediate_names=off_table,
         )
 
-    def build_drtw(self) -> DRTW:
-        trees, transitions, max_nodes, off_table = self._graph
+    def _relabeled(self, mode: Optional[str]):
+        """A build's mode (default: the engine's), the table that indexes
+        its pairs (None for node names) and the tree graph's edges with
+        their marks relabeled by it.  Equal marks share one relabeled
+        annotation, which keeps a canonical build's memory near the
+        graph's own."""
+        mode = mode or self.mode
+        table = self._table_for(mode)
+        edges = self._graph[1]
+        relabeled = {marks: relabel(marks, table) for marks in {marks for _, marks in edges.values()}}
+        return mode, table, {key: (dst, relabeled[marks]) for key, (dst, marks) in edges.items()}
+
+    def build_drtw(self, mode: Optional[str] = None) -> DRTW:
+        """The DRTW with pairs indexed as `mode` (default: the engine's)."""
+        mode, table, transitions = self._relabeled(mode)
+        trees, _, max_nodes, off_table = self._graph
         acceptance = assemble_pairs(transitions, strict_marks=self.strict_marks)
-        stats = self._stats(len(trees), len(transitions), len(acceptance.pairs), max_nodes, off_table)
+        stats = self._stats(mode, len(trees), len(transitions), len(acceptance.pairs), max_nodes, off_table)
         return DRTW(
             payloads=trees,
             alphabet=self.nbw.alphabet,
@@ -327,18 +339,20 @@ class Determinizer:
             transitions=transitions,
             acceptance=acceptance,
             stats=stats,
+            table=table,
         )
 
-    def build_drw(self) -> DRW:
+    def build_drw(self, mode: Optional[str] = None) -> DRW:
         """Split each tree of the DRTW by the annotation of the edge that
         entered it.  A DRW state is a (tree id, incoming annotation) pair
         whose edge on a symbol is its tree's edge on that symbol, so no
         successor is computed again."""
-        trees, tree_edges, max_nodes, off_table = self._graph
+        mode, table, tree_edges = self._relabeled(mode)
+        trees, _, max_nodes, off_table = self._graph
         # Nodes of the initial tree count as stably present at time zero,
         # so re-entering the same tree through a quiet transition merges
         # with the start state.
-        start = (0, TransitionAnnotation(stable=frozenset(self.index_of(n) for n in trees[0].names)))
+        start = (0, relabel(TransitionAnnotation(stable=trees[0].names), table))
         states = [start]
         index = {start: 0}
         transitions: Dict[Tuple[int, Symbol], Edge] = {}
@@ -350,14 +364,14 @@ class Determinizer:
                     if len(states) >= self.max_states:
                         raise CapacityError(
                             f"state limit {self.max_states} exceeded",
-                            partial=self._stats(len(states), len(transitions), 0, max_nodes, off_table),
+                            partial=self._stats(mode, len(states), len(transitions), 0, max_nodes, off_table),
                         )
                     did = len(states)
                     states.append(target)
                     index[target] = did
                 transitions[(sid, symbol)] = (did, target[1])
         acceptance = assemble_state_pairs([ann for _, ann in states], strict_marks=self.strict_marks)
-        stats = self._stats(len(states), len(transitions), len(acceptance.pairs), max_nodes, off_table)
+        stats = self._stats(mode, len(states), len(transitions), len(acceptance.pairs), max_nodes, off_table)
         return DRW(
             payloads=tuple(EnrichedHistoryTree(trees[t], ann) for t, ann in states),
             alphabet=self.nbw.alphabet,
@@ -365,6 +379,7 @@ class Determinizer:
             transitions=transitions,
             acceptance=acceptance,
             stats=stats,
+            table=table,
         )
 
 
@@ -428,21 +443,13 @@ def assemble_state_pairs(
 # -- validation --------------------------------------------------------------
 
 
-def check_history_tree(
-    tree: HistoryTree,
-    nbw: NBW,
-    mode: str = "canonical",
-    table: Optional[IdentifierTable] = None,
-) -> List[str]:
-    """Every violated tree invariant, empty when the payload is sound."""
+def check_history_tree(tree: HistoryTree, nbw: NBW, table: Optional[IdentifierTable] = None) -> List[str]:
+    """Every violated tree invariant, empty when the payload is sound.
+    With a table, the tree's identifiers must also be distinct."""
     problems: List[str] = []
     labels = tree.label_map
     names = tree.names
     n = len(nbw.states)
-    if tree.is_sink:
-        if mode == "canonical" and tree.ids != ():
-            problems.append("sink must carry an empty identifier map")
-        return problems
     if not is_prefix_closed(names):
         problems.append("name set not prefix closed")
     parts = classify(names)
@@ -466,30 +473,16 @@ def check_history_tree(
             kid_union |= labels[kid]
         if kids and not kid_union < label:
             problems.append(f"children of {name_str(name)} do not form a strict subset")
-    if mode == "baseline":
-        if tree.ids is not None:
-            problems.append("baseline tree carries identifiers")
-    else:
-        if tree.id_map is None:
-            problems.append("missing identifiers")
-        else:
-            if set(tree.id_map) != set(names):
-                problems.append("identifier map does not cover the tree")
-            idents = list(tree.id_map.values())
-            if len(set(idents)) != len(idents):
-                problems.append("identifiers not injective")
-            if table is not None:
-                for name, ident in tree.id_map.items():
-                    if table.lookup(name) != ident:
-                        problems.append(f"identifier at {name_str(name)} disagrees with table")
+    if table is not None and len({table.lookup(name) for name in names}) != len(names):
+        problems.append("identifiers not injective")
     return problems
 
 
 # -- spec-level convenience wrappers ----------------------------------------
 
 
-def initial_history_tree(nbw: NBW, mode: str = "canonical") -> HistoryTree:
-    return Determinizer(nbw, mode).initial_tree()
+def initial_history_tree(nbw: NBW) -> HistoryTree:
+    return Determinizer(nbw).initial_tree()
 
 
 def successor(

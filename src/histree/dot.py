@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from .automata import DRTW, DRW, NBW, TransitionAnnotation
 from .determinize import EnrichedHistoryTree, HistoryTree
 from .errors import InputError
-from .trees import name_str
+from .trees import IdentifierTable, name_str
 
 
 def _q(text: str) -> str:
@@ -21,15 +21,20 @@ def _marks(ann: TransitionAnnotation) -> str:
     return " ".join(parts)
 
 
-def emit_dot(obj: Union[NBW, DRTW, DRW, HistoryTree, EnrichedHistoryTree]) -> str:
+def emit_dot(
+    obj: Union[NBW, DRTW, DRW, HistoryTree, EnrichedHistoryTree],
+    table: Optional[IdentifierTable] = None,
+) -> str:
+    """DOT text for an automaton or a tree; a tree's nodes show their
+    identifiers in `table` when one is given."""
     if isinstance(obj, NBW):
         return _nbw_dot(obj)
     if isinstance(obj, (DRTW, DRW)):
         return _rabin_dot(obj)
     if isinstance(obj, EnrichedHistoryTree):
-        return _tree_dot(obj.tree)
+        return _tree_dot(obj.tree, table)
     if isinstance(obj, HistoryTree):
-        return _tree_dot(obj)
+        return _tree_dot(obj, table)
     raise InputError(f"cannot render {type(obj).__name__} as DOT")
 
 
@@ -54,7 +59,7 @@ def _nbw_dot(a: NBW) -> str:
 def _rabin_dot(d: Union[DRTW, DRW]) -> str:
     lines = ["digraph rabin {", "  rankdir=LR;"]
     for sid, payload in enumerate(d.payloads):
-        text = payload.render() if hasattr(payload, "render") else str(payload)
+        text = payload.render(d.table) if hasattr(payload, "render") else str(payload)
         tree = payload.tree if isinstance(payload, EnrichedHistoryTree) else payload
         sinkish = isinstance(tree, HistoryTree) and tree.is_sink
         style = " style=dashed" if sinkish else ""
@@ -70,7 +75,7 @@ def _rabin_dot(d: Union[DRTW, DRW]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _tree_dot(tree: HistoryTree) -> str:
+def _tree_dot(tree: HistoryTree, table: Optional[IdentifierTable]) -> str:
     lines = ["digraph tree {"]
     if tree.is_sink:
         lines.append('  sink [label="sink" shape=box style=dashed];')
@@ -79,8 +84,8 @@ def _tree_dot(tree: HistoryTree) -> str:
     order = {name: k for k, (name, _) in enumerate(tree.entries)}
     for name, label in tree.entries:
         text = f"{name_str(name)}\n{{{','.join(sorted(label))}}}"
-        if tree.id_map is not None:
-            text += f" {tree.id_map[name]}"
+        if table is not None:
+            text += f" {table.lookup(name)}"
         lines.append(f"  n{order[name]} [label={_q(text)} shape=ellipse];")
     for name, _ in tree.entries:
         if name:

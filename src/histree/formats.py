@@ -112,7 +112,7 @@ _ARG_KINDS = {"string", "alias", "int", "ident", "punct"}
 @dataclass
 class _HoaDocument:
     state_count: int
-    start: List[int]
+    start: List[_Token]
     aps: List[str]
     aliases: Dict[str, int]  # alias name (without @) -> symbol index
     acc_name: Optional[List[_Token]]
@@ -184,7 +184,7 @@ def _parse_hoa_document(text: str) -> _HoaDocument:
         if name == "States:":
             doc.state_count = int(stream.next("int", "state count").value)
         elif name == "Start:":
-            doc.start.append(int(stream.next("int", "start state").value))
+            doc.start.append(stream.next("int", "start state"))
             trailing = stream.peek()
             if trailing is not None and trailing.value in ("&", "|"):
                 raise ParseError(
@@ -212,6 +212,9 @@ def _parse_hoa_document(text: str) -> _HoaDocument:
         raise ParseError("expected --BODY--", marker.line, marker.col)
     if doc.state_count < 0:
         raise ParseError("missing States: header", marker.line, marker.col)
+    for tok in doc.start:
+        if int(tok.value) >= doc.state_count:
+            raise ParseError(f"start state {tok.value} not declared", tok.line, tok.col)
 
     current: Optional[int] = None
     while True:
@@ -343,7 +346,7 @@ def parse_nbw_hoa(text: str) -> NBW:
         states=state_names,
         alphabet=tuple(symbol_by_index[i] for i in range(len(doc.aps))),
         transitions=transitions,
-        initial=tuple(names[i] for i in sorted(set(doc.start))),
+        initial=tuple(names[i] for i in sorted({int(tok.value) for tok in doc.start})),
         finals=finals,
     )
 
@@ -416,18 +419,19 @@ def emit_rabin(d: Union[DRTW, DRW]) -> str:
     lines.append("--BODY--")
     sym_index = {s: i for i, s in enumerate(d.alphabet)}
     for sid, payload in enumerate(d.payloads):
-        text = payload.render() if hasattr(payload, "render") else str(payload)
-        sig = "" if on_transitions else _sig_text(_state_sig(pairs, sid))
+        text = payload.render(d.table) if hasattr(payload, "render") else str(payload)
+        sig = "" if on_transitions else _sig_text(_sig(pairs, sid))
         lines.append(f"State: {sid} {_quote(text)}{sig}")
         for sym in d.alphabet:
             dst, _ = d.transitions[(sid, sym)]
-            sig = _sig_text(_edge_sig(pairs, (sid, sym))) if on_transitions else ""
+            sig = _sig_text(_sig(pairs, (sid, sym))) if on_transitions else ""
             lines.append(f"[@s{sym_index[sym]}] {dst}{sig}")
     lines.append("--END--")
     return "\n".join(lines) + "\n"
 
 
-def _edge_sig(pairs: Sequence[RabinPair], key) -> Tuple[int, ...]:
+def _sig(pairs: Sequence[RabinPair], key) -> Tuple[int, ...]:
+    """Acceptance sets of a mark target: an edge key or a state id."""
     sig = []
     for i, pair in enumerate(pairs):
         if key in pair.rejecting:
@@ -435,10 +439,6 @@ def _edge_sig(pairs: Sequence[RabinPair], key) -> Tuple[int, ...]:
         if key in pair.accepting:
             sig.append(2 * i + 1)
     return tuple(sig)
-
-
-def _state_sig(pairs: Sequence[RabinPair], sid: int) -> Tuple[int, ...]:
-    return _edge_sig(pairs, sid)
 
 
 def _sig_text(sig: Tuple[int, ...]) -> str:
@@ -452,7 +452,10 @@ def parse_rabin(text: str) -> Union[DRTW, DRW]:
     acc_name = _acc_tokens_text(doc.acc_name)
     if not acc_name.startswith("Rabin"):
         raise UnsupportedAcceptanceError(f"expected Rabin acceptance, got {acc_name!r}")
-    pair_count = int(acc_name.split()[1])
+    if len(doc.acc_name) < 2 or doc.acc_name[1].kind != "int":
+        where = doc.acc_name[0]
+        raise ParseError("acc-name: Rabin needs a pair count", where.line, where.col)
+    pair_count = int(doc.acc_name[1].value)
     if len(doc.start) != 1:
         raise InputError("deterministic automata need exactly one start state")
     symbol_by_index = _symbols_from_aliases(doc)
@@ -492,7 +495,7 @@ def parse_rabin(text: str) -> Union[DRTW, DRW]:
     return cls(
         payloads=tuple(payloads),
         alphabet=alphabet,
-        initial=doc.start[0],
+        initial=int(doc.start[0].value),
         transitions=transitions,
         acceptance=RabinPairSet(kind=kind, pairs=pairs),
     )

@@ -331,40 +331,36 @@ def _labelings_with_root_size(shape: Shape, size: int) -> int:
     return place(0, size)
 
 
-def _census(n: int) -> int:
-    """Labeled order-closed trees for n automaton states, checking along
-    the way that identifiers are injective within every tree shape."""
+def _shapes_upto(n: int):
+    """Every order-closed tree shape with at most n nodes, within the
+    enumeration cap."""
     cap = tree_enumeration_cap()
     if n > cap:
         raise CapacityError(f"tree enumeration capped at n <= {cap} (got {n})")
     if n < 1:
         raise InputError("census requires n >= 1")
-    table = IdentifierTable(n)
-    total = 0
     for k in range(1, n + 1):
-        for shape in _shapes_cached(k):
-            total += sum(
-                comb(n, size) * _labelings_with_root_size(shape, size)
-                for size in range(1, n + 1)
-            )
-            idents = [table.lookup(name) for name in _shape_names(shape)]
-            if len(set(idents)) != len(idents):
-                raise HistreeError(
-                    f"identifier collision inside an order-closed tree: {shape}"
-                )
-    return total
+        yield from _shapes_cached(k)
 
 
 def enumerate_history_trees(n: int) -> int:
     """hist(n): labeled order-closed trees over an n-state automaton."""
-    return _census(n)
+    return sum(
+        comb(n, size) * _labelings_with_root_size(shape, size)
+        for shape in _shapes_upto(n)
+        for size in range(1, n + 1)
+    )
 
 
-def enumerate_full(n: int) -> int:
-    """histf(n): the same census with identifiers attached per node name;
-    identifiers are a function of the name, so the count cannot grow, and
-    the per-tree injectivity check is asserted along the way."""
-    return _census(n)
+def check_identifiers_injective(n: int) -> None:
+    """Raise HistreeError unless the capacity-n identifiers are distinct
+    within every order-closed tree of at most n nodes, the condition that
+    lets identifiers stand in for node names as pair indices."""
+    table = IdentifierTable(n)
+    for shape in _shapes_upto(n):
+        idents = [table.lookup(name) for name in _shape_names(shape)]
+        if len(set(idents)) != len(idents):
+            raise HistreeError(f"identifier collision inside an order-closed tree: {shape}")
 
 
 # -- identifier bound report --------------------------------------------------

@@ -15,8 +15,8 @@ from histree.fixtures import e1, fixtures
 from histree.formats import emit_nbw_hoa, emit_nbw_native, emit_rabin, parse_nbw
 from histree.oracle import (
     bounded_equiv,
+    check_identifiers_injective,
     det_lasso_member,
-    enumerate_full,
     enumerate_history_trees,
     nbw_lasso_member,
     verify_identifier_bounds,
@@ -79,7 +79,7 @@ def test_criterion_3_history_tree_counts():
     assert enumerate_history_trees(1) == 1
     assert enumerate_history_trees(2) == 5
     for n in range(1, 6):
-        assert enumerate_history_trees(n) == enumerate_full(n)
+        check_identifiers_injective(n)
     for n in range(2, 7):
         assert enumerate_history_trees(n) <= (1.65 * n) ** n
     elapsed = time.monotonic() - started
@@ -127,16 +127,15 @@ def test_criterion_5_structural_invariants(builds):
         for payload in payloads:
             from histree.determinize import check_history_tree
 
-            problems = check_history_tree(payload, a, "canonical", table)
+            problems = check_history_tree(payload, a, table)
             if problems:
-                violations.append((name, payload.render(), problems))
+                violations.append((name, payload.render(table), problems))
             if payload.node_count > n:
-                violations.append((name, payload.render(), "node count"))
-        erased = [HistoryTree(p.entries, None) for p in canonical.payloads]
-        if len(set(erased)) != len(erased):
-            violations.append((name, "-", "identifier erasure not injective"))
-        if erased != list(baseline.payloads):
-            violations.append((name, "-", "erasure does not match the baseline build"))
+                violations.append((name, payload.render(table), "node count"))
+        if len(set(canonical.payloads)) != len(canonical.payloads):
+            violations.append((name, "-", "canonical trees not distinct"))
+        if canonical.payloads != baseline.payloads:
+            violations.append((name, "-", "canonical trees do not match the baseline build"))
     assert violations == []
     _report("C5", "every reachable payload satisfies the tree invariants", started)
 
@@ -178,12 +177,11 @@ def test_criterion_7_micro_example_exactness():
 
     engine = Determinizer(a, "canonical")
     t0 = engine.initial_tree()
-    assert t0 == HistoryTree.from_maps({(): frozenset("p")}, {(): Identifier(0, 1)})
+    assert t0 == HistoryTree.from_maps({(): frozenset("p")})
+    assert t0.render(engine.table) == "ε:{p}(0,1)"
     t1, ann1 = engine.successor(t0, "a")
-    assert t1 == HistoryTree.from_maps(
-        {(): frozenset("pq"), (1,): frozenset("q")},
-        {(): Identifier(0, 1), (1,): Identifier(1, 1)},
-    )
+    assert t1 == HistoryTree.from_maps({(): frozenset("pq"), (1,): frozenset("q")})
+    assert t1.render(engine.table) == "ε:{p,q}(0,1) 1:{q}(1,1)"
     assert ann1.empty
     t2, ann2 = engine.successor(t1, "a")
     assert t2 == t1

@@ -63,6 +63,28 @@ def test_gen_table_golden(capsys):
     assert "1.1.1\t3\t1" in out
 
 
+def test_targets_explore_once(monkeypatch):
+    from histree.cli import _targets
+    from histree.determinize import Determinizer
+
+    calls = []
+    kernel = Determinizer.successor_trace
+
+    def counting(self, tree, symbol):
+        calls.append(symbol)
+        return kernel(self, tree, symbol)
+
+    monkeypatch.setattr(Determinizer, "successor_trace", counting)
+    for a in (e1(), spawn_die_respawn()):
+        calls.clear()
+        targets = dict(_targets(a, strict=False))
+        assert list(targets) == ["canonical-drtw", "baseline-drtw", "canonical-drw"]
+        drtw = targets["canonical-drtw"]
+        assert len(calls) == len(drtw.transitions)
+        assert targets["baseline-drtw"].payloads == drtw.payloads
+        assert targets["baseline-drtw"].stats.mode == "baseline"
+
+
 def test_stats_lists_all_targets(e1_file, capsys):
     assert main(["stats", "--in", e1_file]) == 0
     out = capsys.readouterr().out
@@ -89,6 +111,16 @@ def test_bad_document_is_input_error(tmp_path, capsys):
     path.write_text("HOA: v1\nStates: $$$\n", encoding="utf-8")
     assert main(["determinize", "--in", str(path)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_undeclared_start_state_exits_2(tmp_path, capsys):
+    path = tmp_path / "start.hoa"
+    text = emit_nbw_hoa(e1()).replace("Start: 0", "Start: 3")
+    path.write_text(text, encoding="utf-8")
+    assert main(["determinize", "--in", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "start state 3 not declared" in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_unsupported_acceptance_is_input_error(tmp_path, capsys):

@@ -14,34 +14,43 @@ from histree.determinize import (
     successor,
 )
 from histree.errors import CapacityError, InputError
+from histree.formats import emit_rabin
 from histree.fixtures import e1, no_finals, single_final_loop
 from histree.oracle import det_lasso_member, lassos_upto, nbw_lasso_member
 from histree.automata import LassoWord
 from histree.trees import Identifier, classify, full_tree, height
 
 
-def tree(labels, ids=None):
-    return HistoryTree.from_maps(
-        {k: frozenset(v) for k, v in labels.items()},
-        None if ids is None else {k: Identifier(*v) for k, v in ids.items()},
-    )
+def tree(labels):
+    return HistoryTree.from_maps({k: frozenset(v) for k, v in labels.items()})
+
+
+def index(table, name):
+    """A node's pair index: its name, or its identifier when a table is given."""
+    return name if table is None else table.lookup(name)
 
 
 def test_initial_tree_examples(e1_nbw):
     t0 = initial_history_tree(e1_nbw)
-    assert t0 == tree({(): {"p"}}, {(): (0, 1)})
+    assert t0 == tree({(): {"p"}})
+    assert t0.render(Determinizer(e1_nbw).table) == "ε:{p}(0,1)"
 
     empty = NBW.make(("p",), ("a",), [("p", "a", "p")], (), ("p",))
     assert initial_history_tree(empty).is_sink
 
     full_start = NBW.make(("p", "q"), ("a",), [("p", "a", "p")], ("p", "q"), ())
-    assert initial_history_tree(full_start) == tree({(): {"p", "q"}}, {(): (0, 1)})
+    assert initial_history_tree(full_start) == tree({(): {"p", "q"}})
+    assert initial_history_tree(full_start).render(Determinizer(full_start).table) == "ε:{p,q}(0,1)"
 
 
 def test_initial_tree_baseline_has_no_ids(e1_nbw):
-    t0 = initial_history_tree(e1_nbw, "baseline")
-    assert t0 == tree({(): {"p"}})
-    assert t0.ids is None
+    baseline = Determinizer(e1_nbw, "baseline")
+    t0 = baseline.initial_tree()
+    assert t0 == tree({(): {"p"}}) == Determinizer(e1_nbw, "canonical").initial_tree()
+    assert t0.render() == "ε:{p}"
+    drtw = baseline.build_drtw()
+    assert drtw.table is None
+    assert "State: 0 \"ε:{p}\"" in emit_rabin(drtw)
 
 
 def test_e1_successor_chain(e1_nbw):
@@ -49,7 +58,8 @@ def test_e1_successor_chain(e1_nbw):
     t0 = engine.initial_tree()
     both = frozenset({Identifier(0, 1), Identifier(1, 1)})
     t1, ann1 = engine.successor(t0, "a")
-    assert t1 == tree({(): {"p", "q"}, (1,): {"q"}}, {(): (0, 1), (1,): (1, 1)})
+    assert t1 == tree({(): {"p", "q"}, (1,): {"q"}})
+    assert t1.render(engine.table) == "ε:{p,q}(0,1) 1:{q}(1,1)"
     assert ann1 == TransitionAnnotation(stable=both)
 
     t2, ann2 = engine.successor(t1, "a")
@@ -79,7 +89,7 @@ def test_e1_successor_trace_details(e1_nbw):
 
 def test_successor_of_sink_is_sink(e1_nbw):
     engine = Determinizer(e1_nbw)
-    sink = HistoryTree.from_maps({}, {})
+    sink = HistoryTree.from_maps({})
     out, ann = engine.successor(sink, "a")
     assert out.is_sink
     assert ann == TransitionAnnotation()
@@ -154,7 +164,7 @@ def test_drw_is_the_edge_split_of_the_drtw(corpus_sample):
     start pair plus the distinct (target, annotation) pairs of DRTW edges."""
     for a in corpus_sample:
         for mode in ("canonical", "baseline"):
-            engine = Determinizer(a, mode)
+            table = Determinizer(a).table if mode == "canonical" else None
             drtw, drw = build_drtw(a, mode), build_drw(a, mode)
             tree_id = {tree: t for t, tree in enumerate(drtw.payloads)}
             split = [(tree_id[p.tree], p.incoming) for p in drw.payloads]
@@ -162,7 +172,7 @@ def test_drw_is_the_edge_split_of_the_drtw(corpus_sample):
                 assert drtw.transitions[(split[sid][0], symbol)] == (split[did][0], ann)
                 assert split[did][1] == ann
             t0 = drtw.payloads[0]
-            start = (0, TransitionAnnotation(stable=frozenset(engine.index_of(n) for n in t0.names)))
+            start = (0, TransitionAnnotation(stable=frozenset(index(table, n) for n in t0.names)))
             assert split[0] == start
             assert len(set(split)) == len(split)
             assert set(split) == {start} | set(drtw.transitions.values())
@@ -182,6 +192,10 @@ def test_build_drw_after_build_drtw_makes_no_successor_calls(e1_nbw, monkeypatch
     assert len(calls) == len(drtw.transitions)
     drw = engine.build_drw()
     assert len(drw.payloads) > len(drtw.payloads)
+    baseline = engine.build_drtw("baseline")
+    assert baseline == build_drtw(e1_nbw, "baseline")
+    assert baseline.stats == build_drtw(e1_nbw, "baseline").stats
+    assert engine.build_drw("baseline") == build_drw(e1_nbw, "baseline")
     assert len(calls) == len(drtw.transitions)
 
 
@@ -242,6 +256,8 @@ def test_invalid_inputs_rejected(e1_nbw):
         build_drtw(broken)
     with pytest.raises(InputError):
         Determinizer(e1_nbw, mode="fancy")
+    with pytest.raises(InputError):
+        Determinizer(e1_nbw).build_drtw("fancy")
 
 
 def _local_tree_properties(labels):
@@ -267,7 +283,7 @@ def test_corpus_invariants_and_trace_properties(corpus_sample):
         engine = Determinizer(a, "canonical")
         d = engine.build_drtw()
         for payload in d.payloads:
-            assert check_history_tree(payload, a, "canonical", engine.table) == []
+            assert check_history_tree(payload, a, engine.table) == []
             assert payload.node_count <= n
             for name in payload.names:
                 assert name in full_tree(max(n, 1))
@@ -281,17 +297,28 @@ def test_corpus_invariants_and_trace_properties(corpus_sample):
             assert renamed == trace.unstable
             parts = classify(trace.pruned)
             assert parts.unstable == trace.unstable
-            assert ann.unstable == frozenset(engine.index_of(x) for x in trace.unstable)
-            assert ann.stable == frozenset(engine.index_of(x) for x in parts.stable)
+            assert ann == trace.annotation
+            assert trace.marks.unstable == trace.unstable
+            assert ann.unstable == frozenset(engine.table.lookup(x) for x in trace.unstable)
+            assert ann.stable == frozenset(engine.table.lookup(x) for x in parts.stable)
+
+
+def test_check_history_tree_reports_colliding_identifiers(e1_nbw):
+    class Flat:
+        def lookup(self, name):
+            return Identifier(0, 1)
+
+    t1, _ = Determinizer(e1_nbw).successor(initial_history_tree(e1_nbw), "a")
+    assert check_history_tree(t1, e1_nbw, Determinizer(e1_nbw).table) == []
+    assert check_history_tree(t1, e1_nbw, Flat()) == ["identifiers not injective"]
 
 
 def test_erasure_bijection_and_injectivity(corpus_sample):
     for a in corpus_sample[:20]:
         canonical = build_drtw(a, "canonical")
         baseline = build_drtw(a, "baseline")
-        erased = [HistoryTree(p.entries, None) for p in canonical.payloads]
-        assert len(set(erased)) == len(erased), "identifier erasure must stay injective"
-        assert erased == list(baseline.payloads)
+        assert len(set(canonical.payloads)) == len(canonical.payloads)
+        assert canonical.payloads == baseline.payloads
         mapping = {
             key: (dst, ann) for key, (dst, ann) in baseline.transitions.items()
         }
@@ -342,7 +369,7 @@ def test_rename_takeover_rejects_broken_lineage():
         (key, ann)
         for key, (dst, ann) in d.transitions.items()
         if ann.unstable
-        and Identifier(1, 1) in {i for _, i in (d.payloads[dst].ids or ())}
+        and Identifier(1, 1) in {engine.table.lookup(x) for x in d.payloads[dst].names}
         and Identifier(1, 1) not in ann.stable
     ]
     assert takeover, "expected a transition whose target holds the name only by renaming"
@@ -362,7 +389,7 @@ def test_two_same_height_nodes_can_accept_in_one_step():
         finals=("a", "c"),
     )
     engine = Determinizer(a, "canonical")
-    start = engine._freeze(
+    start = HistoryTree.from_maps(
         {
             (): frozenset("abce"),
             (1,): frozenset("ab"),
@@ -370,7 +397,7 @@ def test_two_same_height_nodes_can_accept_in_one_step():
             (2,): frozenset("c"),
         }
     )
-    assert check_history_tree(start, a, "canonical", engine.table) == []
+    assert check_history_tree(start, a, engine.table) == []
     trace = engine.successor_trace(start, "s")
     assert trace.accepting == {(1, 1), (2,)}
     assert trace.stable_accepting == trace.accepting

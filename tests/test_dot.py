@@ -7,8 +7,10 @@ from histree.fixtures import e1, spawn_die_respawn
 
 
 def test_initial_tree_rendering(e1_nbw):
-    text = emit_dot(Determinizer(e1_nbw).initial_tree())
+    engine = Determinizer(e1_nbw)
+    text = emit_dot(engine.initial_tree(), engine.table)
     assert "{p} (0,1)" in text
+    assert "(0,1)" not in emit_dot(engine.initial_tree())
     assert text.startswith("digraph")
     assert text.count("{") >= 1
 
@@ -41,7 +43,7 @@ def test_tree_and_enriched_and_nbw_render(e1_nbw):
     assert "digraph" in emit_dot(drw.payloads[0])
     nbw_text = emit_dot(e1_nbw)
     assert "doublecircle" in nbw_text
-    sink_tree = HistoryTree.from_maps({}, {})
+    sink_tree = HistoryTree.from_maps({})
     assert "sink" in emit_dot(sink_tree)
 
 

@@ -1,5 +1,9 @@
-import pytest
+from functools import lru_cache
 
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from histree.corpus import default_corpus
 from histree.determinize import build_drtw, build_drw
 from histree.errors import InputError, ParseError
 from histree.fixtures import e1, fixtures
@@ -93,6 +97,14 @@ def test_transition_acceptance_input_rejected():
         parse_nbw(doc)
 
 
+def test_out_of_range_start_rejected():
+    doc = MINIMAL_HOA.replace("Start: 0", "Start: 3")
+    with pytest.raises(ParseError) as err:
+        parse_nbw(doc)
+    assert "start state 3 not declared" in str(err.value)
+    assert (err.value.line, err.value.column) == (3, 8)
+
+
 def test_conjunctive_start_rejected():
     doc = MINIMAL_HOA.replace("Start: 0", "Start: 0 & 0")
     with pytest.raises(ParseError):
@@ -155,6 +167,68 @@ def test_reparsed_rabin_preserves_verdicts():
 def test_parse_rabin_requires_rabin():
     with pytest.raises(UnsupportedAcceptanceError):
         parse_rabin(MINIMAL_HOA)
+
+
+def test_rabin_pair_count_must_be_a_number():
+    text = emit_rabin(build_drtw(e1()))
+    assert "acc-name: Rabin 1\n" in text
+    for bad in ("acc-name: Rabin\n", "acc-name: Rabin x\n"):
+        with pytest.raises(ParseError) as err:
+            parse_rabin(text.replace("acc-name: Rabin 1\n", bad))
+        assert "pair count" in str(err.value)
+
+
+@lru_cache(maxsize=None)
+def _documents():
+    """Emitted HOA, native and Rabin documents of fixtures and corpus automata."""
+    docs = []
+    for a in list(fixtures().values()) + default_corpus(count=10):
+        docs += [emit_nbw_hoa(a), emit_nbw_native(a)]
+        docs += [emit_rabin(build_drtw(a)), emit_rabin(build_drw(a, "baseline"))]
+    return tuple(docs)
+
+
+FUZZ_CHARS = 'HOAStrv:1023789 \n"\\@{}[]()&|!-_xRz'
+
+
+@st.composite
+def mutated_documents(draw):
+    """A corpus document with one to three edits.  An edit picks a line,
+    half of the time among the headers above --BODY--, and replaces one of
+    its space-separated words, or a run of up to three characters at any
+    column, with up to three drawn characters."""
+    lines = draw(st.sampled_from(_documents())).split("\n")
+    headers = lines.index("--BODY--") if "--BODY--" in lines else 1
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, draw(st.sampled_from((headers, len(lines)))) - 1))
+        insert = draw(st.text(alphabet=FUZZ_CHARS, max_size=3))
+        if draw(st.booleans()):
+            words = lines[i].split(" ")
+            words[draw(st.integers(0, len(words) - 1))] = insert
+            lines[i] = " ".join(words)
+        else:
+            j = draw(st.integers(0, len(lines[i])))
+            lines[i] = lines[i][:j] + insert + lines[i][j + draw(st.integers(0, 3)) :]
+    return "\n".join(lines)
+
+
+# The two crash classes a 20,000-mutation random run found (an undeclared
+# start state, a missing or non-numeric Rabin pair count), pinned so that
+# every run replays them.
+_E1_RABIN = emit_rabin(build_drtw(e1()))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(mutated_documents())
+@example(MINIMAL_HOA.replace("Start: 0", "Start: 3"))
+@example(_E1_RABIN.replace("acc-name: Rabin 1", "acc-name: Rabin"))
+@example(_E1_RABIN.replace("acc-name: Rabin 1", "acc-name: Rabin x"))
+def test_mutated_documents_raise_only_input_errors(text):
+    for parse in (parse_nbw, parse_rabin):
+        try:
+            parse(text)
+        except InputError:
+            pass
 
 
 def test_hoa_symbols_with_odd_characters():

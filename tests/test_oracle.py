@@ -13,8 +13,8 @@ from histree.oracle import (
     EquivReport,
     TransitionProfile,
     bounded_equiv,
+    check_identifiers_injective,
     det_lasso_member,
-    enumerate_full,
     enumerate_history_trees,
     LASSO_CAP,
     lasso_count,
@@ -305,8 +305,20 @@ def test_hist_matches_materializing_enumerator():
 
 
 def test_hist_equals_histf_up_to_5():
+    """histf(n), the census with identifiers attached, equals hist(n)
+    because identifiers are injective within every tree."""
     for n in range(1, 6):
-        assert enumerate_history_trees(n) == enumerate_full(n)
+        check_identifiers_injective(n)
+
+
+def test_identifier_injectivity_check_catches_a_collision(monkeypatch):
+    from histree.errors import HistreeError
+    from histree.trees import Identifier, IdentifierTable
+
+    monkeypatch.setattr(IdentifierTable, "lookup", lambda self, name: Identifier(0, 1))
+    check_identifiers_injective(1)  # a one-node tree cannot collide
+    with pytest.raises(HistreeError, match="collision"):
+        check_identifiers_injective(2)
 
 
 def test_hist_numeric_bound():
