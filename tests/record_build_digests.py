@@ -1,0 +1,63 @@
+"""Byte-identity digests of every build of the golden inputs.
+
+One line per input: its name and one sha256 over its eight builds
+(canonical/baseline x drtw/drw x default/strict marks), each contributing
+`emit_rabin`, `stats.to_text()` and `emit_dot`.  The inputs are the
+hand-written fixtures, the default corpus and `fixtures/michel4.hoa`.
+
+`tests/test_build_digests.py` compares against the recorded file.  A
+change that alters emitted bytes on purpose re-records it with
+
+    PYTHONPATH=src python tests/record_build_digests.py
+
+The name keeps pytest from collecting this script.
+"""
+
+from __future__ import annotations
+
+import hashlib
+from pathlib import Path
+from typing import Dict, Iterator, Tuple
+
+from histree.automata import NBW
+from histree.corpus import default_corpus
+from histree.determinize import Determinizer
+from histree.dot import emit_dot
+from histree.fixtures import fixtures
+from histree.formats import emit_rabin, parse_nbw
+
+FIXTURE_DIR = Path(__file__).parent / "fixtures"
+DIGEST_FILE = FIXTURE_DIR / "build_digests.txt"
+
+
+def golden_inputs() -> Iterator[Tuple[str, NBW]]:
+    for name, a in fixtures().items():
+        yield f"fixture:{name}", a
+    for i, a in enumerate(default_corpus()):
+        yield f"random:{i}", a
+    yield "michel4", parse_nbw((FIXTURE_DIR / "michel4.hoa").read_text(encoding="utf-8"))
+
+
+def build_digest(a: NBW) -> str:
+    digest = hashlib.sha256()
+    for strict in (False, True):
+        engine = Determinizer(a, "canonical", strict_marks=strict)
+        for mode in ("canonical", "baseline"):
+            for build in (engine.build_drtw, engine.build_drw):
+                d = build(mode)
+                for text in (emit_rabin(d), d.stats.to_text(), emit_dot(d)):
+                    digest.update(text.encode("utf-8"))
+    return digest.hexdigest()
+
+
+def build_digests() -> Dict[str, str]:
+    return {name: build_digest(a) for name, a in golden_inputs()}
+
+
+def digest_text(digests: Dict[str, str]) -> str:
+    return "".join(f"{name} {value}\n" for name, value in digests.items())
+
+
+if __name__ == "__main__":
+    DIGEST_FILE.write_text(digest_text(build_digests()), encoding="utf-8")
+    print(f"wrote {DIGEST_FILE}")
