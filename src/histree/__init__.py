@@ -13,7 +13,7 @@ from .automata import (
     RabinPair,
     RabinPairSet,
     TransitionAnnotation,
-    post_set,
+    image,
     rabin_loop_accepts,
     validate_nbw,
 )

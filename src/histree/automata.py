@@ -3,14 +3,16 @@ pair evaluation and lasso words.
 
 All values are immutable after construction and safe to share between
 threads.  Symbols and Buchi states are opaque strings; states of the
-deterministic outputs are dense integers indexing a payload table.
+deterministic outputs are dense integers indexing a payload table.  A set
+of Buchi states is an int mask whose bit i stands for `NBW.states[i]`; the
+NBW owns that encoding and its per-symbol successor rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, FrozenSet, Hashable, Iterable, List, Mapping, Tuple
+from typing import FrozenSet, Hashable, Iterable, List, Mapping, Sequence, Tuple
 
 from .errors import InputError
 
@@ -53,14 +55,41 @@ class NBW:
         )
 
     @cached_property
-    def _post(self) -> Mapping[Tuple[State, Symbol], FrozenSet[State]]:
-        table: Dict[Tuple[State, Symbol], set] = {}
-        for src, sym, dst in self.transitions:
-            table.setdefault((src, sym), set()).add(dst)
-        return {key: frozenset(val) for key, val in table.items()}
+    def index(self) -> Mapping[State, int]:
+        """Each state's bit position: bit i stands for states[i]."""
+        return {q: i for i, q in enumerate(self.states)}
 
-    def post(self, state: State, symbol: Symbol) -> FrozenSet[State]:
-        return self._post.get((state, symbol), frozenset())
+    def mask(self, states: Iterable[State]) -> int:
+        """The mask of a set of state names."""
+        out = 0
+        for q in states:
+            out |= 1 << self.index[q]
+        return out
+
+    @cached_property
+    def rows(self) -> Mapping[Symbol, Tuple[int, ...]]:
+        """Per symbol, the successor mask of each state in state order."""
+        rows = {sym: [0] * len(self.states) for sym in self.alphabet}
+        for src, sym, dst in self.transitions:
+            rows[sym][self.index[src]] |= 1 << self.index[dst]
+        return {sym: tuple(row) for sym, row in rows.items()}
+
+    @cached_property
+    def final_mask(self) -> int:
+        return self.mask(self.finals)
+
+
+def image(mask: int, rows: Sequence[int]) -> int:
+    """The union of the rows of the set bits of `mask`: with an NBW's rows
+    for a symbol, the successors of a set of states."""
+    out = 0
+    i = 0
+    while mask:
+        if mask & 1:
+            out |= rows[i]
+        mask >>= 1
+        i += 1
+    return out
 
 
 def validate_nbw(a: NBW) -> List[str]:
@@ -86,20 +115,6 @@ def validate_nbw(a: NBW) -> List[str]:
     for q in sorted(a.finals - states):
         problems.append(f"final state {q} not declared")
     return problems
-
-
-def post_set(a: NBW, sources: Iterable[State], symbol: Symbol) -> FrozenSet[State]:
-    """All states reachable from `sources` by one `symbol` transition."""
-    sources = frozenset(sources)
-    if symbol not in a.alphabet:
-        raise InputError(f"symbol {symbol!r} not in alphabet")
-    unknown = sources - set(a.states)
-    if unknown:
-        raise InputError(f"unknown states: {sorted(unknown)}")
-    out: set = set()
-    for q in sources:
-        out |= a.post(q, symbol)
-    return frozenset(out)
 
 
 @dataclass(frozen=True)

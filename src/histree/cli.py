@@ -1,7 +1,8 @@
 """Command-line surface: determinize, verify, gen-table, stats, render.
 
 Exit codes: 0 success (and, for verify, equivalence), 1 a differential
-counterexample was found, 2 bad input or exceeded capacity.
+counterexample was found, 2 bad input or exceeded capacity; an exceeded
+state limit also prints the partial build statistics to stderr.
 """
 
 from __future__ import annotations
@@ -124,6 +125,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except HistreeError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        partial = getattr(exc, "partial", None)
+        if partial is not None:
+            sys.stderr.write(partial.to_text())
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

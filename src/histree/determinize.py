@@ -10,7 +10,11 @@ Those properties bound the tree at one node per automaton state.
 Reading a symbol rewrites the tree in five phases (spawn a fresh youngest
 child per node, strip states already owned by older siblings, drop empty
 nodes, collapse subtrees whose children cover their parent, and compress
-sibling gaps).  A node whose children covered it is recorded as accepting
+sibling gaps).  Labels are state masks in the automaton's encoding: spawn
+advances each through the NBW's successor rows with `image`, and the
+later phases are single passes over the node names in sorted order, which
+is preorder (a parent precedes its subtree, and older siblings precede
+younger ones).  A node whose children covered it is recorded as accepting
 for that transition; a node displaced by compression is recorded as
 unstable.  The marks name nodes, and one exploration of the tree graph
 serves every build.  A baseline build indexes its Rabin pairs by those
@@ -21,7 +25,7 @@ that can never share a tree and so lowers the number of pairs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Dict, FrozenSet, Hashable, List, Mapping, Optional, Sequence, Set, Tuple
 
@@ -36,6 +40,7 @@ from .automata import (
     RabinPairSet,
     Symbol,
     TransitionAnnotation,
+    image,
     validate_nbw,
 )
 from .errors import CapacityError, InputError
@@ -43,7 +48,6 @@ from .trees import (
     IdentifierTable,
     NodeName,
     ROOT,
-    children,
     classify,
     compress,
     height,
@@ -60,18 +64,16 @@ DEFAULT_MAX_STATES = 100_000
 class HistoryTree:
     """Immutable labeled tree payload; the empty tree is the rejecting sink.
 
-    `entries` holds (name, label) pairs sorted by name.
+    `entries` holds (name, label) pairs sorted by name, each label a mask
+    over `states`, the automaton's state tuple, which only rendering reads.
     """
 
-    entries: Tuple[Tuple[NodeName, FrozenSet[str]], ...]
+    entries: Tuple[Tuple[NodeName, int], ...]
+    states: Tuple[str, ...] = field(default=(), compare=False, repr=False)
 
     @classmethod
-    def from_maps(cls, labels: Mapping[NodeName, FrozenSet[str]]) -> "HistoryTree":
-        return cls(tuple(sorted((n, frozenset(l)) for n, l in labels.items())))
-
-    @cached_property
-    def label_map(self) -> Dict[NodeName, FrozenSet[str]]:
-        return dict(self.entries)
+    def from_maps(cls, labels: Mapping[NodeName, int], states: Tuple[str, ...] = ()) -> "HistoryTree":
+        return cls(tuple(sorted(labels.items())), states)
 
     @cached_property
     def names(self) -> FrozenSet[NodeName]:
@@ -85,6 +87,10 @@ class HistoryTree:
     def node_count(self) -> int:
         return len(self.entries)
 
+    def label_text(self, label: int) -> str:
+        """A label as its state names, sorted as strings, in braces."""
+        return "{" + ",".join(sorted(q for i, q in enumerate(self.states) if label >> i & 1)) + "}"
+
     def render(self, table: Optional[IdentifierTable] = None) -> str:
         """Stable one-line rendering used for state names and DOT labels;
         with a table, each node also shows its identifier."""
@@ -92,7 +98,7 @@ class HistoryTree:
             return "sink"
         parts = []
         for name, label in self.entries:
-            text = f"{name_str(name)}:{{{','.join(sorted(label))}}}"
+            text = f"{name_str(name)}:{self.label_text(label)}"
             if table is not None:
                 text += f"{table.lookup(name)}"
             parts.append(text)
@@ -117,10 +123,10 @@ class StepTrace:
     """Intermediate trees of one successor computation, for inspection."""
 
     symbol: Symbol
-    spawned: Dict[NodeName, FrozenSet[str]]
-    deduped: Dict[NodeName, FrozenSet[str]]
-    nonempty: Dict[NodeName, FrozenSet[str]]
-    pruned: Dict[NodeName, FrozenSet[str]]
+    spawned: Dict[NodeName, int]  # labels are state masks; names in sorted order
+    deduped: Dict[NodeName, int]
+    nonempty: Dict[NodeName, int]
+    pruned: Dict[NodeName, int]
     accepting: FrozenSet[NodeName]
     stable_accepting: FrozenSet[NodeName]
     unstable: FrozenSet[NodeName]
@@ -187,66 +193,63 @@ class Determinizer:
         return self.table if mode == "canonical" else None
 
     def initial_tree(self) -> HistoryTree:
-        return HistoryTree.from_maps({ROOT: frozenset(self.nbw.initial)} if self.nbw.initial else {})
+        start = self.nbw.mask(self.nbw.initial)
+        return HistoryTree.from_maps({ROOT: start} if start else {}, self.nbw.states)
 
     def successor_trace(self, tree: HistoryTree, symbol: Symbol) -> StepTrace:
         if symbol not in self.nbw.alphabet:
             raise InputError(f"symbol {symbol!r} not in alphabet")
-        old = tree.label_map
+        rows = self.nbw.rows[symbol]
 
         # Spawn: every node advances its label by one symbol and gains a
         # fresh youngest child holding the final states among successors.
-        spawned: Dict[NodeName, FrozenSet[str]] = {}
-        for name, label in old.items():
-            image = frozenset(q for s in label for q in self.nbw.post(s, symbol))
-            spawned[name] = image
+        # Sorted names are preorder, so the last child seen is the youngest.
         degrees: Dict[NodeName, int] = {}
-        for name in old:
+        advanced = []
+        for name, label in tree.entries:
             if name:
-                parent = name[:-1]
-                degrees[parent] = max(degrees.get(parent, 0), name[-1])
-        for name, label in list(spawned.items()):
-            child = name + (degrees.get(name, 0) + 1,)
-            spawned[child] = spawned[name] & self.nbw.finals
+                degrees[name[:-1]] = name[-1]
+            advanced.append((name, image(label, rows)))
+        fresh = [(name + (degrees.get(name, 0) + 1,), label & self.nbw.final_mask) for name, label in advanced]
+        spawned = dict(sorted(advanced + fresh))
 
         # Dedup: a state claimed by an older sibling (pre-dedup label) is
-        # removed from every younger sibling's whole subtree.
-        deduped: Dict[NodeName, FrozenSet[str]] = {}
-
-        def scrub(name: NodeName, poison: FrozenSet[str]) -> None:
-            deduped[name] = spawned[name] - poison
-            seen: FrozenSet[str] = frozenset()
-            for kid in children(spawned, name):
-                scrub(kid, poison | seen)
-                seen |= spawned[kid]
-
-        if spawned:
-            scrub(ROOT, frozenset())
+        # removed from every younger sibling's whole subtree.  In preorder a
+        # parent precedes its subtree and older siblings precede younger
+        # ones, so `poison[parent]` has grown by the older siblings' labels
+        # by the time a child is reached.
+        deduped: Dict[NodeName, int] = {}
+        poison: Dict[NodeName, int] = {}
+        for name, label in spawned.items():
+            inherited = 0
+            if name:
+                inherited = poison[name[:-1]]
+                poison[name[:-1]] = inherited | label
+            poison[name] = inherited
+            deduped[name] = label & ~inherited
 
         # Drop nodes whose label emptied (their subtrees empty with them).
         nonempty = {n: l for n, l in deduped.items() if l}
 
         # Collapse: a node whose children's labels add up to its own loses
         # the whole subtree below it and counts as accepting.
-        covered: Set[NodeName] = set()
+        kid_union: Dict[NodeName, int] = {}
         for name, label in nonempty.items():
-            kids = children(nonempty, name)
-            if kids and frozenset().union(*(nonempty[k] for k in kids)) == label:
-                covered.add(name)
-        doomed = {
-            n
-            for n in nonempty
-            if any(n[: len(v)] == v and n != v for v in covered)
-        }
-        pruned = {n: l for n, l in nonempty.items() if n not in doomed}
-        accepting = frozenset(covered - doomed)
+            if name:
+                kid_union[name[:-1]] = kid_union.get(name[:-1], 0) | label
+        covered = {n for n, union in kid_union.items() if union == nonempty[n]}
+        # A node survives when its parent survives uncovered.
+        pruned: Dict[NodeName, int] = {}
+        for name, label in nonempty.items():
+            if not name or (name[:-1] in pruned and name[:-1] not in covered):
+                pruned[name] = label
+        accepting = frozenset(covered.intersection(pruned))
 
         # Compress sibling gaps; displaced nodes are the unstable ones.
         parts = classify(pruned)
         renaming = compress(pruned)
         stable_accepting = accepting & parts.stable
-        final_labels = {renaming[n]: l for n, l in pruned.items()}
-        result = HistoryTree.from_maps(final_labels)
+        result = HistoryTree.from_maps({renaming[n]: l for n, l in pruned.items()}, self.nbw.states)
         minus = parts.unstable - accepting if self.strict_marks else parts.unstable
         marks = TransitionAnnotation(stable_accepting, minus, parts.stable)
 
@@ -447,7 +450,6 @@ def check_history_tree(tree: HistoryTree, nbw: NBW, table: Optional[IdentifierTa
     """Every violated tree invariant, empty when the payload is sound.
     With a table, the tree's identifiers must also be distinct."""
     problems: List[str] = []
-    labels = tree.label_map
     names = tree.names
     n = len(nbw.states)
     if not is_prefix_closed(names):
@@ -457,21 +459,25 @@ def check_history_tree(tree: HistoryTree, nbw: NBW, table: Optional[IdentifierTa
         problems.append(f"not order closed: imbalanced {sorted(parts.imbalanced)}")
     if len(names) > n:
         problems.append(f"{len(names)} nodes exceeds state count {n}")
-    for name in sorted(names):
+    # Per parent, in sibling order: the union of its children's labels and
+    # how many children overlap an older sibling.
+    kid_union: Dict[NodeName, int] = {}
+    overlaps: Dict[NodeName, int] = {}
+    for name, label in tree.entries:
+        if name:
+            seen = kid_union.get(name[:-1], 0)
+            overlaps[name[:-1]] = overlaps.get(name[:-1], 0) + bool(label & seen)
+            kid_union[name[:-1]] = seen | label
+    for name, label in tree.entries:
         if height(name) >= max(n, 1):
             problems.append(f"node {name_str(name)} outside the capacity-{n} full tree")
-        label = labels[name]
         if not label:
             problems.append(f"empty label at {name_str(name)}")
-        if not label <= frozenset(nbw.states):
+        if label >> n:
             problems.append(f"label at {name_str(name)} mentions unknown states")
-        kid_union: Set[str] = set()
-        kids = children(names, name)
-        for kid in kids:
-            if labels[kid] & kid_union:
-                problems.append(f"sibling labels overlap below {name_str(name)}")
-            kid_union |= labels[kid]
-        if kids and not kid_union < label:
+        problems.extend([f"sibling labels overlap below {name_str(name)}"] * overlaps.get(name, 0))
+        union = kid_union.get(name)
+        if union is not None and (union | label != label or union == label):
             problems.append(f"children of {name_str(name)} do not form a strict subset")
     if table is not None and len({table.lookup(name) for name in names}) != len(names):
         problems.append("identifiers not injective")

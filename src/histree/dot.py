@@ -83,7 +83,7 @@ def _tree_dot(tree: HistoryTree, table: Optional[IdentifierTable]) -> str:
         return "\n".join(lines) + "\n"
     order = {name: k for k, (name, _) in enumerate(tree.entries)}
     for name, label in tree.entries:
-        text = f"{name_str(name)}\n{{{','.join(sorted(label))}}}"
+        text = f"{name_str(name)}\n{tree.label_text(label)}"
         if table is not None:
             text += f" {table.lookup(name)}"
         lines.append(f"  n{order[name]} [label={_q(text)} shape=ellipse];")

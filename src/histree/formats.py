@@ -552,12 +552,16 @@ def parse_nbw_native(text: str) -> NBW:
     for key in ("states", "alphabet", "initial", "finals"):
         if not isinstance(header.get(key), list):
             raise ParseError(f'header needs a list field "{key}"', lineno, 1)
+        if not all(isinstance(item, str) for item in header[key]):
+            raise ParseError(f'header field "{key}" must list strings', lineno, 1)
     states = set(header["states"])
     alphabet = set(header["alphabet"])
     transitions = []
     for lineno, record in records[1:]:
         if not isinstance(record, dict) or set(record) != {"from", "symbol", "to"}:
             raise ParseError('transition lines need "from", "symbol", "to"', lineno, 1)
+        if not all(isinstance(value, str) for value in record.values()):
+            raise ParseError('transition "from", "symbol" and "to" must be strings', lineno, 1)
         if record["from"] not in states or record["to"] not in states:
             raise ParseError("transition endpoint not declared", lineno, 1)
         if record["symbol"] not in alphabet:

@@ -7,7 +7,10 @@ for a finite word, a matrix over state pairs whose entries say whether the
 word admits no path, a path, or a path through a final state.  A path
 counts as visiting a final state when any state after its first is final,
 so single-symbol profiles mark final targets and composition never double
-counts endpoints.
+counts endpoints.  Profile rows are state masks in the NBW's encoding:
+a single-symbol profile is the NBW's successor rows for that symbol, and
+composition takes `image`s of rows, the same union the successor kernel
+uses to advance a tree label.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from itertools import product
 from math import comb
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
 
-from .automata import DRTW, DRW, LassoWord, NBW, Symbol, rabin_loop_accepts
+from .automata import DRTW, DRW, LassoWord, NBW, Symbol, image, rabin_loop_accepts
 from .errors import CapacityError, HistreeError, InputError
 from .trees import IdentifierTable, NodeName
 
@@ -64,24 +67,14 @@ class TransitionProfile:
         return TransitionProfile(size, tuple(1 << p for p in range(size)), (0,) * size)
 
     def compose(self, other: "TransitionProfile") -> "TransitionProfile":
-        reach = []
-        final = []
-        for p in range(self.size):
-            r = f = 0
-            row_reach = self.reach[p]
-            row_final = self.final[p]
-            q = 0
-            while row_reach:
-                if row_reach & 1:
-                    r |= other.reach[q]
-                    f |= other.final[q]
-                    if row_final >> q & 1:
-                        f |= other.reach[q]
-                row_reach >>= 1
-                q += 1
-            reach.append(r)
-            final.append(f)
-        return TransitionProfile(self.size, tuple(reach), tuple(final))
+        # final[p] is a subset of reach[p], so image(final[p], other.reach)
+        # adds exactly the paths that passed a final state before `other`.
+        reach, final = other.reach, other.final
+        return TransitionProfile(
+            self.size,
+            tuple([image(r, reach) for r in self.reach]),
+            tuple([image(r, final) | image(f, reach) for r, f in zip(self.reach, self.final)]),
+        )
 
     def union(self, other: "TransitionProfile") -> "TransitionProfile":
         return TransitionProfile(
@@ -91,31 +84,19 @@ class TransitionProfile:
         )
 
 
-def _state_index(a: NBW) -> Dict[str, int]:
-    return {q: i for i, q in enumerate(a.states)}
-
-
 def symbol_profile(a: NBW, symbol: Symbol) -> TransitionProfile:
-    idx = _state_index(a)
-    size = len(a.states)
-    reach = [0] * size
-    final = [0] * size
-    for src, sym, dst in a.transitions:
-        if sym != symbol:
-            continue
-        bit = 1 << idx[dst]
-        reach[idx[src]] |= bit
-        if dst in a.finals:
-            final[idx[src]] |= bit
-    return TransitionProfile(size, tuple(reach), tuple(final))
+    reach = a.rows[symbol]
+    return TransitionProfile(len(a.states), reach, tuple(row & a.final_mask for row in reach))
 
 
 def word_profile(a: NBW, word: Sequence[Symbol]) -> TransitionProfile:
     for sym in word:
         if sym not in a.alphabet:
             raise InputError(f"symbol {sym!r} not in alphabet")
-    profile = TransitionProfile.identity(len(a.states))
-    for sym in word:
+    if not word:
+        return TransitionProfile.identity(len(a.states))
+    profile = symbol_profile(a, word[0])
+    for sym in word[1:]:
         profile = profile.compose(symbol_profile(a, sym))
     return profile
 
@@ -135,25 +116,11 @@ def nbw_lasso_member(a: NBW, w: LassoWord) -> bool:
     """Whether some run on prefix . period^omega visits finals infinitely
     often: a state reachable on the prefix plus whole periods must sit on
     a period-level cycle passing a final state."""
-    size = len(a.states)
-    if size == 0 or not a.initial:
-        # No states or no initial states: no runs at all.
-        word_profile(a, w.prefix + w.period)  # still validate the alphabet
-        return False
-    idx = _state_index(a)
     prefix_profile = word_profile(a, w.prefix)
     closure = _period_closure(word_profile(a, w.period))
-    after_prefix = 0
-    for q in a.initial:
-        after_prefix |= prefix_profile.reach[idx[q]]
-    boundary = after_prefix
-    for q in range(size):
-        if after_prefix >> q & 1:
-            boundary |= closure.reach[q]
-    final_cycles = 0
-    for q in range(size):
-        if closure.final[q] >> q & 1:
-            final_cycles |= 1 << q
+    after_prefix = image(a.mask(a.initial), prefix_profile.reach)
+    boundary = after_prefix | image(after_prefix, closure.reach)
+    final_cycles = sum(1 << q for q in range(closure.size) if closure.final[q] >> q & 1)
     return bool(boundary & final_cycles)
 
 

@@ -14,11 +14,13 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Set, Tuple
 
-from .errors import InputError
+from .errors import CapacityError, InputError
 
 NodeName = Tuple[int, ...]
 
 ROOT: NodeName = ()
+
+TABLE_CAP = 20  # largest n whose whole identifier table may be listed
 
 
 def name_str(name: NodeName) -> str:
@@ -87,13 +89,6 @@ def can_co_occur(first: NodeName, second: NodeName, n: int) -> bool:
 def is_prefix_closed(names: Iterable[NodeName]) -> bool:
     name_set = set(names)
     return all(name[:-1] in name_set for name in name_set if name)
-
-
-def children(names: Iterable[NodeName], parent: NodeName) -> List[NodeName]:
-    """Present children of `parent`, in sibling-index order."""
-    k = len(parent)
-    kids = [n for n in names if len(n) == k + 1 and n[:k] == parent]
-    return sorted(kids)
 
 
 @dataclass(frozen=True)
@@ -207,7 +202,7 @@ class IdentifierTable:
     height >= n lie outside full_tree(n) (transient names produced
     mid-transition); their chains are longer than n, so they conflict with
     nothing and get flag 1.  The whole-table views look up every spine
-    name first.
+    name first; they are capped at n <= TABLE_CAP, while `lookup` is not.
     """
 
     def __init__(self, n: int):
@@ -219,7 +214,10 @@ class IdentifierTable:
     @cached_property
     def spine_order(self) -> List[NodeName]:
         """All nodes of full_tree(n): leaves left to right, each
-        contributing the unseen part of its closed chain ordered by height."""
+        contributing the unseen part of its closed chain ordered by height.
+        There are 2**(n-1) of them, so n is capped at TABLE_CAP."""
+        if self.n > TABLE_CAP:
+            raise CapacityError(f"whole identifier table capped at n <= {TABLE_CAP} (got {self.n})")
         full = full_tree(self.n)
         leaves = sorted(name for name in full if height(name) == self.n - 1)
         order: List[NodeName] = []

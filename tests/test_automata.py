@@ -9,7 +9,7 @@ from histree.automata import (
     NBW,
     RabinPair,
     RabinPairSet,
-    post_set,
+    image,
     rabin_loop_accepts,
     validate_nbw,
 )
@@ -44,17 +44,11 @@ def test_validate_reports_every_violation():
     assert len(problems) == 4
 
 
-def test_post_set_on_e1(e1_nbw):
-    assert post_set(e1_nbw, {"p"}, "a") == {"p", "q"}
-    assert post_set(e1_nbw, set(), "a") == frozenset()
-    assert post_set(e1_nbw, {"q"}, "a") == {"q"}
-
-
-def test_post_set_input_errors(e1_nbw):
-    with pytest.raises(InputError):
-        post_set(e1_nbw, {"p"}, "z")
-    with pytest.raises(InputError):
-        post_set(e1_nbw, {"nope"}, "a")
+def test_image_on_e1(e1_nbw):
+    rows = e1_nbw.rows["a"]
+    assert image(e1_nbw.mask({"p"}), rows) == e1_nbw.mask({"p", "q"})
+    assert image(0, rows) == 0
+    assert image(e1_nbw.mask({"q"}), rows) == e1_nbw.mask({"q"})
 
 
 def _random_nbw(rng):
@@ -66,7 +60,7 @@ def _random_nbw(rng):
     return NBW.make(states, alphabet, transitions, states[:1], states[-1:])
 
 
-def test_post_set_monotone_and_distributes_over_union():
+def test_image_monotone_and_distributes_over_union():
     rng = random.Random(7)
     for _ in range(50):
         a = _random_nbw(rng)
@@ -74,8 +68,11 @@ def test_post_set_monotone_and_distributes_over_union():
         small = frozenset(q for q in pool if rng.random() < 0.4)
         big = small | frozenset(q for q in pool if rng.random() < 0.4)
         for sym in a.alphabet:
-            assert post_set(a, small, sym) <= post_set(a, big, sym)
-            assert post_set(a, small | big, sym) == post_set(a, small, sym) | post_set(a, big, sym)
+            rows = a.rows[sym]
+            post = {dst for src, s, dst in a.transitions if s == sym and src in small}
+            assert image(a.mask(small), rows) == a.mask(post)
+            assert image(a.mask(small), rows) & ~image(a.mask(big), rows) == 0
+            assert image(a.mask(small | big), rows) == image(a.mask(small), rows) | image(a.mask(big), rows)
 
 
 def test_rabin_loop_accepts_examples():

@@ -6,6 +6,7 @@ import pytest
 from histree.cli import main
 from histree.fixtures import e1, spawn_die_respawn
 from histree.formats import emit_nbw_hoa, emit_nbw_native, parse_rabin
+from test_formats import NON_STRING_DOCUMENTS, NON_STRING_IDS
 
 
 @pytest.fixture()
@@ -61,6 +62,15 @@ def test_gen_table_golden(capsys):
     out = capsys.readouterr().out
     assert out.splitlines()[0] == "ε\t0\t1"
     assert "1.1.1\t3\t1" in out
+
+
+def test_gen_table_past_the_cap_exits_2(capsys):
+    started = time.monotonic()
+    assert main(["gen-table", "--n", "64"]) == 2
+    assert time.monotonic() - started < 5
+    captured = capsys.readouterr()
+    assert "capped at n <= 20" in captured.err
+    assert captured.out == ""
 
 
 def test_targets_explore_once(monkeypatch):
@@ -164,3 +174,29 @@ def test_verify_rejects_lasso_bounds_past_the_cap(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "counterexample=" not in captured.out
     assert "exceed" in captured.err
+
+
+@pytest.mark.parametrize("doc", NON_STRING_DOCUMENTS, ids=NON_STRING_IDS)
+def test_non_string_native_items_exit_2(doc, tmp_path, capsys):
+    path = tmp_path / "typed.native"
+    path.write_text(doc, encoding="utf-8")
+    assert main(["verify", "--in", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "must list strings" in captured.err
+    assert captured.out == ""
+
+
+def test_capacity_error_prints_partial_stats(monkeypatch, capsys):
+    import functools
+
+    from histree import cli
+    from histree.determinize import Determinizer
+
+    michel4 = str(Path(__file__).parent / "fixtures" / "michel4.hoa")
+    monkeypatch.setattr(cli, "Determinizer", functools.partial(Determinizer, max_states=3))
+    for command in (["determinize", "--in", michel4], ["stats", "--in", michel4]):
+        assert main(command) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: state limit 3 exceeded\nmode=canonical\n")
+        assert "states=3\n" in captured.err

@@ -13,6 +13,7 @@ from histree.determinize import (
     initial_history_tree,
     successor,
 )
+from histree.dot import emit_dot
 from histree.errors import CapacityError, InputError
 from histree.formats import emit_rabin
 from histree.fixtures import e1, no_finals, single_final_loop
@@ -21,8 +22,9 @@ from histree.automata import LassoWord
 from histree.trees import Identifier, classify, full_tree, height
 
 
-def tree(labels):
-    return HistoryTree.from_maps({k: frozenset(v) for k, v in labels.items()})
+def tree(nbw, labels):
+    """A tree written with state names, encoded through the automaton."""
+    return HistoryTree.from_maps({k: nbw.mask(v) for k, v in labels.items()}, nbw.states)
 
 
 def index(table, name):
@@ -32,21 +34,30 @@ def index(table, name):
 
 def test_initial_tree_examples(e1_nbw):
     t0 = initial_history_tree(e1_nbw)
-    assert t0 == tree({(): {"p"}})
+    assert t0 == tree(e1_nbw, {(): {"p"}})
     assert t0.render(Determinizer(e1_nbw).table) == "ε:{p}(0,1)"
 
     empty = NBW.make(("p",), ("a",), [("p", "a", "p")], (), ("p",))
     assert initial_history_tree(empty).is_sink
 
     full_start = NBW.make(("p", "q"), ("a",), [("p", "a", "p")], ("p", "q"), ())
-    assert initial_history_tree(full_start) == tree({(): {"p", "q"}})
+    assert initial_history_tree(full_start) == tree(full_start, {(): {"p", "q"}})
     assert initial_history_tree(full_start).render(Determinizer(full_start).table) == "ε:{p,q}(0,1)"
+
+
+def test_labels_render_as_names_sorted_as_strings():
+    states = tuple(f"q{i}" for i in range(11))
+    a = NBW.make(states, ("a",), [(q, "a", q) for q in states], ("q10", "q2"), ())
+    t0 = initial_history_tree(a)
+    assert t0.entries == (((), a.mask({"q2", "q10"})),)
+    assert t0.render() == "ε:{q10,q2}"
+    assert r"ε\n{q10,q2}" in emit_dot(t0)
 
 
 def test_initial_tree_baseline_has_no_ids(e1_nbw):
     baseline = Determinizer(e1_nbw, "baseline")
     t0 = baseline.initial_tree()
-    assert t0 == tree({(): {"p"}}) == Determinizer(e1_nbw, "canonical").initial_tree()
+    assert t0 == tree(e1_nbw, {(): {"p"}}) == Determinizer(e1_nbw, "canonical").initial_tree()
     assert t0.render() == "ε:{p}"
     drtw = baseline.build_drtw()
     assert drtw.table is None
@@ -58,7 +69,7 @@ def test_e1_successor_chain(e1_nbw):
     t0 = engine.initial_tree()
     both = frozenset({Identifier(0, 1), Identifier(1, 1)})
     t1, ann1 = engine.successor(t0, "a")
-    assert t1 == tree({(): {"p", "q"}, (1,): {"q"}})
+    assert t1 == tree(e1_nbw, {(): {"p", "q"}, (1,): {"q"}})
     assert t1.render(engine.table) == "ε:{p,q}(0,1) 1:{q}(1,1)"
     assert ann1 == TransitionAnnotation(stable=both)
 
@@ -77,8 +88,8 @@ def test_e1_successor_trace_details(e1_nbw):
     # older sibling, empties, and is dropped; node (1,) is covered by its
     # fresh child and accepts.
     assert set(trace.spawned) == {(), (1,), (1, 1), (2,)}
-    assert trace.spawned[(2,)] == {"q"}
-    assert trace.deduped[(2,)] == frozenset()
+    assert trace.spawned[(2,)] == e1_nbw.mask({"q"})
+    assert trace.deduped[(2,)] == 0
     assert set(trace.nonempty) == {(), (1,), (1, 1)}
     assert set(trace.pruned) == {(), (1,)}
     assert trace.accepting == {(1,)}
@@ -261,18 +272,19 @@ def test_invalid_inputs_rejected(e1_nbw):
 
 
 def _local_tree_properties(labels):
-    """Direct re-statement of the three label properties on a dict."""
+    """Direct re-statement of the three label properties on a dict of
+    state masks."""
     problems = []
     for name, label in labels.items():
         if not label:
             problems.append(("empty", name))
         kids = [k for k in labels if k[:-1] == name and len(k) == len(name) + 1]
-        union = set()
+        union = 0
         for kid in kids:
             if labels[kid] & union:
                 problems.append(("overlap", name))
             union |= labels[kid]
-        if kids and not union < label:
+        if kids and (union & ~label or union == label):
             problems.append(("cover", name))
     return problems
 
@@ -389,14 +401,7 @@ def test_two_same_height_nodes_can_accept_in_one_step():
         finals=("a", "c"),
     )
     engine = Determinizer(a, "canonical")
-    start = HistoryTree.from_maps(
-        {
-            (): frozenset("abce"),
-            (1,): frozenset("ab"),
-            (1, 1): frozenset("a"),
-            (2,): frozenset("c"),
-        }
-    )
+    start = tree(a, {(): "abce", (1,): "ab", (1, 1): "a", (2,): "c"})
     assert check_history_tree(start, a, engine.table) == []
     trace = engine.successor_trace(start, "s")
     assert trace.accepting == {(1, 1), (2,)}

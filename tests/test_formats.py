@@ -132,6 +132,29 @@ def test_native_error_positions():
         parse_nbw_native(good_header + "not json\n")
 
 
+NON_STRING_DOCUMENTS = [
+    '{"format": "nbw", "states": [1, 2], "alphabet": ["a"], "initial": [1], "finals": []}\n',
+    '{"format": "nbw", "states": [[1]], "alphabet": ["a"], "initial": [], "finals": []}\n',
+    '{"format": "nbw", "states": [true], "alphabet": ["a"], "initial": [1], "finals": []}\n',
+]
+NON_STRING_IDS = ["int-states", "list-states", "bool-states"]
+
+
+@pytest.mark.parametrize("doc", NON_STRING_DOCUMENTS, ids=NON_STRING_IDS)
+def test_native_header_items_must_be_strings(doc):
+    with pytest.raises(ParseError) as err:
+        parse_nbw_native(doc)
+    assert err.value.line == 1
+
+
+def test_native_transition_fields_must_be_strings():
+    header = '{"format": "nbw", "states": ["p"], "alphabet": ["a"], "initial": ["p"], "finals": []}\n'
+    for record in ('{"from": ["p"], "symbol": "a", "to": "p"}', '{"from": "p", "symbol": {}, "to": "p"}'):
+        with pytest.raises(ParseError) as err:
+            parse_nbw_native(header + record + "\n")
+        assert err.value.line == 2
+
+
 def test_unrecognized_format():
     with pytest.raises(ParseError):
         parse_nbw("digraph {}\n")

@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 
 from histree.automata import NBW
 from histree.determinize import Determinizer
-from histree.errors import InputError
+from histree.errors import CapacityError, InputError
 from histree.oracle import verify_identifier_bounds
 from histree.trees import (
+    Identifier,
     IdentifierTable,
     ROOT,
     can_co_occur,
@@ -411,3 +412,12 @@ def test_precedes_antisymmetric_random(x, y):
     if precedes(x, y):
         assert not precedes(y, x)
         assert x != y
+
+
+def test_whole_table_views_are_capped_but_lookup_is_not():
+    table = IdentifierTable(64)
+    assert table.lookup((1, 1, 1)) == Identifier(3, 1)
+    with pytest.raises(CapacityError):
+        table.dump_text()
+    with pytest.raises(CapacityError):
+        table.flags_used()
