@@ -71,10 +71,6 @@ class HistoryTree:
     entries: Tuple[Tuple[NodeName, int], ...]
     states: Tuple[str, ...] = field(default=(), compare=False, repr=False)
 
-    @classmethod
-    def from_maps(cls, labels: Mapping[NodeName, int], states: Tuple[str, ...] = ()) -> "HistoryTree":
-        return cls(tuple(sorted(labels.items())), states)
-
     @cached_property
     def names(self) -> FrozenSet[NodeName]:
         return frozenset(n for n, _ in self.entries)
@@ -194,7 +190,7 @@ class Determinizer:
 
     def initial_tree(self) -> HistoryTree:
         start = self.nbw.mask(self.nbw.initial)
-        return HistoryTree.from_maps({ROOT: start} if start else {}, self.nbw.states)
+        return HistoryTree(((ROOT, start),) if start else (), self.nbw.states)
 
     def successor_trace(self, tree: HistoryTree, symbol: Symbol) -> StepTrace:
         if symbol not in self.nbw.alphabet:
@@ -249,7 +245,7 @@ class Determinizer:
         parts = classify(pruned)
         renaming = compress(pruned)
         stable_accepting = accepting & parts.stable
-        result = HistoryTree.from_maps({renaming[n]: l for n, l in pruned.items()}, self.nbw.states)
+        result = HistoryTree(tuple(sorted((renaming[n], l) for n, l in pruned.items())), self.nbw.states)
         minus = parts.unstable - accepting if self.strict_marks else parts.unstable
         marks = TransitionAnnotation(stable_accepting, minus, parts.stable)
 

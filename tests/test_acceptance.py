@@ -193,10 +193,10 @@ def test_criterion_7_micro_example_exactness():
 
     engine = Determinizer(a, "canonical")
     t0 = engine.initial_tree()
-    assert t0 == HistoryTree.from_maps({(): a.mask("p")}, a.states)
+    assert t0 == HistoryTree((((), a.mask("p")),), a.states)
     assert t0.render(engine.table) == "ε:{p}(0,1)"
     t1, ann1 = engine.successor(t0, "a")
-    assert t1 == HistoryTree.from_maps({(): a.mask("pq"), (1,): a.mask("q")}, a.states)
+    assert t1 == HistoryTree((((), a.mask("pq")), ((1,), a.mask("q"))), a.states)
     assert t1.render(engine.table) == "ε:{p,q}(0,1) 1:{q}(1,1)"
     assert ann1.empty
     t2, ann2 = engine.successor(t1, "a")

@@ -24,7 +24,7 @@ from histree.trees import Identifier, classify, full_tree, height
 
 def tree(nbw, labels):
     """A tree written with state names, encoded through the automaton."""
-    return HistoryTree.from_maps({k: nbw.mask(v) for k, v in labels.items()}, nbw.states)
+    return HistoryTree(tuple(sorted((k, nbw.mask(v)) for k, v in labels.items())), nbw.states)
 
 
 def index(table, name):
@@ -100,7 +100,7 @@ def test_e1_successor_trace_details(e1_nbw):
 
 def test_successor_of_sink_is_sink(e1_nbw):
     engine = Determinizer(e1_nbw)
-    sink = HistoryTree.from_maps({})
+    sink = HistoryTree(())
     out, ann = engine.successor(sink, "a")
     assert out.is_sink
     assert ann == TransitionAnnotation()

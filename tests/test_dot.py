@@ -43,7 +43,7 @@ def test_tree_and_enriched_and_nbw_render(e1_nbw):
     assert "digraph" in emit_dot(drw.payloads[0])
     nbw_text = emit_dot(e1_nbw)
     assert "doublecircle" in nbw_text
-    sink_tree = HistoryTree.from_maps({})
+    sink_tree = HistoryTree(())
     assert "sink" in emit_dot(sink_tree)
 
 
