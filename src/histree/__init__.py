@@ -26,8 +26,6 @@ from .determinize import (
     build_drtw,
     build_drw,
     check_history_tree,
-    initial_history_tree,
-    successor,
 )
 from .dot import emit_dot
 from .errors import CapacityError, HistreeError, InputError, ParseError

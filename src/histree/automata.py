@@ -78,6 +78,17 @@ class NBW:
     def final_mask(self) -> int:
         return self.mask(self.finals)
 
+    @cached_property
+    def problems(self) -> Tuple[str, ...]:
+        """What validate_nbw finds, computed once per automaton."""
+        return tuple(validate_nbw(self))
+
+    def require_valid(self) -> None:
+        """Raise InputError listing every problem.  The determinizer and
+        the oracle share this one cached check."""
+        if self.problems:
+            raise InputError("invalid automaton: " + "; ".join(self.problems))
+
 
 def image(mask: int, rows: Sequence[int]) -> int:
     """The union of the rows of the set bits of `mask`: with an NBW's rows

@@ -16,7 +16,11 @@ later phases are single passes over the node names in sorted order, which
 is preorder (a parent precedes its subtree, and older siblings precede
 younger ones).  A node whose children covered it is recorded as accepting
 for that transition; a node displaced by compression is recorded as
-unstable.  The marks name nodes, and one exploration of the tree graph
+unstable.  Compression renames exactly the unstable nodes and keeps sorted
+order, so the kernel reads the stable/unstable split and the sorted result
+tree off its one renaming; `classify`, the gap-rule definition of
+stability, stays the reference that `check_history_tree` and the tests
+apply.  The marks name nodes, and one exploration of the tree graph
 serves every build.  A baseline build indexes its Rabin pairs by those
 names.  A canonical build is the same build with its pair indices
 relabeled through the (height, flag) identifier table, which merges names
@@ -41,7 +45,6 @@ from .automata import (
     Symbol,
     TransitionAnnotation,
     image,
-    validate_nbw,
 )
 from .errors import CapacityError, InputError
 from .trees import (
@@ -169,9 +172,7 @@ class Determinizer:
         max_states: int = DEFAULT_MAX_STATES,
     ):
         _check_mode(mode)
-        problems = validate_nbw(nbw)
-        if problems:
-            raise InputError("invalid automaton: " + "; ".join(problems))
+        nbw.require_valid()
         self.nbw = nbw
         self.mode = mode
         self.strict_marks = strict_marks
@@ -241,13 +242,15 @@ class Determinizer:
                 pruned[name] = label
         accepting = frozenset(covered.intersection(pruned))
 
-        # Compress sibling gaps; displaced nodes are the unstable ones.
-        parts = classify(pruned)
+        # Compress sibling gaps.  The renamed nodes are exactly the unstable
+        # ones, and renaming keeps sorted order, so the result is sorted.
         renaming = compress(pruned)
-        stable_accepting = accepting & parts.stable
-        result = HistoryTree(tuple(sorted((renaming[n], l) for n, l in pruned.items())), self.nbw.states)
-        minus = parts.unstable - accepting if self.strict_marks else parts.unstable
-        marks = TransitionAnnotation(stable_accepting, minus, parts.stable)
+        unstable = frozenset(n for n, m in renaming.items() if n != m)
+        stable = frozenset(pruned).difference(unstable)
+        stable_accepting = accepting & stable
+        result = HistoryTree(tuple((renaming[n], l) for n, l in pruned.items()), self.nbw.states)
+        minus = unstable - accepting if self.strict_marks else unstable
+        marks = TransitionAnnotation(stable_accepting, minus, stable)
 
         off_table = frozenset(n for n in spawned if height(n) >= self.n)
         return StepTrace(
@@ -258,7 +261,7 @@ class Determinizer:
             pruned=pruned,
             accepting=accepting,
             stable_accepting=stable_accepting,
-            unstable=parts.unstable,
+            unstable=unstable,
             renaming=renaming,
             off_table=off_table,
             result=result,
@@ -481,21 +484,6 @@ def check_history_tree(tree: HistoryTree, nbw: NBW, table: Optional[IdentifierTa
 
 
 # -- spec-level convenience wrappers ----------------------------------------
-
-
-def initial_history_tree(nbw: NBW) -> HistoryTree:
-    return Determinizer(nbw).initial_tree()
-
-
-def successor(
-    nbw: NBW,
-    tree: HistoryTree,
-    symbol: Symbol,
-    mode: str = "canonical",
-    *,
-    strict_marks: bool = False,
-) -> Tuple[HistoryTree, TransitionAnnotation]:
-    return Determinizer(nbw, mode, strict_marks).successor(tree, symbol)
 
 
 def build_drtw(

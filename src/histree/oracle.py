@@ -90,6 +90,7 @@ def symbol_profile(a: NBW, symbol: Symbol) -> TransitionProfile:
 
 
 def word_profile(a: NBW, word: Sequence[Symbol]) -> TransitionProfile:
+    a.require_valid()
     for sym in word:
         if sym not in a.alphabet:
             raise InputError(f"symbol {sym!r} not in alphabet")

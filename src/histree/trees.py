@@ -105,44 +105,50 @@ def classify(names: Iterable[NodeName]) -> TreeClasses:
 
     A node tau.i is imbalanced when i >= 2 and tau.(i-1) is missing.  Every
     sibling of an imbalanced node with an index at least as large, and all
-    descendants of those, are unstable; the rest are stable.
+    descendants of those, are unstable; the rest are stable.  One pass in
+    sorted order (preorder): a parent's first gap and its own verdict are
+    known before the children they destabilize.
     """
     name_set = frozenset(names)
-    imbalanced = frozenset(
-        n for n in name_set if n and n[-1] >= 2 and n[:-1] + (n[-1] - 1,) not in name_set
-    )
-    # Smallest imbalanced sibling index under each parent.
-    first_gap: Dict[NodeName, int] = {}
-    for n in imbalanced:
-        parent = n[:-1]
-        first_gap[parent] = min(first_gap.get(parent, n[-1]), n[-1])
-    unstable = frozenset(
-        n
-        for n in name_set
-        if any(n[:k] in first_gap and n[k] >= first_gap[n[:k]] for k in range(len(n)))
-    )
-    return TreeClasses(imbalanced, unstable, name_set - unstable)
+    imbalanced: Set[NodeName] = set()
+    unstable: Set[NodeName] = set()
+    first_gap: Dict[NodeName, int] = {}  # parent -> smallest imbalanced child index
+    for name in sorted(name_set - {ROOT}):
+        parent, i = name[:-1], name[-1]
+        if i >= 2 and parent + (i - 1,) not in name_set:
+            imbalanced.add(name)
+            first_gap.setdefault(parent, i)
+        if parent in unstable or i >= first_gap.get(parent, i + 1):
+            unstable.add(name)
+    return TreeClasses(frozenset(imbalanced), frozenset(unstable), name_set - unstable)
 
 
 def is_order_closed(names: Iterable[NodeName]) -> bool:
-    return not classify(names).imbalanced
+    """Whether no sibling index skips its predecessor."""
+    name_set = set(names)
+    return all(n[-1] == 1 or n[:-1] + (n[-1] - 1,) in name_set for n in name_set if n)
 
 
 def compress(names: Iterable[NodeName]) -> Dict[NodeName, NodeName]:
     """Renaming that closes sibling gaps, restoring order-closedness.
 
     The root maps to itself and tau.i maps to comp(tau).j where j counts
-    the present older siblings of tau.i plus one.  The renamed names (those
-    mapped to a different name) are exactly the unstable nodes.
+    the present older siblings of tau.i plus one.  Repeated names count
+    once.  One pass over the names in sorted order, which is preorder,
+    keeping a running child count per parent.  The renaming preserves
+    lexicographic order, and the renamed names (those mapped to a different
+    name) are exactly the unstable nodes of `classify`; the successor
+    kernel relies on both to read the stable/unstable split and the sorted
+    result tree off this one pass.
     """
-    name_set = set(names)
     out: Dict[NodeName, NodeName] = {}
-    for name in sorted(name_set, key=lambda n: (len(n), n)):
+    kids: Dict[NodeName, int] = {}
+    for name in sorted(set(names)):
         if not name:
             out[name] = name
             continue
-        parent, i = name[:-1], name[-1]
-        j = sum(1 for k in range(1, i) if parent + (k,) in name_set) + 1
+        parent = name[:-1]
+        j = kids[parent] = kids.get(parent, 0) + 1
         out[name] = out[parent] + (j,)
     return out
 

@@ -21,7 +21,7 @@ from histree.oracle import (
     nbw_lasso_member,
     verify_identifier_bounds,
 )
-from histree.trees import Identifier, IdentifierTable, full_tree
+from histree.trees import Identifier, IdentifierTable, can_co_occur, full_tree
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures"
 ARTIFACT_DIR = Path(__file__).parent.parent / ".artifacts"
@@ -182,6 +182,90 @@ def test_michel4_exceeds_the_headline_pair_bound():
     assert holding == verify_identifier_bounds(n).identifiers_used
     assert (headline, holding) == (4, 7)
     assert [p.index for p in drtw.acceptance.pairs] == [Identifier(h, 1) for h in range(5)]
+
+
+def _conflict_graph(n):
+    """Non-root names of full_tree(n), adjacent when they can share one
+    order-closed tree of at most n nodes (and so need distinct pair
+    indices under any per-tree injective labeling)."""
+    names = sorted(full_tree(n) - {()})
+    return {x: {y for y in names if y != x and can_co_occur(x, y, n)} for x in names}
+
+
+def _dsatur(adj):
+    """A proper colouring: repeatedly colour the uncoloured vertex seeing
+    the most distinct colours (ties: higher degree, then larger name)."""
+    colour = {}
+    while len(colour) < len(adj):
+        v = max(
+            (v for v in adj if v not in colour),
+            key=lambda v: (len({colour[u] for u in adj[v] if u in colour}), len(adj[v]), v),
+        )
+        used = {colour[u] for u in adj[v] if u in colour}
+        colour[v] = min(c for c in range(len(adj)) if c not in used)
+    return colour
+
+
+def _max_clique(adj):
+    """A largest clique, by branch and bound over candidate sets."""
+    best = []
+
+    def expand(clique, candidates):
+        nonlocal best
+        if len(clique) > len(best):
+            best = clique
+        for v in sorted(candidates, key=lambda v: (-len(adj[v] & candidates), v)):
+            if len(clique) + len(candidates) <= len(best):
+                return
+            expand(clique + [v], candidates & adj[v])
+            candidates = candidates - {v}
+
+    expand([], set(adj))
+    return best
+
+
+def test_exact_colouring_of_co_occurring_names():
+    """Any labeling injective within each tree needs 1 + chi pairs in the
+    worst case, chi the chromatic number of the co-occurrence graph of
+    non-root names (the root co-occurs with all of them).  A clique and a
+    proper colouring of the same size pin chi exactly for n <= 7."""
+    chi = {}
+    for n in range(2, 8):
+        adj = _conflict_graph(n)
+        colour = _dsatur(adj)
+        assert all(colour[x] != colour[y] for x in adj for y in adj[x])
+        clique = _max_clique(adj)
+        assert all(y in adj[x] for x in clique for y in clique if x != y)
+        assert len(set(colour.values())) == len(clique)
+        chi[n] = len(clique)
+    assert chi == {2: 1, 3: 2, 4: 3, 5: 5, 6: 7, 7: 11}
+    headline = {n: 2 ** ((n - 1 + 1) // 2) for n in chi}
+    assert [n for n in chi if 1 + chi[n] > headline[n]] == [3, 5, 7]
+    used = {n: verify_identifier_bounds(n).identifiers_used for n in chi}
+    assert used == {2: 2, 3: 3, 4: 5, 5: 7, 6: 11, 7: 15}
+    assert all(1 + chi[n] <= used[n] for n in chi)
+
+
+# (n, DRTW states, baseline pairs, canonical pairs) of the searched
+# fixtures written by search_pair_fixtures.py.
+PAIR_INDEX_FIXTURES = [(4, 9, 6, 5), (5, 22, 10, 7), (6, 72, 17, 11)]
+
+
+@pytest.mark.parametrize("n, states, baseline_pairs, canonical_pairs", PAIR_INDEX_FIXTURES)
+def test_searched_pair_index_fixtures(n, states, baseline_pairs, canonical_pairs):
+    """Searched automata on which identifier indexing saves pairs, the
+    canonical count reaching the identifier count of the capacity-n table."""
+    a = parse_nbw((FIXTURE_DIR / f"pair_index_n{n}.hoa").read_text(encoding="utf-8"))
+    assert len(a.states) == n
+    engine = Determinizer(a, "canonical")
+    canonical, baseline, drw = engine.build_drtw(), engine.build_drtw("baseline"), engine.build_drw()
+    assert len(canonical.payloads) == states
+    assert (len(baseline.acceptance.pairs), len(canonical.acceptance.pairs)) == (baseline_pairs, canonical_pairs)
+    assert canonical_pairs < baseline_pairs
+    assert canonical_pairs == verify_identifier_bounds(n).identifiers_used
+    for d in (canonical, baseline, drw):
+        report = bounded_equiv(a, d, MAX_U, MAX_V)
+        assert report.equivalent, report.counterexample
 
 
 def test_criterion_7_micro_example_exactness():

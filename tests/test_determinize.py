@@ -10,8 +10,6 @@ from histree.determinize import (
     build_drtw,
     build_drw,
     check_history_tree,
-    initial_history_tree,
-    successor,
 )
 from histree.dot import emit_dot
 from histree.errors import CapacityError, InputError
@@ -33,22 +31,23 @@ def index(table, name):
 
 
 def test_initial_tree_examples(e1_nbw):
-    t0 = initial_history_tree(e1_nbw)
+    t0 = Determinizer(e1_nbw).initial_tree()
     assert t0 == tree(e1_nbw, {(): {"p"}})
     assert t0.render(Determinizer(e1_nbw).table) == "ε:{p}(0,1)"
 
     empty = NBW.make(("p",), ("a",), [("p", "a", "p")], (), ("p",))
-    assert initial_history_tree(empty).is_sink
+    assert Determinizer(empty).initial_tree().is_sink
 
     full_start = NBW.make(("p", "q"), ("a",), [("p", "a", "p")], ("p", "q"), ())
-    assert initial_history_tree(full_start) == tree(full_start, {(): {"p", "q"}})
-    assert initial_history_tree(full_start).render(Determinizer(full_start).table) == "ε:{p,q}(0,1)"
+    engine = Determinizer(full_start)
+    assert engine.initial_tree() == tree(full_start, {(): {"p", "q"}})
+    assert engine.initial_tree().render(engine.table) == "ε:{p,q}(0,1)"
 
 
 def test_labels_render_as_names_sorted_as_strings():
     states = tuple(f"q{i}" for i in range(11))
     a = NBW.make(states, ("a",), [(q, "a", q) for q in states], ("q10", "q2"), ())
-    t0 = initial_history_tree(a)
+    t0 = Determinizer(a).initial_tree()
     assert t0.entries == (((), a.mask({"q2", "q10"})),)
     assert t0.render() == "ε:{q10,q2}"
     assert r"ε\n{q10,q2}" in emit_dot(t0)
@@ -110,13 +109,6 @@ def test_successor_rejects_unknown_symbol(e1_nbw):
     engine = Determinizer(e1_nbw)
     with pytest.raises(InputError):
         engine.successor(engine.initial_tree(), "z")
-
-
-def test_successor_wrapper_matches_engine(e1_nbw):
-    t0 = initial_history_tree(e1_nbw)
-    via_wrapper = successor(e1_nbw, t0, "a")
-    via_engine = Determinizer(e1_nbw).successor(t0, "a")
-    assert via_wrapper == via_engine
 
 
 def test_build_drtw_e1(e1_nbw):
@@ -320,8 +312,9 @@ def test_check_history_tree_reports_colliding_identifiers(e1_nbw):
         def lookup(self, name):
             return Identifier(0, 1)
 
-    t1, _ = Determinizer(e1_nbw).successor(initial_history_tree(e1_nbw), "a")
-    assert check_history_tree(t1, e1_nbw, Determinizer(e1_nbw).table) == []
+    engine = Determinizer(e1_nbw)
+    t1, _ = engine.successor(engine.initial_tree(), "a")
+    assert check_history_tree(t1, e1_nbw, engine.table) == []
     assert check_history_tree(t1, e1_nbw, Flat()) == ["identifiers not injective"]
 
 

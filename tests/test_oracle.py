@@ -5,7 +5,7 @@ from itertools import combinations, product
 import pytest
 
 from histree.automata import LassoWord, NBW, RabinPair, RabinPairSet
-from histree.determinize import build_drtw, build_drw
+from histree.determinize import Determinizer, build_drtw, build_drw
 from histree.errors import CapacityError, InputError
 from histree.fixtures import e1, finitely_many_b, no_finals, spawn_die_respawn
 from histree.oracle import (
@@ -228,6 +228,44 @@ def test_bounded_equiv_bound_semantics():
 def test_bounded_equiv_requires_shared_alphabet():
     with pytest.raises(InputError):
         bounded_equiv(e1(), build_drtw(finitely_many_b()), 1, 1)
+
+
+INVALID_NBWS = {
+    "undeclared target": NBW.make(("p",), ("a",), [("p", "a", "zz")], ("p",), ()),
+    "undeclared initial state": NBW.make(("p",), ("a",), [("p", "a", "p")], ("zz",), ()),
+    "undeclared symbol": NBW.make(("p",), ("a",), [("p", "b", "p")], ("p",), ("p",)),
+    "duplicated state list": NBW.make(("p", "p"), ("a",), [("p", "a", "p")], ("p",), ("p",)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INVALID_NBWS))
+def test_oracle_rejects_what_the_determinizer_rejects(case):
+    a = INVALID_NBWS[case]
+    d = build_drtw(e1())
+    calls = (
+        lambda: Determinizer(a),
+        lambda: nbw_lasso_member(a, LassoWord((), ("a",))),
+        lambda: word_profile(a, ("a",)),
+        lambda: bounded_equiv(a, d, 1, 1),
+    )
+    messages = set()
+    for call in calls:
+        with pytest.raises(InputError, match="^invalid automaton: ") as caught:
+            call()
+        messages.add(str(caught.value))
+    assert len(messages) == 1
+
+
+def test_automaton_is_validated_once_per_instance(monkeypatch):
+    import histree.automata
+
+    calls = []
+    real = histree.automata.validate_nbw
+    monkeypatch.setattr(histree.automata, "validate_nbw", lambda a: calls.append(a) or real(a))
+    a = finitely_many_b()
+    report = bounded_equiv(a, Determinizer(a).build_drtw(), 2, 2)
+    assert report.equivalent and report.tested > 1
+    assert calls == [a]
 
 
 def test_equiv_report_text_round():

@@ -109,6 +109,19 @@ def test_compress_examples():
     assert compress({(), (2,), (2, 2)}) == {(): (), (2,): (1,), (2, 2): (1, 1)}
 
 
+def test_compress_counts_repeated_names_once():
+    tree = [(), (1,), (3,), (3, 1), (3, 3)]
+    repeated = tree + [(3,), (1,), (), (3, 3)]
+    assert compress(repeated) == compress(set(tree)) == compress(reversed(repeated))
+    assert compress(repeated)[(3, 3)] == (2, 2)
+
+
+def test_compress_preserves_lexicographic_order():
+    for tree in _shapes(6):
+        mapping = compress(tree)
+        assert [mapping[n] for n in sorted(tree)] == sorted(mapping.values()), tree
+
+
 @lru_cache(maxsize=None)
 def _shapes(size, max_comp=4):
     """Prefix-closed trees with `size` nodes and sibling indices up to
