@@ -11,13 +11,22 @@ counts endpoints.  Profile rows are state masks in the NBW's encoding:
 a single-symbol profile is the NBW's successor rows for that symbol, and
 composition takes `image`s of rows, the same union the successor kernel
 uses to advance a tree label.
+
+`bounded_equiv` scans every lasso up to the bounds, but a lasso's two
+verdicts depend only on the NBW states and the deterministic state its
+prefix reaches, and on its period.  So one call builds each symbol profile
+and each period's accepting states once, walks prefixes one letter at a
+time in enumeration order, and evaluates the periods only of the first
+prefix to reach each (states, state) pair.  `nbw_lasso_member` and
+`det_lasso_member` stay as the per-lasso entry points and share the scan's
+period and loop helpers.  Nothing is kept between calls.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
 from math import comb
@@ -113,35 +122,34 @@ def _period_closure(period_profile: TransitionProfile) -> TransitionProfile:
     return closure
 
 
+def _accepting_states(period_profile: TransitionProfile) -> int:
+    """The mask of states from which period^omega has an accepting run:
+    those that reach, over zero or more whole periods, a state on a
+    period-level cycle passing a final state."""
+    closure = _period_closure(period_profile)
+    cycles = sum(1 << q for q in range(closure.size) if closure.final[q] >> q & 1)
+    return sum(1 << q for q in range(closure.size) if (1 << q | closure.reach[q]) & cycles)
+
+
 def nbw_lasso_member(a: NBW, w: LassoWord) -> bool:
     """Whether some run on prefix . period^omega visits finals infinitely
-    often: a state reachable on the prefix plus whole periods must sit on
-    a period-level cycle passing a final state."""
+    often: a state reached on the prefix must accept period^omega."""
     prefix_profile = word_profile(a, w.prefix)
-    closure = _period_closure(word_profile(a, w.period))
     after_prefix = image(a.mask(a.initial), prefix_profile.reach)
-    boundary = after_prefix | image(after_prefix, closure.reach)
-    final_cycles = sum(1 << q for q in range(closure.size) if closure.final[q] >> q & 1)
-    return bool(boundary & final_cycles)
+    return bool(after_prefix & _accepting_states(word_profile(a, w.period)))
 
 
-def det_lasso_member(d: Union[DRTW, DRW], w: LassoWord) -> bool:
-    """Simulate the deterministic automaton on the lasso: iterate the
+def _loop_accepts(d: Union[DRTW, DRW], state: int, period: Sequence[Symbol]) -> bool:
+    """Whether period^omega read from `state` is accepted: iterate the
     period until a period-boundary state repeats, then evaluate the Rabin
     pairs on the marks seen inside the detected loop."""
-    for sym in w.prefix + w.period:
-        if sym not in d.alphabet:
-            raise InputError(f"symbol {sym!r} not in alphabet")
     on_transitions = d.acceptance.kind == "transition"
-    state = d.initial
-    for sym in w.prefix:
-        state, _ = d.transitions[(state, sym)]
     seen: Dict[int, int] = {state: 0}
     marks_per_lap: List[FrozenSet] = []
     limit = len(d.payloads) + 1
     for lap in range(limit):
         lap_marks: Set = set()
-        for sym in w.period:
+        for sym in period:
             nxt, _ = d.transitions[(state, sym)]
             lap_marks.add((state, sym) if on_transitions else nxt)
             state = nxt
@@ -156,6 +164,18 @@ def det_lasso_member(d: Union[DRTW, DRW], w: LassoWord) -> bool:
     raise HistreeError("period boundary failed to repeat within the state count")
 
 
+def det_lasso_member(d: Union[DRTW, DRW], w: LassoWord) -> bool:
+    """Simulate the deterministic automaton on the prefix, then on the
+    period until its loop closes."""
+    for sym in w.prefix + w.period:
+        if sym not in d.alphabet:
+            raise InputError(f"symbol {sym!r} not in alphabet")
+    state = d.initial
+    for sym in w.prefix:
+        state, _ = d.transitions[(state, sym)]
+    return _loop_accepts(d, state, w.period)
+
+
 @dataclass(frozen=True)
 class Counterexample:
     prefix: Tuple[Symbol, ...]
@@ -166,11 +186,14 @@ class Counterexample:
 
 @dataclass(frozen=True)
 class EquivReport:
-    """Outcome of a bounded differential scan."""
+    """Outcome of a bounded differential scan.  `tested` counts the lassos
+    covered in enumeration order; `evaluated` counts those whose verdicts
+    were computed, the rest reusing the verdicts of an earlier prefix."""
 
     tested: int
     counterexample: Optional[Counterexample]
     seconds: float
+    evaluated: int = field(default=0, compare=False)
 
     @property
     def equivalent(self) -> bool:
@@ -190,14 +213,20 @@ class EquivReport:
         return "\n".join(lines) + "\n"
 
 
+def _periods(alphabet: Sequence[Symbol], max_v: int):
+    """Every period of length 1..max_v, shortest first, then in declared
+    alphabet order."""
+    for v_len in range(1, max_v + 1):
+        yield from product(alphabet, repeat=v_len)
+
+
 def lassos_upto(alphabet: Sequence[Symbol], max_u: int, max_v: int):
     """All lassos with prefix length <= max_u and period length 1..max_v,
     shortest first, symbols in declared alphabet order."""
     for u_len in range(max_u + 1):
         for prefix in product(alphabet, repeat=u_len):
-            for v_len in range(1, max_v + 1):
-                for period in product(alphabet, repeat=v_len):
-                    yield LassoWord(prefix, period)
+            for period in _periods(alphabet, max_v):
+                yield LassoWord(prefix, period)
 
 
 def lasso_count(letters: int, max_u: int, max_v: int) -> int:
@@ -214,33 +243,84 @@ def lasso_count(letters: int, max_u: int, max_v: int) -> int:
     return powers(0, max_u) * powers(1, max_v)
 
 
+def _period_acceptance(a: NBW, max_v: int) -> List[int]:
+    """`_accepting_states` of every period, in `_periods` order.  A
+    depth-first walk extends each period's profile by one symbol profile,
+    and keeps only the masks."""
+    symbols = [symbol_profile(a, sym) for sym in a.alphabet]
+    by_length: List[List[int]] = [[] for _ in range(max_v + 1)]
+    stack = [(0, TransitionProfile.identity(len(a.states)))]
+    while stack:
+        depth, profile = stack.pop()
+        if depth:
+            by_length[depth].append(_accepting_states(profile))
+        if depth < max_v:
+            stack.extend((depth + 1, profile.compose(p)) for p in reversed(symbols))
+    return [mask for masks in by_length for mask in masks]
+
+
+def _shortlex_rank(word: Sequence[Symbol], alphabet: Sequence[Symbol]) -> int:
+    """How many words precede `word` in the order lassos_upto enumerates
+    prefixes: its value in bijective base len(alphabet)."""
+    digit = {sym: i + 1 for i, sym in enumerate(alphabet)}
+    rank = 0
+    for sym in word:
+        rank = rank * len(alphabet) + digit[sym]
+    return rank
+
+
 def bounded_equiv(a: NBW, d: Union[DRTW, DRW], max_u: int, max_v: int) -> EquivReport:
     """Compare acceptance of every bounded lasso; the first disagreement
     in enumeration order is reported, so results are deterministic.
     Bounds that would enumerate more than LASSO_CAP lassos raise
-    CapacityError before any is tested."""
+    CapacityError before any is tested.
+
+    Both verdicts of a lasso depend only on the NBW states and the
+    deterministic state reached after its prefix, and on its period.  So
+    the scan walks prefixes one letter at a time in enumeration order and
+    evaluates the periods of each distinct (states, state) pair once.  A
+    repeated pair agreed on every period when first seen, and so do all
+    its extensions, whose pairs were seen too; the walk does not extend it."""
     if tuple(a.alphabet) != tuple(d.alphabet):
         raise InputError("automata to compare must share one alphabet")
     if max_u < 0 or max_v < 1:
         raise InputError(f"lasso bounds need max_u >= 0 and max_v >= 1 (got {max_u}, {max_v})")
-    if lasso_count(len(a.alphabet), max_u, max_v) > LASSO_CAP:
+    total = lasso_count(len(a.alphabet), max_u, max_v)
+    if total > LASSO_CAP:
         raise CapacityError(
             f"lasso bounds max_u={max_u}, max_v={max_v} over {len(a.alphabet)} letters "
             f"exceed {LASSO_CAP} lassos"
         )
+    a.require_valid()
     start = time.monotonic()
-    tested = 0
-    for lasso in lassos_upto(a.alphabet, max_u, max_v):
-        tested += 1
-        expected = nbw_lasso_member(a, lasso)
-        got = det_lasso_member(d, lasso)
-        if expected != got:
-            return EquivReport(
-                tested,
-                Counterexample(lasso.prefix, lasso.period, expected, got),
-                time.monotonic() - start,
-            )
-    return EquivReport(tested, None, time.monotonic() - start)
+    accepting = _period_acceptance(a, max_v)
+    seen: Set[Tuple[int, int]] = set()
+    evaluated = 0
+    level = [((), a.mask(a.initial), d.initial)]
+    for u_len in range(max_u + 1):
+        extended = []
+        for prefix, states, state in level:
+            if (states, state) in seen:
+                continue
+            seen.add((states, state))
+            for i, (period, accepts) in enumerate(zip(_periods(a.alphabet, max_v), accepting)):
+                evaluated += 1
+                expected = bool(states & accepts)
+                got = _loop_accepts(d, state, period)
+                if expected != got:
+                    return EquivReport(
+                        _shortlex_rank(prefix, a.alphabet) * len(accepting) + i + 1,
+                        Counterexample(prefix, period, expected, got),
+                        time.monotonic() - start,
+                        evaluated,
+                    )
+            if u_len < max_u:
+                extended.extend(
+                    (prefix + (sym,), image(states, a.rows[sym]), d.transitions[(state, sym)][0])
+                    for sym in a.alphabet
+                )
+        level = extended
+    return EquivReport(total, None, time.monotonic() - start, evaluated)
 
 
 # -- exhaustive tree census ---------------------------------------------------

@@ -1,13 +1,18 @@
+import gc
 import random
+import weakref
+from dataclasses import replace
 from functools import lru_cache
 from itertools import combinations, product
+from pathlib import Path
 
 import pytest
 
-from histree.automata import LassoWord, NBW, RabinPair, RabinPairSet
+from histree.automata import DRTW, EMPTY_ANNOTATION, LassoWord, NBW, RabinPair, RabinPairSet
 from histree.determinize import Determinizer, build_drtw, build_drw
 from histree.errors import CapacityError, InputError
-from histree.fixtures import e1, finitely_many_b, no_finals, spawn_die_respawn
+from histree.fixtures import e1, finitely_many_b, fixtures, no_finals, spawn_die_respawn
+from histree.formats import parse_nbw
 from histree.oracle import (
     Counterexample,
     EquivReport,
@@ -268,9 +273,101 @@ def test_automaton_is_validated_once_per_instance(monkeypatch):
     assert calls == [a]
 
 
+def _nbw_verdicts(a, max_u, max_v):
+    return [(w, nbw_lasso_member(a, w)) for w in lassos_upto(a.alphabet, max_u, max_v)]
+
+
+def _reference_scan(verdicts, d):
+    """The per-lasso scan: every lasso in lassos_upto order, stopping at the
+    first disagreement; returns (tested, counterexample)."""
+    for tested, (w, expected) in enumerate(verdicts, start=1):
+        got = det_lasso_member(d, w)
+        if got != expected:
+            return tested, Counterexample(w.prefix, w.period, expected, got)
+    return len(verdicts), None
+
+
+def _acceptance_mutants(d):
+    """d with every accepting set gutted, then d with each single pair dropped."""
+    acc = d.acceptance
+    gutted = tuple(RabinPair(p.index, frozenset(), p.rejecting) for p in acc.pairs)
+    yield replace(d, acceptance=RabinPairSet(acc.kind, gutted))
+    for i in range(len(acc.pairs)):
+        yield replace(d, acceptance=RabinPairSet(acc.kind, acc.pairs[:i] + acc.pairs[i + 1 :]))
+
+
+def _one_state(alphabet, accepts_all):
+    """A one-state DRTW: every prefix reaches the same state, whatever
+    NBW states it reaches."""
+    loops = frozenset((0, sym) for sym in alphabet)
+    pairs = (RabinPair(0, loops, frozenset()),) if accepts_all else ()
+    return DRTW(
+        payloads=(None,),
+        alphabet=alphabet,
+        initial=0,
+        transitions={(0, sym): (0, EMPTY_ANNOTATION) for sym in alphabet},
+        acceptance=RabinPairSet("transition", pairs),
+    )
+
+
+def _differential_targets(a):
+    engine = Determinizer(a)
+    builds = [engine.build_drtw(), engine.build_drtw("baseline"), engine.build_drw()]
+    strict = build_drtw(a, "canonical", strict_marks=True)
+    mutants = [m for d in builds for m in _acceptance_mutants(d)]
+    return builds + [strict] + mutants + [_one_state(a.alphabet, b) for b in (True, False)]
+
+
+def test_bounded_equiv_matches_the_per_lasso_reference_scan(corpus_sample):
+    fixture_dir = Path(__file__).parent / "fixtures"
+    named = list(fixtures().items()) + [(f"random:{i}", a) for i, a in enumerate(corpus_sample)]
+    for n in (4, 5, 6):
+        text = (fixture_dir / f"pair_index_n{n}.hoa").read_text(encoding="utf-8")
+        named.append((f"pair_index_n{n}", parse_nbw(text)))
+    one_letter = [(name, a) for name, a in named if len(a.alphabet) == 1]
+    assert {name for name, _ in one_letter} >= {"e1", "single_final_loop"}
+    runs = [(3, 3, named), (0, 1, named), (30, 4, one_letter)]
+    late = []  # counterexamples after a non-empty prefix, with reused verdicts before them
+    for max_u, max_v, inputs in runs:
+        for name, a in inputs:
+            verdicts = _nbw_verdicts(a, max_u, max_v)
+            for d in _differential_targets(a):
+                report = bounded_equiv(a, d, max_u, max_v)
+                expected = _reference_scan(verdicts, d)
+                assert (report.tested, report.counterexample) == expected, (name, max_u, max_v)
+                assert report.evaluated <= report.tested
+                c = report.counterexample
+                if c is not None and c.prefix and report.evaluated < report.tested:
+                    late.append((name, c))
+    # Strict marks disagree only after the empty prefix.  The mutants must
+    # also reach disagreements after non-empty prefixes that the walk finds
+    # only once it has skipped prefixes whose pairs it had seen.
+    assert len(late) >= 5, late
+
+
+def test_bounded_equiv_reuses_verdicts_of_repeated_prefix_pairs(corpus_sample):
+    a = corpus_sample[0]
+    report = bounded_equiv(a, build_drtw(a), 4, 4)
+    assert report.equivalent
+    assert report.tested == lasso_count(len(a.alphabet), 4, 4)
+    assert 0 < report.evaluated < report.tested
+
+
+def test_bounded_equiv_keeps_no_reference_to_its_automata():
+    a = spawn_die_respawn()
+    d = build_drtw(a)
+    assert bounded_equiv(a, d, 3, 3).equivalent
+    refs = (weakref.ref(a), weakref.ref(d))
+    del a, d
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
+
+
 def test_equiv_report_text_round():
     report = EquivReport(10, None, 0.5)
     assert "counterexample=none" in report.to_text()
+    counted = EquivReport(10, None, 0.5, evaluated=4)
+    assert counted == report and counted.to_text() == report.to_text()
     report = EquivReport(3, Counterexample(("a",), ("b",), True, False), 0.1)
     assert "nbw:1" in report.to_text()
 
