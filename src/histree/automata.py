@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import FrozenSet, Hashable, Iterable, List, Mapping, Sequence, Tuple
+from typing import ClassVar, FrozenSet, Hashable, Iterable, List, Mapping, Sequence, Tuple
 
 from .errors import InputError
 
@@ -101,6 +101,12 @@ def image(mask: int, rows: Sequence[int]) -> int:
         mask >>= 1
         i += 1
     return out
+
+
+def bits(mask: int) -> List[int]:
+    """The positions of the set bits of `mask`, ascending: for an NBW's
+    encoding, the indices of a set's states in state order."""
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
 def validate_nbw(a: NBW) -> List[str]:
@@ -232,12 +238,11 @@ class BuildStats:
 
 
 @dataclass(frozen=True)
-class DRTW:
-    """Deterministic Rabin automaton with acceptance on transitions.
-
-    States are dense integers; `payloads[i]` carries the tree behind state
-    i.  The transition map is total over states x alphabet.
-    """
+class _Rabin:
+    """A deterministic Rabin automaton.  States are dense integers;
+    `payloads[i]` carries the tree behind state i.  The transition map is
+    total over states x alphabet.  Each subclass names the acceptance kind
+    it takes, so a DRTW never equals a DRW."""
 
     payloads: Tuple[object, ...]
     alphabet: Tuple[Symbol, ...]
@@ -247,36 +252,34 @@ class DRTW:
     stats: BuildStats = field(compare=False, default=None)
     table: object = field(compare=False, default=None)  # identifiers shown in state labels
 
+    acceptance_kind: ClassVar[str]
+
     def __post_init__(self):
-        _check_total(self)
-        if self.acceptance.kind != "transition":
-            raise InputError("DRTW acceptance must be transition based")
+        n = len(self.payloads)
+        if not 0 <= self.initial < n:
+            raise InputError(f"initial state {self.initial} out of range")
+        for i in range(n):
+            for sym in self.alphabet:
+                if (i, sym) not in self.transitions:
+                    raise InputError(f"transition map not total: missing ({i},{sym})")
+        if self.acceptance.kind != self.acceptance_kind:
+            raise InputError(f"{type(self).__name__} acceptance must be {self.acceptance_kind} based")
+
+    def state_label(self, sid: int) -> str:
+        """State `sid` as HOA names and DOT labels show it: its payload
+        rendered with the identifier table, or as plain text."""
+        payload = self.payloads[sid]
+        return payload.render(self.table) if hasattr(payload, "render") else str(payload)
 
 
-@dataclass(frozen=True)
-class DRW:
+class DRTW(_Rabin):
+    """Deterministic Rabin automaton with acceptance on transitions."""
+
+    acceptance_kind = "transition"
+
+
+class DRW(_Rabin):
     """Deterministic Rabin automaton with acceptance on states; payloads
     are trees enriched with the incoming transition's marks."""
 
-    payloads: Tuple[object, ...]
-    alphabet: Tuple[Symbol, ...]
-    initial: int
-    transitions: Mapping[Tuple[int, Symbol], Edge]
-    acceptance: RabinPairSet
-    stats: BuildStats = field(compare=False, default=None)
-    table: object = field(compare=False, default=None)  # identifiers shown in state labels
-
-    def __post_init__(self):
-        _check_total(self)
-        if self.acceptance.kind != "state":
-            raise InputError("DRW acceptance must be state based")
-
-
-def _check_total(d) -> None:
-    n = len(d.payloads)
-    if not 0 <= d.initial < n:
-        raise InputError(f"initial state {d.initial} out of range")
-    for i in range(n):
-        for sym in d.alphabet:
-            if (i, sym) not in d.transitions:
-                raise InputError(f"transition map not total: missing ({i},{sym})")
+    acceptance_kind = "state"

@@ -11,7 +11,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .determinize import Determinizer
+from .determinize import MODES, Determinizer
 from .dot import emit_dot
 from .errors import HistreeError, InputError
 from .formats import emit_rabin, parse_nbw
@@ -89,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     det = sub.add_parser("determinize", help="write the Rabin automaton as HOA")
     det.add_argument("--in", dest="infile", required=True, help="input file (HOA or native), - for stdin")
-    det.add_argument("--mode", choices=("baseline", "canonical"), default="canonical")
+    det.add_argument("--mode", choices=MODES, default="canonical")
     det.add_argument("--out", choices=("drtw", "drw"), default="drtw",
                      help="acceptance on transitions (drtw) or states (drw)")
     det.add_argument("--strict-paper-marks", action="store_true",

@@ -127,18 +127,11 @@ class StepTrace:
     nonempty: Dict[NodeName, int]
     pruned: Dict[NodeName, int]
     accepting: FrozenSet[NodeName]
-    stable_accepting: FrozenSet[NodeName]
     unstable: FrozenSet[NodeName]
     renaming: Dict[NodeName, NodeName]
     off_table: FrozenSet[NodeName]
     result: HistoryTree
     marks: TransitionAnnotation  # indexed by node name
-    table: Optional[IdentifierTable]  # the engine's labeling; None for names
-
-    @property
-    def annotation(self) -> TransitionAnnotation:
-        """The marks indexed as the engine's Rabin pairs."""
-        return relabel(self.marks, self.table)
 
 
 def relabel(marks: TransitionAnnotation, table: Optional[IdentifierTable]) -> TransitionAnnotation:
@@ -247,10 +240,9 @@ class Determinizer:
         renaming = compress(pruned)
         unstable = frozenset(n for n, m in renaming.items() if n != m)
         stable = frozenset(pruned).difference(unstable)
-        stable_accepting = accepting & stable
         result = HistoryTree(tuple((renaming[n], l) for n, l in pruned.items()), self.nbw.states)
         minus = unstable - accepting if self.strict_marks else unstable
-        marks = TransitionAnnotation(stable_accepting, minus, stable)
+        marks = TransitionAnnotation(accepting & stable, minus, stable)
 
         off_table = frozenset(n for n in spawned if height(n) >= self.n)
         return StepTrace(
@@ -260,18 +252,17 @@ class Determinizer:
             nonempty=nonempty,
             pruned=pruned,
             accepting=accepting,
-            stable_accepting=stable_accepting,
             unstable=unstable,
             renaming=renaming,
             off_table=off_table,
             result=result,
             marks=marks,
-            table=self._table_for(self.mode),
         )
 
     def successor(self, tree: HistoryTree, symbol: Symbol) -> Tuple[HistoryTree, TransitionAnnotation]:
+        """One step with its marks indexed as the engine's Rabin pairs."""
         trace = self.successor_trace(tree, symbol)
-        return trace.result, trace.annotation
+        return trace.result, relabel(trace.marks, self._table_for(self.mode))
 
     # -- automaton construction --------------------------------------------
 

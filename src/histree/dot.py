@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Union
 
-from .automata import DRTW, DRW, NBW, TransitionAnnotation
+from .automata import DRTW, DRW, NBW, TransitionAnnotation, bits
 from .determinize import EnrichedHistoryTree, HistoryTree
 from .errors import InputError
 from .trees import IdentifierTable, name_str
@@ -39,19 +39,22 @@ def emit_dot(
 
 
 def _nbw_dot(a: NBW) -> str:
-    index = {q: i for i, q in enumerate(a.states)}
+    a.require_valid()
     lines = ["digraph nbw {", "  rankdir=LR;"]
-    for q in a.states:
-        shape = "doublecircle" if q in a.finals else "circle"
-        lines.append(f"  n{index[q]} [label={_q(q)} shape={shape}];")
-    for k, q in enumerate(sorted(a.initial, key=index.get)):
+    for i, q in enumerate(a.states):
+        shape = "doublecircle" if a.final_mask >> i & 1 else "circle"
+        lines.append(f"  n{i} [label={_q(q)} shape={shape}];")
+    for k, i in enumerate(bits(a.mask(a.initial))):
         lines.append(f"  init{k} [shape=point];")
-        lines.append(f"  init{k} -> n{index[q]};")
-    merged: Dict[Tuple[str, str], List[str]] = {}
-    for src, sym, dst in sorted(a.transitions, key=lambda t: (index[t[0]], index[t[2]], t[1])):
-        merged.setdefault((src, dst), []).append(sym)
-    for (src, dst), syms in merged.items():
-        lines.append(f"  n{index[src]} -> n{index[dst]} [label={_q(','.join(syms))}];")
+        lines.append(f"  init{k} -> n{i};")
+    # One edge per (source, target) pair, labeled by its symbols sorted as strings.
+    for i in range(len(a.states)):
+        merged: Dict[int, List[str]] = {}
+        for sym in sorted(a.alphabet):
+            for j in bits(a.rows[sym][i]):
+                merged.setdefault(j, []).append(sym)
+        for j in sorted(merged):
+            lines.append(f"  n{i} -> n{j} [label={_q(','.join(merged[j]))}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -59,11 +62,10 @@ def _nbw_dot(a: NBW) -> str:
 def _rabin_dot(d: Union[DRTW, DRW]) -> str:
     lines = ["digraph rabin {", "  rankdir=LR;"]
     for sid, payload in enumerate(d.payloads):
-        text = payload.render(d.table) if hasattr(payload, "render") else str(payload)
         tree = payload.tree if isinstance(payload, EnrichedHistoryTree) else payload
         sinkish = isinstance(tree, HistoryTree) and tree.is_sink
         style = " style=dashed" if sinkish else ""
-        lines.append(f"  n{sid} [label={_q(text)} shape=box{style}];")
+        lines.append(f"  n{sid} [label={_q(d.state_label(sid))} shape=box{style}];")
     lines.append("  init [shape=point];")
     lines.append(f"  init -> n{d.initial};")
     for sid in range(len(d.payloads)):

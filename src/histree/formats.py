@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .automata import (
     DRTW,
@@ -22,6 +22,7 @@ from .automata import (
     NBW,
     RabinPair,
     RabinPairSet,
+    bits,
 )
 from .errors import InputError, ParseError
 
@@ -105,8 +106,7 @@ class _TokenStream:
 
 # -- HOA parsing --------------------------------------------------------------
 
-_IGNORED_HEADERS = {"name:", "tool:", "properties:", "acc-name:"}
-_ARG_KINDS = {"string", "alias", "int", "ident", "punct"}
+_IGNORED_HEADERS = {"name:", "tool:"}
 
 
 @dataclass
@@ -318,15 +318,10 @@ def parse_nbw_hoa(text: str) -> NBW:
     if not acc_name and not acceptance:
         raise UnsupportedAcceptanceError("missing acceptance declaration")
 
-    symbol_by_index = _symbols_from_aliases(doc)
-    declared = {num for num, _, _ in doc.states}
-    for num in range(doc.state_count):
-        if num not in declared:
-            raise InputError(f"state {num} has no State: block")
-    names: Dict[int, str] = {}
+    alphabet = _alphabet(doc)
+    names = _state_labels(doc)
     finals: List[str] = []
-    for num, label, sig in doc.states:
-        names[num] = label if label is not None else str(num)
+    for num, _, sig in doc.states:
         if any(s != 0 for s in sig):
             raise InputError(f"state {num}: Buchi input uses only acceptance set 0")
         if sig:
@@ -338,57 +333,62 @@ def parse_nbw_hoa(text: str) -> NBW:
                 raise InputError(
                     "transition-based acceptance is not supported on Buchi input"
                 )
-            transitions.append((names[src], symbol_by_index[sym_index], names[dst]))
-    state_names = tuple(names[i] for i in range(doc.state_count))
-    if len(set(state_names)) != len(state_names):
+            transitions.append((names[src], alphabet[sym_index], names[dst]))
+    if len(set(names)) != len(names):
         raise InputError("duplicate state names")
     return NBW.make(
-        states=state_names,
-        alphabet=tuple(symbol_by_index[i] for i in range(len(doc.aps))),
+        states=names,
+        alphabet=alphabet,
         transitions=transitions,
         initial=tuple(names[i] for i in sorted({int(tok.value) for tok in doc.start})),
         finals=finals,
     )
 
 
-def _symbols_from_aliases(doc: _HoaDocument) -> Dict[int, str]:
+def _alphabet(doc: _HoaDocument) -> Tuple[str, ...]:
+    """The symbols in proposition order.  Every alias names one symbol, so
+    one alias per proposition, no two naming the same, covers them all."""
     if len(doc.aliases) != len(doc.aps):
         raise InputError("expected exactly one alias per atomic proposition")
-    out: Dict[int, str] = {}
-    for _, sym_index in sorted(doc.aliases.items()):
-        if sym_index in out:
-            raise InputError("two aliases name the same symbol")
-        out[sym_index] = doc.aps[sym_index]
-    return out
+    if len(set(doc.aliases.values())) != len(doc.aps):
+        raise InputError("two aliases name the same symbol")
+    return tuple(doc.aps)
+
+
+def _state_labels(doc: _HoaDocument) -> List[str]:
+    """Each state's label, its number when unnamed, in state order.  Every
+    declared state needs a State: block, which is checked before anything
+    is sized by the declared count."""
+    labels = {num: label if label is not None else str(num) for num, label, _ in doc.states}
+    for num in range(doc.state_count):
+        if num not in labels:
+            raise InputError(f"state {num} has no State: block")
+    return [labels[num] for num in range(doc.state_count)]
+
+
+def _hoa_preamble(state_count: int, starts: Iterable[int], alphabet: Sequence[str]) -> List[str]:
+    """The HOA:, States:, Start:, AP: and Alias: lines; alias @si is the
+    one-hot conjunction that names symbol i."""
+    k = len(alphabet)
+    lines = ["HOA: v1", f"States: {state_count}"]
+    lines += [f"Start: {i}" for i in starts]
+    lines.append(f"AP: {k} " + " ".join(_quote(s) for s in alphabet))
+    for i in range(k):
+        lines.append(f"Alias: @s{i} " + "&".join(str(j) if j == i else f"!{j}" for j in range(k)))
+    return lines
 
 
 def emit_nbw_hoa(a: NBW) -> str:
-    index = {q: i for i, q in enumerate(a.states)}
-    sym_index = {s: i for i, s in enumerate(a.alphabet)}
-    lines = ["HOA: v1", f"States: {len(a.states)}"]
-    for q in sorted(a.initial, key=index.get):
-        lines.append(f"Start: {index[q]}")
-    lines.append(f"AP: {len(a.alphabet)} " + " ".join(_quote(s) for s in a.alphabet))
-    for i in range(len(a.alphabet)):
-        lines.append(f"Alias: @s{i} {_one_hot(i, len(a.alphabet))}")
-    lines.append("acc-name: Buchi")
-    lines.append("Acceptance: 1 Inf(0)")
-    lines.append("--BODY--")
-    post: Dict[Tuple[str, str], List[str]] = {}
-    for src, sym, dst in a.transitions:
-        post.setdefault((src, sym), []).append(dst)
-    for q in a.states:
-        sig = " {0}" if q in a.finals else ""
-        lines.append(f"State: {index[q]} {_quote(q)}{sig}")
-        for sym in a.alphabet:
-            for dst in sorted(post.get((q, sym), []), key=index.get):
-                lines.append(f"[@s{sym_index[sym]}] {index[dst]}")
+    a.require_valid()
+    lines = _hoa_preamble(len(a.states), bits(a.mask(a.initial)), a.alphabet)
+    lines += ["acc-name: Buchi", "Acceptance: 1 Inf(0)", "--BODY--"]
+    for i, q in enumerate(a.states):
+        sig = " {0}" if a.final_mask >> i & 1 else ""
+        lines.append(f"State: {i} {_quote(q)}{sig}")
+        for k, sym in enumerate(a.alphabet):
+            lines += [f"[@s{k}] {j}" for j in bits(a.rows[sym][i])]
     lines.append("--END--")
     return "\n".join(lines) + "\n"
-
-
-def _one_hot(i: int, count: int) -> str:
-    return "&".join(str(j) if j == i else f"!{j}" for j in range(count))
 
 
 # -- Rabin emit / parse --------------------------------------------------------
@@ -407,25 +407,20 @@ def emit_rabin(d: Union[DRTW, DRW]) -> str:
     is a pure function of the automaton, so emission is byte stable."""
     on_transitions = d.acceptance.kind == "transition"
     pairs = d.acceptance.pairs
-    lines = ["HOA: v1", f"States: {len(d.payloads)}", f"Start: {d.initial}"]
-    lines.append(f"AP: {len(d.alphabet)} " + " ".join(_quote(s) for s in d.alphabet))
-    for i in range(len(d.alphabet)):
-        lines.append(f"Alias: @s{i} {_one_hot(i, len(d.alphabet))}")
+    lines = _hoa_preamble(len(d.payloads), [d.initial], d.alphabet)
     lines.append(f"acc-name: Rabin {len(pairs)}")
     lines.append(_rabin_acceptance_line(len(pairs)))
     lines.append(
         "properties: deterministic " + ("trans-acc" if on_transitions else "state-acc")
     )
     lines.append("--BODY--")
-    sym_index = {s: i for i, s in enumerate(d.alphabet)}
-    for sid, payload in enumerate(d.payloads):
-        text = payload.render(d.table) if hasattr(payload, "render") else str(payload)
+    for sid in range(len(d.payloads)):
         sig = "" if on_transitions else _sig_text(_sig(pairs, sid))
-        lines.append(f"State: {sid} {_quote(text)}{sig}")
-        for sym in d.alphabet:
+        lines.append(f"State: {sid} {_quote(d.state_label(sid))}{sig}")
+        for k, sym in enumerate(d.alphabet):
             dst, _ = d.transitions[(sid, sym)]
             sig = _sig_text(_sig(pairs, (sid, sym))) if on_transitions else ""
-            lines.append(f"[@s{sym_index[sym]}] {dst}{sig}")
+            lines.append(f"[@s{k}] {dst}{sig}")
     lines.append("--END--")
     return "\n".join(lines) + "\n"
 
@@ -458,21 +453,15 @@ def parse_rabin(text: str) -> Union[DRTW, DRW]:
     pair_count = int(doc.acc_name[1].value)
     if len(doc.start) != 1:
         raise InputError("deterministic automata need exactly one start state")
-    symbol_by_index = _symbols_from_aliases(doc)
-    alphabet = tuple(symbol_by_index[i] for i in range(len(doc.aps)))
+    alphabet = _alphabet(doc)
     on_transitions = "state-acc" not in doc.properties
-
-    payloads: List[str] = [""] * doc.state_count
-    state_sigs: Dict[int, Tuple[int, ...]] = {}
-    for num, label, sig in doc.states:
-        payloads[num] = label if label is not None else str(num)
-        state_sigs[num] = sig
+    payloads = _state_labels(doc)
     transitions = {}
     acc_targets: Dict[int, set] = {}
     rej_targets: Dict[int, set] = {}
     for src, edge_list in doc.edges.items():
-        for sym_index_, dst, sig in edge_list:
-            sym = symbol_by_index[sym_index_]
+        for sym_index, dst, sig in edge_list:
+            sym = alphabet[sym_index]
             if (src, sym) in transitions:
                 raise InputError(f"duplicate edge for state {src} symbol {sym!r}")
             transitions[(src, sym)] = (dst, EMPTY_ANNOTATION)
@@ -480,7 +469,7 @@ def parse_rabin(text: str) -> Union[DRTW, DRW]:
             if on_transitions:
                 _collect_sig(sig, pair_count, target, acc_targets, rej_targets)
     if not on_transitions:
-        for num, sig in state_sigs.items():
+        for num, _, sig in doc.states:
             _collect_sig(sig, pair_count, num, acc_targets, rej_targets)
     pairs = tuple(
         RabinPair(
@@ -490,14 +479,13 @@ def parse_rabin(text: str) -> Union[DRTW, DRW]:
         )
         for i in range(pair_count)
     )
-    kind = "transition" if on_transitions else "state"
     cls = DRTW if on_transitions else DRW
     return cls(
         payloads=tuple(payloads),
         alphabet=alphabet,
         initial=int(doc.start[0].value),
         transitions=transitions,
-        acceptance=RabinPairSet(kind=kind, pairs=pairs),
+        acceptance=RabinPairSet(kind=cls.acceptance_kind, pairs=pairs),
     )
 
 
@@ -515,20 +503,18 @@ def _collect_sig(sig, pair_count, target, acc_targets, rej_targets) -> None:
 
 
 def emit_nbw_native(a: NBW) -> str:
-    state_index = {q: i for i, q in enumerate(a.states)}
-    sym_index = {s: i for i, s in enumerate(a.alphabet)}
+    a.require_valid()
     header = {
         "format": "nbw",
         "states": list(a.states),
         "alphabet": list(a.alphabet),
-        "initial": sorted(a.initial, key=state_index.get),
-        "finals": sorted(a.finals, key=state_index.get),
+        "initial": [a.states[i] for i in bits(a.mask(a.initial))],
+        "finals": [a.states[i] for i in bits(a.final_mask)],
     }
     lines = [json.dumps(header)]
-    for src, sym, dst in sorted(
-        a.transitions, key=lambda t: (state_index[t[0]], sym_index[t[1]], state_index[t[2]])
-    ):
-        lines.append(json.dumps({"from": src, "symbol": sym, "to": dst}))
+    for i, q in enumerate(a.states):
+        for sym in a.alphabet:
+            lines += [json.dumps({"from": q, "symbol": sym, "to": a.states[j]}) for j in bits(a.rows[sym][i])]
     return "\n".join(lines) + "\n"
 
 

@@ -24,7 +24,6 @@ period and loop helpers.  Nothing is kept between calls.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -38,20 +37,10 @@ from .trees import IdentifierTable, NodeName
 
 NONE, PATH, FINAL = 0, 1, 2
 
-DEFAULT_TREE_CAP = 6
-TREE_CAP_ENV = "HISTREE_TREE_CAP"
+TREE_CAP = 6  # largest n the tree census enumerates
 IDENTIFIER_BOUND_CAP = 12
 LASSO_CAP = 1_000_000  # most lassos one bounded_equiv call may enumerate
-
-
-def tree_enumeration_cap() -> int:
-    raw = os.environ.get(TREE_CAP_ENV)
-    if raw is None:
-        return DEFAULT_TREE_CAP
-    try:
-        return int(raw)
-    except ValueError:
-        raise InputError(f"{TREE_CAP_ENV} must be an integer, got {raw!r}") from None
+LASSO_LENGTH_CAP = 100  # longest prefix or period one bounded_equiv call may enumerate
 
 
 @dataclass(frozen=True)
@@ -100,13 +89,10 @@ def symbol_profile(a: NBW, symbol: Symbol) -> TransitionProfile:
 
 def word_profile(a: NBW, word: Sequence[Symbol]) -> TransitionProfile:
     a.require_valid()
+    profile = TransitionProfile.identity(len(a.states))
     for sym in word:
         if sym not in a.alphabet:
             raise InputError(f"symbol {sym!r} not in alphabet")
-    if not word:
-        return TransitionProfile.identity(len(a.states))
-    profile = symbol_profile(a, word[0])
-    for sym in word[1:]:
         profile = profile.compose(symbol_profile(a, sym))
     return profile
 
@@ -272,8 +258,8 @@ def _shortlex_rank(word: Sequence[Symbol], alphabet: Sequence[Symbol]) -> int:
 def bounded_equiv(a: NBW, d: Union[DRTW, DRW], max_u: int, max_v: int) -> EquivReport:
     """Compare acceptance of every bounded lasso; the first disagreement
     in enumeration order is reported, so results are deterministic.
-    Bounds that would enumerate more than LASSO_CAP lassos raise
-    CapacityError before any is tested.
+    Bounds past LASSO_LENGTH_CAP letters, or that would enumerate more
+    than LASSO_CAP lassos, raise CapacityError before any is tested.
 
     Both verdicts of a lasso depend only on the NBW states and the
     deterministic state reached after its prefix, and on its period.  So
@@ -285,6 +271,10 @@ def bounded_equiv(a: NBW, d: Union[DRTW, DRW], max_u: int, max_v: int) -> EquivR
         raise InputError("automata to compare must share one alphabet")
     if max_u < 0 or max_v < 1:
         raise InputError(f"lasso bounds need max_u >= 0 and max_v >= 1 (got {max_u}, {max_v})")
+    if max(max_u, max_v) > LASSO_LENGTH_CAP:
+        raise CapacityError(
+            f"lasso bounds max_u={max_u}, max_v={max_v} exceed {LASSO_LENGTH_CAP} letters"
+        )
     total = lasso_count(len(a.alphabet), max_u, max_v)
     if total > LASSO_CAP:
         raise CapacityError(
@@ -382,9 +372,8 @@ def _labelings_with_root_size(shape: Shape, size: int) -> int:
 def _shapes_upto(n: int):
     """Every order-closed tree shape with at most n nodes, within the
     enumeration cap."""
-    cap = tree_enumeration_cap()
-    if n > cap:
-        raise CapacityError(f"tree enumeration capped at n <= {cap} (got {n})")
+    if n > TREE_CAP:
+        raise CapacityError(f"tree enumeration capped at n <= {TREE_CAP} (got {n})")
     if n < 1:
         raise InputError("census requires n >= 1")
     for k in range(1, n + 1):
@@ -450,6 +439,7 @@ def verify_identifier_bounds(n: int) -> IdentifierBoundsReport:
     if n < 1:
         raise InputError("identifier bound check requires n >= 1")
     table = IdentifierTable(n)
+    # Identifiers are (height, flag) pairs: one per flag at each height.
     by_height = {h: len(flags) for h, flags in sorted(table.flags_by_height().items())}
     flags_used = len(table.flags_used())
     flag_budget = 2 ** max(_ceil_half(n - 1) - 1, 0)
@@ -465,7 +455,7 @@ def verify_identifier_bounds(n: int) -> IdentifierBoundsReport:
         n=n,
         flags_used=flags_used,
         flags_by_height=by_height,
-        identifiers_used=len(table.distinct_identifiers()),
+        identifiers_used=sum(by_height.values()),
         flag_budget=flag_budget,
         identifier_budget=2 ** _ceil_half(n - 1),
     )

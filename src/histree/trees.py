@@ -255,9 +255,6 @@ class IdentifierTable:
             out.setdefault(ident.height, set()).add(ident.flag)
         return out
 
-    def distinct_identifiers(self) -> Set[Identifier]:
-        return set(self._identifiers())
-
     def dump_text(self) -> str:
         """One line per node in spine order: name TAB height TAB flag."""
         lines = []

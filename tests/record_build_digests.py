@@ -1,12 +1,16 @@
-"""Byte-identity digests of every build of the golden inputs.
+"""Byte-identity digests of every build of the golden inputs, and of
+the inputs themselves as written back out.
 
-One line per input: its name and one sha256 over its eight builds
-(canonical/baseline x drtw/drw x default/strict marks), each contributing
-`emit_rabin`, `stats.to_text()` and `emit_dot`.  The inputs are the
-hand-written fixtures, the default corpus and `fixtures/michel4.hoa`.
+`build_digests.txt` has one line per input: its name and one sha256 over
+its eight builds (canonical/baseline x drtw/drw x default/strict marks),
+each contributing `emit_rabin`, `stats.to_text()` and `emit_dot`.
+`nbw_digests.txt` has one line per input: its name and one sha256 over
+`emit_nbw_hoa`, `emit_nbw_native` and `emit_dot` of the input automaton.
+The inputs are the hand-written fixtures, the default corpus and
+`fixtures/michel4.hoa`.
 
-`tests/test_build_digests.py` compares against the recorded file.  A
-change that alters emitted bytes on purpose re-records it with
+`tests/test_build_digests.py` compares against the recorded files.  A
+change that alters emitted bytes on purpose re-records them with
 
     PYTHONPATH=src python tests/record_build_digests.py
 
@@ -24,10 +28,11 @@ from histree.corpus import default_corpus
 from histree.determinize import Determinizer
 from histree.dot import emit_dot
 from histree.fixtures import fixtures
-from histree.formats import emit_rabin, parse_nbw
+from histree.formats import emit_nbw_hoa, emit_nbw_native, emit_rabin, parse_nbw
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures"
 DIGEST_FILE = FIXTURE_DIR / "build_digests.txt"
+NBW_DIGEST_FILE = FIXTURE_DIR / "nbw_digests.txt"
 
 
 def golden_inputs() -> Iterator[Tuple[str, NBW]]:
@@ -50,8 +55,19 @@ def build_digest(a: NBW) -> str:
     return digest.hexdigest()
 
 
+def nbw_digest(a: NBW) -> str:
+    digest = hashlib.sha256()
+    for text in (emit_nbw_hoa(a), emit_nbw_native(a), emit_dot(a)):
+        digest.update(text.encode("utf-8"))
+    return digest.hexdigest()
+
+
 def build_digests() -> Dict[str, str]:
     return {name: build_digest(a) for name, a in golden_inputs()}
+
+
+def nbw_digests() -> Dict[str, str]:
+    return {name: nbw_digest(a) for name, a in golden_inputs()}
 
 
 def digest_text(digests: Dict[str, str]) -> str:
@@ -59,5 +75,6 @@ def digest_text(digests: Dict[str, str]) -> str:
 
 
 if __name__ == "__main__":
-    DIGEST_FILE.write_text(digest_text(build_digests()), encoding="utf-8")
-    print(f"wrote {DIGEST_FILE}")
+    for path, digests in ((DIGEST_FILE, build_digests), (NBW_DIGEST_FILE, nbw_digests)):
+        path.write_text(digest_text(digests()), encoding="utf-8")
+        print(f"wrote {path}")

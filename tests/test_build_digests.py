@@ -1,13 +1,26 @@
-"""Byte identity of every emitted build against digests recorded before
-the change under test; see record_build_digests.py for the inputs and how
-to re-record."""
+"""Byte identity of every emitted build, and of the input automata written
+back out, against digests recorded before the change under test; see
+record_build_digests.py for the inputs and how to re-record."""
 
-from record_build_digests import DIGEST_FILE, build_digests, digest_text
+from record_build_digests import (
+    DIGEST_FILE,
+    NBW_DIGEST_FILE,
+    build_digests,
+    digest_text,
+    nbw_digests,
+)
+
+
+def _changed(path, digests):
+    recorded = path.read_text(encoding="utf-8").splitlines()
+    current = digest_text(digests()).splitlines()
+    assert [line.split()[0] for line in current] == [line.split()[0] for line in recorded]
+    return [old.split()[0] for old, new in zip(recorded, current) if old != new]
 
 
 def test_builds_match_recorded_digests():
-    recorded = DIGEST_FILE.read_text(encoding="utf-8").splitlines()
-    current = digest_text(build_digests()).splitlines()
-    assert [line.split()[0] for line in current] == [line.split()[0] for line in recorded]
-    changed = [old.split()[0] for old, new in zip(recorded, current) if old != new]
-    assert changed == []
+    assert _changed(DIGEST_FILE, build_digests) == []
+
+
+def test_nbw_writers_match_recorded_digests():
+    assert _changed(NBW_DIGEST_FILE, nbw_digests) == []

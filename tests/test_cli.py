@@ -176,6 +176,29 @@ def test_verify_rejects_lasso_bounds_past_the_cap(tmp_path, capsys):
     assert "exceed" in captured.err
 
 
+def test_verify_rejects_lassos_past_the_length_cap(tmp_path, capsys):
+    path = tmp_path / "e1.hoa"
+    path.write_text(emit_nbw_hoa(e1()), encoding="utf-8")
+    started = time.monotonic()
+    assert main(["verify", "--in", str(path), "--max-u", "0", "--max-v", "1000000"]) == 2
+    assert time.monotonic() - started < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: lasso bounds max_u=0, max_v=1000000 exceed 100 letters")
+
+
+def test_render_rejects_invalid_automaton(tmp_path, capsys):
+    path = tmp_path / "dup.native"
+    path.write_text(
+        '{"format": "nbw", "states": ["p", "p"], "alphabet": ["a"], "initial": ["p"], "finals": []}\n',
+        encoding="utf-8",
+    )
+    dot = tmp_path / "out.dot"
+    assert main(["render", "--in", str(path), "--dot", str(dot)]) == 2
+    assert "invalid automaton: duplicate state ids" in capsys.readouterr().err
+    assert not dot.exists()
+
+
 @pytest.mark.parametrize("doc", NON_STRING_DOCUMENTS, ids=NON_STRING_IDS)
 def test_non_string_native_items_exit_2(doc, tmp_path, capsys):
     path = tmp_path / "typed.native"

@@ -92,7 +92,7 @@ def test_e1_successor_trace_details(e1_nbw):
     assert set(trace.nonempty) == {(), (1,), (1, 1)}
     assert set(trace.pruned) == {(), (1,)}
     assert trace.accepting == {(1,)}
-    assert trace.stable_accepting == {(1,)}
+    assert trace.marks.accepting == {(1,)}
     assert trace.unstable == frozenset()
     assert trace.renaming == {(): (), (1,): (1,)}
 
@@ -301,10 +301,23 @@ def test_corpus_invariants_and_trace_properties(corpus_sample):
             assert renamed == trace.unstable
             parts = classify(trace.pruned)
             assert parts.unstable == trace.unstable
-            assert ann == trace.annotation
+            assert ann == engine.successor(d.payloads[sid], sym)[1]
             assert trace.marks.unstable == trace.unstable
             assert ann.unstable == frozenset(engine.table.lookup(x) for x in trace.unstable)
             assert ann.stable == frozenset(engine.table.lookup(x) for x in parts.stable)
+
+
+def test_step_trace_does_not_depend_on_the_labeling(corpus_sample):
+    """The kernel works on node names: engines that differ only in how they
+    index pairs produce equal traces on every reachable edge."""
+    for a in corpus_sample:
+        for strict in (False, True):
+            canonical = Determinizer(a, "canonical", strict_marks=strict)
+            baseline = Determinizer(a, "baseline", strict_marks=strict)
+            d = baseline.build_drtw()
+            for sid, sym in d.transitions:
+                tree = d.payloads[sid]
+                assert canonical.successor_trace(tree, sym) == baseline.successor_trace(tree, sym)
 
 
 def test_check_history_tree_reports_colliding_identifiers(e1_nbw):
@@ -398,7 +411,7 @@ def test_two_same_height_nodes_can_accept_in_one_step():
     assert check_history_tree(start, a, engine.table) == []
     trace = engine.successor_trace(start, "s")
     assert trace.accepting == {(1, 1), (2,)}
-    assert trace.stable_accepting == trace.accepting
-    assert trace.annotation.accepting == {Identifier(2, 1), Identifier(2, 2)}
+    assert trace.marks.accepting == trace.accepting
+    assert engine.successor(start, "s")[1].accepting == {Identifier(2, 1), Identifier(2, 2)}
     heights = {height(name) for name in trace.accepting}
     assert heights == {2}

@@ -201,6 +201,17 @@ def test_rabin_pair_count_must_be_a_number():
         assert "pair count" in str(err.value)
 
 
+def test_declared_states_need_blocks_before_anything_is_sized():
+    """Both readers check the State: blocks against the States: header
+    before sizing anything by it, so a huge header is an InputError."""
+    rabin = emit_rabin(build_drtw(fixtures()["single_final_loop"]))
+    assert "States: 1\n" in rabin
+    for parse, text in ((parse_rabin, rabin), (parse_nbw_hoa, MINIMAL_HOA)):
+        huge = text.replace("States: 1\n", "States: 100000000000\n")
+        with pytest.raises(InputError, match="^state 1 has no State: block$"):
+            parse(huge)
+
+
 @lru_cache(maxsize=None)
 def _documents():
     """Emitted HOA, native and Rabin documents of fixtures and corpus automata."""
@@ -260,6 +271,18 @@ def test_hoa_symbols_with_odd_characters():
     a = NBW.make(("st 1", 'q"2'), ("sym one", "sym\\two"), [("st 1", "sym one", 'q"2')], ("st 1",), ('q"2',))
     assert parse_nbw(emit_nbw_hoa(a)) == a
     assert parse_nbw(emit_nbw_native(a)) == a
+
+
+def test_nbw_writers_reject_invalid_automata():
+    """The writers read the automaton's state encoding, which a duplicated
+    state name would make ambiguous."""
+    from histree.automata import NBW
+    from histree.dot import emit_dot
+
+    a = NBW.make(("p", "p"), ("a",), [("p", "a", "p")], ("p",), ())
+    for write in (emit_nbw_hoa, emit_nbw_native, emit_dot):
+        with pytest.raises(InputError, match="^invalid automaton: duplicate state ids"):
+            write(a)
 
 
 def test_specific_parsers_reject_other_format():

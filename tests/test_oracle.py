@@ -22,6 +22,7 @@ from histree.oracle import (
     det_lasso_member,
     enumerate_history_trees,
     LASSO_CAP,
+    LASSO_LENGTH_CAP,
     lasso_count,
     lassos_upto,
     nbw_lasso_member,
@@ -461,14 +462,9 @@ def test_hist_numeric_bound():
         assert enumerate_history_trees(n) <= (1.65 * n) ** n
 
 
-def test_census_cap(monkeypatch):
+def test_census_cap():
     with pytest.raises(CapacityError):
         enumerate_history_trees(7)
-    monkeypatch.setenv("HISTREE_TREE_CAP", "7")
-    assert enumerate_history_trees(7) > enumerate_history_trees(6)
-    monkeypatch.setenv("HISTREE_TREE_CAP", "banana")
-    with pytest.raises(InputError):
-        enumerate_history_trees(3)
 
 
 def test_reachable_states_bounded_by_hist(corpus_sample):
@@ -533,3 +529,17 @@ def test_bounded_equiv_refuses_bounds_past_the_cap():
         bounded_equiv(a, d, 30, 4)
     # A one-letter alphabet keeps the same bounds small.
     assert bounded_equiv(e1(), build_drtw(e1()), 30, 4).tested == 31 * 4
+
+
+def test_bounded_equiv_refuses_lassos_past_the_length_cap():
+    """On one letter a million lassos are short to count but long to walk:
+    periods of up to a million letters.  The length cap refuses them."""
+    a = e1()
+    d = build_drtw(a)
+    assert lasso_count(len(a.alphabet), 0, 10**6) <= LASSO_CAP
+    for max_u, max_v in ((0, 10**6), (LASSO_LENGTH_CAP + 1, 1), (0, LASSO_LENGTH_CAP + 1)):
+        with pytest.raises(CapacityError, match="letters"):
+            bounded_equiv(a, d, max_u, max_v)
+    at_cap = bounded_equiv(a, d, LASSO_LENGTH_CAP, LASSO_LENGTH_CAP)
+    assert at_cap.tested == (LASSO_LENGTH_CAP + 1) * LASSO_LENGTH_CAP
+    assert at_cap.equivalent
