@@ -21,7 +21,9 @@ order, so the kernel reads the stable/unstable split and the sorted result
 tree off its one renaming; `classify`, the gap-rule definition of
 stability, stays the reference that `check_history_tree` and the tests
 apply.  The marks name nodes, and one exploration of the tree graph
-serves every build.  A baseline build indexes its Rabin pairs by those
+serves every build: the DRW's states are the start state and then the
+distinct DRTW edge targets (a tree with its incoming marks) in edge order,
+with no second walk.  A baseline build indexes its Rabin pairs by those
 names.  A canonical build is the same build with its pair indices
 relabeled through the (height, flag) identifier table, which merges names
 that can never share a tree and so lowers the number of pairs.
@@ -338,31 +340,26 @@ class Determinizer:
     def build_drw(self, mode: Optional[str] = None) -> DRW:
         """Split each tree of the DRTW by the annotation of the edge that
         entered it.  A DRW state is a (tree id, incoming annotation) pair
-        whose edge on a symbol is its tree's edge on that symbol, so no
-        successor is computed again."""
+        whose edge on a symbol is its tree's edge on that symbol, so the
+        states are the start state and then the distinct edge targets in
+        edge order (tree id, then alphabet): breadth-first order, with no
+        successor computed and no second walk."""
         mode, table, tree_edges = self._relabeled(mode)
         trees, _, max_nodes, off_table = self._graph
         # Nodes of the initial tree count as stably present at time zero,
         # so re-entering the same tree through a quiet transition merges
         # with the start state.
         start = (0, relabel(TransitionAnnotation(stable=trees[0].names), table))
-        states = [start]
-        index = {start: 0}
+        states = list(dict.fromkeys([start, *tree_edges.values()]))
+        if len(states) > self.max_states:
+            partial = self._stats(mode, self.max_states, 0, 0, max_nodes, off_table)
+            raise CapacityError(f"state limit {self.max_states} exceeded", partial=partial)
+        index = {state: sid for sid, state in enumerate(states)}
         transitions: Dict[Tuple[int, Symbol], Edge] = {}
         for sid, (tree_id, _) in enumerate(states):
             for symbol in self.nbw.alphabet:
                 target = tree_edges[(tree_id, symbol)]
-                did = index.get(target)
-                if did is None:
-                    if len(states) >= self.max_states:
-                        raise CapacityError(
-                            f"state limit {self.max_states} exceeded",
-                            partial=self._stats(mode, len(states), len(transitions), 0, max_nodes, off_table),
-                        )
-                    did = len(states)
-                    states.append(target)
-                    index[target] = did
-                transitions[(sid, symbol)] = (did, target[1])
+                transitions[(sid, symbol)] = (index[target], target[1])
         acceptance = assemble_state_pairs([ann for _, ann in states], strict_marks=self.strict_marks)
         stats = self._stats(mode, len(states), len(transitions), len(acceptance.pairs), max_nodes, off_table)
         return DRW(

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .automata import (
     DRTW,
@@ -408,36 +408,30 @@ def emit_rabin(d: Union[DRTW, DRW]) -> str:
     on_transitions = d.acceptance.kind == "transition"
     pairs = d.acceptance.pairs
     lines = _hoa_preamble(len(d.payloads), [d.initial], d.alphabet)
-    lines.append(f"acc-name: Rabin {len(pairs)}")
-    lines.append(_rabin_acceptance_line(len(pairs)))
-    lines.append(
-        "properties: deterministic " + ("trans-acc" if on_transitions else "state-acc")
-    )
+    lines += [f"acc-name: Rabin {len(pairs)}", _rabin_acceptance_line(len(pairs))]
+    lines.append("properties: deterministic " + ("trans-acc" if on_transitions else "state-acc"))
+    # One pass over the pairs gives each mark target its acceptance sets
+    # as a mask: bit 2i where pair i rejects it, bit 2i+1 where it accepts.
+    sets: Dict[Hashable, int] = {}
+    for i, pair in enumerate(pairs):
+        for number, targets in ((2 * i, pair.rejecting), (2 * i + 1, pair.accepting)):
+            for target in targets:
+                sets[target] = sets.get(target, 0) | 1 << number
+
+    def sig(target) -> str:
+        mask = sets.get(target, 0)
+        return " {" + " ".join(map(str, bits(mask))) + "}" if mask else ""
+
     lines.append("--BODY--")
     for sid in range(len(d.payloads)):
-        sig = "" if on_transitions else _sig_text(_sig(pairs, sid))
-        lines.append(f"State: {sid} {_quote(d.state_label(sid))}{sig}")
+        state_sig = "" if on_transitions else sig(sid)
+        lines.append(f"State: {sid} {_quote(d.state_label(sid))}{state_sig}")
         for k, sym in enumerate(d.alphabet):
             dst, _ = d.transitions[(sid, sym)]
-            sig = _sig_text(_sig(pairs, (sid, sym))) if on_transitions else ""
-            lines.append(f"[@s{k}] {dst}{sig}")
+            edge_sig = sig((sid, sym)) if on_transitions else ""
+            lines.append(f"[@s{k}] {dst}{edge_sig}")
     lines.append("--END--")
     return "\n".join(lines) + "\n"
-
-
-def _sig(pairs: Sequence[RabinPair], key) -> Tuple[int, ...]:
-    """Acceptance sets of a mark target: an edge key or a state id."""
-    sig = []
-    for i, pair in enumerate(pairs):
-        if key in pair.rejecting:
-            sig.append(2 * i)
-        if key in pair.accepting:
-            sig.append(2 * i + 1)
-    return tuple(sig)
-
-
-def _sig_text(sig: Tuple[int, ...]) -> str:
-    return " {" + " ".join(str(s) for s in sig) + "}" if sig else ""
 
 
 def parse_rabin(text: str) -> Union[DRTW, DRW]:
@@ -451,6 +445,7 @@ def parse_rabin(text: str) -> Union[DRTW, DRW]:
         where = doc.acc_name[0]
         raise ParseError("acc-name: Rabin needs a pair count", where.line, where.col)
     pair_count = int(doc.acc_name[1].value)
+    _check_rabin_acceptance(doc.acceptance, pair_count)
     if len(doc.start) != 1:
         raise InputError("deterministic automata need exactly one start state")
     alphabet = _alphabet(doc)
@@ -465,18 +460,13 @@ def parse_rabin(text: str) -> Union[DRTW, DRW]:
             if (src, sym) in transitions:
                 raise InputError(f"duplicate edge for state {src} symbol {sym!r}")
             transitions[(src, sym)] = (dst, EMPTY_ANNOTATION)
-            target = (src, sym)
             if on_transitions:
-                _collect_sig(sig, pair_count, target, acc_targets, rej_targets)
+                _collect_sig(sig, pair_count, (src, sym), acc_targets, rej_targets)
     if not on_transitions:
         for num, _, sig in doc.states:
             _collect_sig(sig, pair_count, num, acc_targets, rej_targets)
     pairs = tuple(
-        RabinPair(
-            index=i,
-            accepting=frozenset(acc_targets.get(i, ())),
-            rejecting=frozenset(rej_targets.get(i, ())),
-        )
+        RabinPair(i, frozenset(acc_targets.get(i, ())), frozenset(rej_targets.get(i, ())))
         for i in range(pair_count)
     )
     cls = DRTW if on_transitions else DRW
@@ -487,6 +477,18 @@ def parse_rabin(text: str) -> Union[DRTW, DRW]:
         transitions=transitions,
         acceptance=RabinPairSet(kind=cls.acceptance_kind, pairs=pairs),
     )
+
+
+def _check_rabin_acceptance(acceptance: Optional[List[_Token]], pair_count: int) -> None:
+    """Refuse any Acceptance: line but the one emit_rabin writes for
+    `pair_count` pairs.  A pair takes several tokens, so a count above the
+    line's token count is refused before anything is sized by it."""
+    found = [t.value for t in acceptance or ()]
+    if pair_count <= len(found):
+        expected = _tokenize(_rabin_acceptance_line(pair_count))[1:]
+        if found == [t.value for t in expected]:
+            return
+    raise UnsupportedAcceptanceError(f"acceptance {' '.join(found)!r} is not the Rabin condition on {pair_count} pairs")
 
 
 def _collect_sig(sig, pair_count, target, acc_targets, rej_targets) -> None:
@@ -532,14 +534,14 @@ def parse_nbw_native(text: str) -> NBW:
             raise ParseError("bad JSON: nested too deeply", lineno, 1) from None
     if not records:
         raise ParseError("empty document", 1, 1)
-    lineno, header = records[0]
+    header_line, header = records[0]
     if not isinstance(header, dict) or header.get("format") != "nbw":
-        raise ParseError('header must set "format": "nbw"', lineno, 1)
+        raise ParseError('header must set "format": "nbw"', header_line, 1)
     for key in ("states", "alphabet", "initial", "finals"):
         if not isinstance(header.get(key), list):
-            raise ParseError(f'header needs a list field "{key}"', lineno, 1)
+            raise ParseError(f'header needs a list field "{key}"', header_line, 1)
         if not all(isinstance(item, str) for item in header[key]):
-            raise ParseError(f'header field "{key}" must list strings', lineno, 1)
+            raise ParseError(f'header field "{key}" must list strings', header_line, 1)
     states = set(header["states"])
     alphabet = set(header["alphabet"])
     transitions = []
@@ -553,10 +555,10 @@ def parse_nbw_native(text: str) -> NBW:
         if record["symbol"] not in alphabet:
             raise ParseError("transition symbol not in alphabet", lineno, 1)
         transitions.append((record["from"], record["symbol"], record["to"]))
-    for lineno, key in ((1, "initial"), (1, "finals")):
+    for key in ("initial", "finals"):
         for q in header[key]:
             if q not in states:
-                raise ParseError(f"{key} state {q!r} not declared", lineno, 1)
+                raise ParseError(f"{key} state {q!r} not declared", header_line, 1)
     return NBW.make(
         states=header["states"],
         alphabet=header["alphabet"],

@@ -253,6 +253,18 @@ def test_capacity_error_carries_partial_stats(corpus_sample):
         assert err.value.partial.states >= 1
 
 
+def test_drw_state_limit_counts_the_split_states(e1_nbw):
+    """The DRTW of e1 fits two states; its DRW splits them into three, so
+    the DRW build alone exceeds the limit.  The partial record reports the
+    limit and no transitions, since the DRW's edges are built only after
+    its states are counted."""
+    assert len(build_drtw(e1_nbw, max_states=2).payloads) == 2
+    assert len(build_drw(e1_nbw).payloads) == 3
+    with pytest.raises(CapacityError, match="^state limit 2 exceeded$") as err:
+        build_drw(e1_nbw, max_states=2)
+    assert (err.value.partial.states, err.value.partial.transitions, err.value.partial.pairs) == (2, 0, 0)
+
+
 def test_invalid_inputs_rejected(e1_nbw):
     broken = NBW.make(("p",), ("a",), [("p", "a", "zz")], ("p",), ())
     with pytest.raises(InputError):

@@ -1,3 +1,5 @@
+import json
+import time
 from functools import lru_cache
 
 import pytest
@@ -130,6 +132,12 @@ def test_native_error_positions():
     assert err.value.line == 2
     with pytest.raises(ParseError):
         parse_nbw_native(good_header + "not json\n")
+    # Undeclared initial or final states are reported at the header's own
+    # line, which leading blank lines push past line 1.
+    for key in ("initial", "finals"):
+        header = {"format": "nbw", "states": ["p"], "alphabet": ["a"], "initial": [], "finals": [], key: ["x"]}
+        with pytest.raises(ParseError, match=f"^3:1: {key} state 'x' not declared$"):
+            parse_nbw_native("\n\n" + json.dumps(header) + "\n")
 
 
 NON_STRING_DOCUMENTS = [
@@ -199,6 +207,18 @@ def test_rabin_pair_count_must_be_a_number():
         with pytest.raises(ParseError) as err:
             parse_rabin(text.replace("acc-name: Rabin 1\n", bad))
         assert "pair count" in str(err.value)
+    # The Acceptance: line must be the condition the pair count names; a
+    # huge count is refused before anything is sized by it.
+    huge = text.replace("acc-name: Rabin 1\n", "acc-name: Rabin 1000000\n")
+    started = time.perf_counter()
+    with pytest.raises(UnsupportedAcceptanceError, match="not the Rabin condition on 1000000 pairs"):
+        parse_rabin(huge)
+    assert time.perf_counter() - started < 1
+    line = "Acceptance: 2 (Fin(0)&Inf(1))\n"
+    assert line in text
+    for bad in ("Acceptance: 2 (Fin(1)&Inf(0))\n", "Acceptance: 2 Fin(0)|Inf(1)\n", "Acceptance: 0 f\n", ""):
+        with pytest.raises(UnsupportedAcceptanceError):
+            parse_rabin(text.replace(line, bad))
 
 
 def test_declared_states_need_blocks_before_anything_is_sized():
