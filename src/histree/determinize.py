@@ -10,21 +10,26 @@ Those properties bound the tree at one node per automaton state.
 Reading a symbol rewrites the tree in five phases (spawn a fresh youngest
 child per node, strip states already owned by older siblings, drop empty
 nodes, collapse subtrees whose children cover their parent, and compress
-sibling gaps).  Labels are state masks in the automaton's encoding: spawn
-advances each through the NBW's successor rows with `image`, and the
-later phases are single passes over the node names in sorted order, which
-is preorder (a parent precedes its subtree, and older siblings precede
-younger ones).  A node whose children covered it is recorded as accepting
-for that transition; a node displaced by compression is recorded as
-unstable.  Compression renames exactly the unstable nodes and keeps sorted
-order, so the kernel reads the stable/unstable split and the sorted result
-tree off its one renaming; `classify`, the gap-rule definition of
-stability, stays the reference that `check_history_tree` and the tests
-apply.  The marks name nodes, and one exploration of the tree graph
-serves every build: the DRW's states are the start state and then the
-distinct DRTW edge targets (a tree with its incoming marks) in edge order,
-with no second walk.  A baseline build indexes its Rabin pairs by those
-names.  A canonical build is the same build with its pair indices
+sibling gaps).  The fresh children's names depend on the tree alone, not
+on the letter, so the tree owns them (`HistoryTree.fresh`).  Labels are
+state masks in the automaton's encoding: spawn advances each through the
+NBW's successor rows with `image`, and the later phases are single passes
+over the node names in sorted order, which is preorder (a parent precedes
+its subtree, and older siblings precede younger ones).  A node whose
+children covered it is recorded as accepting for that transition; a node
+displaced by compression is recorded as unstable.  Compression renames
+exactly the unstable nodes and keeps sorted order, so the kernel reads the
+stable/unstable split and the sorted result tree off its one renaming;
+`classify`, the gap-rule definition of stability, stays the reference that
+`check_history_tree` and the tests apply.  The marks name nodes, and one
+exploration of the tree graph serves every build.  The exploration only
+discovers trees and edges: each build's census (the largest tree, and the
+transient off-table names, which are the fresh children of height >= n)
+is read off the reachable trees, and both builds end in one tail that
+assembles the automaton.  The DRW's states are the start state and then
+the distinct DRTW edge targets (a tree with its incoming marks) in edge
+order, with no second walk.  A baseline build indexes its Rabin pairs by
+those names.  A canonical build is the same build with its pair indices
 relabeled through the (height, flag) identifier table, which merges names
 that can never share a tree and so lowers the number of pairs.
 """
@@ -80,6 +85,17 @@ class HistoryTree:
     def names(self) -> FrozenSet[NodeName]:
         return frozenset(n for n, _ in self.entries)
 
+    @cached_property
+    def fresh(self) -> Tuple[NodeName, ...]:
+        """Each node's fresh youngest child, in entry order: the name one
+        past its last child.  Every step spawns these, whatever the letter.
+        Sorted names are preorder, so the last child seen is the youngest."""
+        degrees: Dict[NodeName, int] = {}
+        for name, _ in self.entries:
+            if name:
+                degrees[name[:-1]] = name[-1]
+        return tuple(name + (degrees.get(name, 0) + 1,) for name, _ in self.entries)
+
     @property
     def is_sink(self) -> bool:
         return not self.entries
@@ -121,7 +137,8 @@ class EnrichedHistoryTree:
 
 @dataclass(frozen=True)
 class StepTrace:
-    """Intermediate trees of one successor computation, for inspection."""
+    """Intermediate trees of one successor computation, for inspection.
+    `spawned` holds the tree's own names and its `fresh` children."""
 
     symbol: Symbol
     spawned: Dict[NodeName, int]  # labels are state masks; names in sorted order
@@ -131,7 +148,6 @@ class StepTrace:
     accepting: FrozenSet[NodeName]
     unstable: FrozenSet[NodeName]
     renaming: Dict[NodeName, NodeName]
-    off_table: FrozenSet[NodeName]
     result: HistoryTree
     marks: TransitionAnnotation  # indexed by node name
 
@@ -193,16 +209,11 @@ class Determinizer:
             raise InputError(f"symbol {symbol!r} not in alphabet")
         rows = self.nbw.rows[symbol]
 
-        # Spawn: every node advances its label by one symbol and gains a
+        # Spawn: every node advances its label by one symbol and gains its
         # fresh youngest child holding the final states among successors.
-        # Sorted names are preorder, so the last child seen is the youngest.
-        degrees: Dict[NodeName, int] = {}
-        advanced = []
-        for name, label in tree.entries:
-            if name:
-                degrees[name[:-1]] = name[-1]
-            advanced.append((name, image(label, rows)))
-        fresh = [(name + (degrees.get(name, 0) + 1,), label & self.nbw.final_mask) for name, label in advanced]
+        advanced = [(name, image(label, rows)) for name, label in tree.entries]
+        final = self.nbw.final_mask
+        fresh = [(child, label & final) for child, (_, label) in zip(tree.fresh, advanced)]
         spawned = dict(sorted(advanced + fresh))
 
         # Dedup: a state claimed by an older sibling (pre-dedup label) is
@@ -245,8 +256,6 @@ class Determinizer:
         result = HistoryTree(tuple((renaming[n], l) for n, l in pruned.items()), self.nbw.states)
         minus = unstable - accepting if self.strict_marks else unstable
         marks = TransitionAnnotation(accepting & stable, minus, stable)
-
-        off_table = frozenset(n for n in spawned if height(n) >= self.n)
         return StepTrace(
             symbol=symbol,
             spawned=spawned,
@@ -256,7 +265,6 @@ class Determinizer:
             accepting=accepting,
             unstable=unstable,
             renaming=renaming,
-            off_table=off_table,
             result=result,
             marks=marks,
         )
@@ -271,42 +279,46 @@ class Determinizer:
     @cached_property
     def _graph(self):
         """The reachable tree graph with name-indexed marks, explored
-        breadth-first once per engine: (trees, transitions, largest tree,
-        off-table name count).  Deterministic numbering: discovery order
-        with the alphabet in declared order."""
+        breadth-first once per engine: (trees, transitions).  Deterministic
+        numbering: discovery order with the alphabet in declared order."""
         start = self.initial_tree()
         trees = [start]
         index = {start: 0}
         transitions: Dict[Tuple[int, Symbol], Edge] = {}
-        off_table: Set[NodeName] = set()
-        max_nodes = 0
         for sid, tree in enumerate(trees):
-            max_nodes = max(max_nodes, tree.node_count)
             for symbol in self.nbw.alphabet:
                 trace = self.successor_trace(tree, symbol)
                 tid = index.get(trace.result)
                 if tid is None:
                     if len(trees) >= self.max_states:
-                        raise CapacityError(
-                            f"state limit {self.max_states} exceeded",
-                            partial=self._stats(self.mode, len(trees), len(transitions), 0, max_nodes, len(off_table)),
-                        )
+                        # The census covers the trees stepped so far, this one included.
+                        partial = self._stats(self.mode, len(trees), len(transitions), 0, trees[: sid + 1])
+                        raise CapacityError(f"state limit {self.max_states} exceeded", partial=partial)
                     tid = len(trees)
                     trees.append(trace.result)
                     index[trace.result] = tid
                 transitions[(sid, symbol)] = (tid, trace.marks)
-                off_table |= trace.off_table
-        return tuple(trees), transitions, max_nodes, len(off_table)
+        return tuple(trees), transitions
 
-    def _stats(self, mode, states, transitions, pairs, max_nodes, off_table) -> BuildStats:
-        return BuildStats(
-            mode=mode,
-            strict_marks=self.strict_marks,
-            states=states,
+    def _stats(self, mode, states, transitions, pairs, trees) -> BuildStats:
+        """A build's census, its tree fields read off `trees`.  A tree's own
+        names have height below n, so only fresh children are off-table."""
+        off_table = {name for tree in trees for name in tree.fresh if height(name) >= self.n}
+        largest = max(tree.node_count for tree in trees)
+        return BuildStats(mode, self.strict_marks, states, transitions, pairs,
+                          max_tree_nodes=largest, off_table_intermediate_names=len(off_table))
+
+    def _automaton(self, cls, mode, table, payloads, transitions, acceptance):
+        """The one tail of both builds: the census and the automaton."""
+        stats = self._stats(mode, len(payloads), len(transitions), len(acceptance.pairs), self._graph[0])
+        return cls(
+            payloads=tuple(payloads),
+            alphabet=self.nbw.alphabet,
+            initial=0,
             transitions=transitions,
-            pairs=pairs,
-            max_tree_nodes=max_nodes,
-            off_table_intermediate_names=off_table,
+            acceptance=acceptance,
+            stats=stats,
+            table=table,
         )
 
     def _relabeled(self, mode: Optional[str]):
@@ -324,18 +336,8 @@ class Determinizer:
     def build_drtw(self, mode: Optional[str] = None) -> DRTW:
         """The DRTW with pairs indexed as `mode` (default: the engine's)."""
         mode, table, transitions = self._relabeled(mode)
-        trees, _, max_nodes, off_table = self._graph
         acceptance = assemble_pairs(transitions, strict_marks=self.strict_marks)
-        stats = self._stats(mode, len(trees), len(transitions), len(acceptance.pairs), max_nodes, off_table)
-        return DRTW(
-            payloads=trees,
-            alphabet=self.nbw.alphabet,
-            initial=0,
-            transitions=transitions,
-            acceptance=acceptance,
-            stats=stats,
-            table=table,
-        )
+        return self._automaton(DRTW, mode, table, self._graph[0], transitions, acceptance)
 
     def build_drw(self, mode: Optional[str] = None) -> DRW:
         """Split each tree of the DRTW by the annotation of the edge that
@@ -345,14 +347,14 @@ class Determinizer:
         edge order (tree id, then alphabet): breadth-first order, with no
         successor computed and no second walk."""
         mode, table, tree_edges = self._relabeled(mode)
-        trees, _, max_nodes, off_table = self._graph
+        trees = self._graph[0]
         # Nodes of the initial tree count as stably present at time zero,
         # so re-entering the same tree through a quiet transition merges
         # with the start state.
         start = (0, relabel(TransitionAnnotation(stable=trees[0].names), table))
         states = list(dict.fromkeys([start, *tree_edges.values()]))
         if len(states) > self.max_states:
-            partial = self._stats(mode, self.max_states, 0, 0, max_nodes, off_table)
+            partial = self._stats(mode, self.max_states, 0, 0, trees)
             raise CapacityError(f"state limit {self.max_states} exceeded", partial=partial)
         index = {state: sid for sid, state in enumerate(states)}
         transitions: Dict[Tuple[int, Symbol], Edge] = {}
@@ -361,16 +363,8 @@ class Determinizer:
                 target = tree_edges[(tree_id, symbol)]
                 transitions[(sid, symbol)] = (index[target], target[1])
         acceptance = assemble_state_pairs([ann for _, ann in states], strict_marks=self.strict_marks)
-        stats = self._stats(mode, len(states), len(transitions), len(acceptance.pairs), max_nodes, off_table)
-        return DRW(
-            payloads=tuple(EnrichedHistoryTree(trees[t], ann) for t, ann in states),
-            alphabet=self.nbw.alphabet,
-            initial=0,
-            transitions=transitions,
-            acceptance=acceptance,
-            stats=stats,
-            table=table,
-        )
+        payloads = [EnrichedHistoryTree(trees[t], ann) for t, ann in states]
+        return self._automaton(DRW, mode, table, payloads, transitions, acceptance)
 
 
 # -- pair assembly ----------------------------------------------------------

@@ -307,7 +307,7 @@ def parse_nbw_hoa(text: str) -> NBW:
     doc = _parse_hoa_document(text)
     acc_name = _acc_tokens_text(doc.acc_name)
     acceptance = _acc_tokens_text(doc.acceptance)
-    if acc_name and not acc_name.startswith("Buchi"):
+    if acc_name and acc_name != "Buchi":
         raise UnsupportedAcceptanceError(
             f"unsupported acceptance {acc_name!r}: this reader takes Buchi input only"
         )
@@ -438,12 +438,11 @@ def parse_rabin(text: str) -> Union[DRTW, DRW]:
     """Read back a Rabin document we emitted; payloads become the state
     label strings.  Used to show the format carries full acceptance."""
     doc = _parse_hoa_document(text)
-    acc_name = _acc_tokens_text(doc.acc_name)
-    if not acc_name.startswith("Rabin"):
-        raise UnsupportedAcceptanceError(f"expected Rabin acceptance, got {acc_name!r}")
-    if len(doc.acc_name) < 2 or doc.acc_name[1].kind != "int":
+    if not doc.acc_name or doc.acc_name[0].value != "Rabin":
+        raise UnsupportedAcceptanceError(f"expected Rabin acceptance, got {_acc_tokens_text(doc.acc_name)!r}")
+    if len(doc.acc_name) != 2 or doc.acc_name[1].kind != "int":
         where = doc.acc_name[0]
-        raise ParseError("acc-name: Rabin needs a pair count", where.line, where.col)
+        raise ParseError("acc-name: Rabin needs one pair count", where.line, where.col)
     pair_count = int(doc.acc_name[1].value)
     _check_rabin_acceptance(doc.acceptance, pair_count)
     if len(doc.start) != 1:
@@ -460,11 +459,13 @@ def parse_rabin(text: str) -> Union[DRTW, DRW]:
             if (src, sym) in transitions:
                 raise InputError(f"duplicate edge for state {src} symbol {sym!r}")
             transitions[(src, sym)] = (dst, EMPTY_ANNOTATION)
-            if on_transitions:
-                _collect_sig(sig, pair_count, (src, sym), acc_targets, rej_targets)
-    if not on_transitions:
-        for num, _, sig in doc.states:
-            _collect_sig(sig, pair_count, num, acc_targets, rej_targets)
+            if sig and not on_transitions:
+                raise UnsupportedAcceptanceError(f"state {src}: edge acceptance in a state-acc document")
+            _collect_sig(sig, pair_count, (src, sym), acc_targets, rej_targets)
+    for num, _, sig in doc.states:
+        if sig and on_transitions:
+            raise UnsupportedAcceptanceError(f"state {num}: state acceptance in a trans-acc document")
+        _collect_sig(sig, pair_count, num, acc_targets, rej_targets)
     pairs = tuple(
         RabinPair(i, frozenset(acc_targets.get(i, ())), frozenset(rej_targets.get(i, ())))
         for i in range(pair_count)

@@ -1,0 +1,58 @@
+"""Byte sweep: one build digest per input over a wider input set than
+`fixtures/build_digests.txt`.
+
+The inputs are the golden inputs of `record_build_digests.py` (the
+hand-written fixtures, the default corpus and Michel m=4), Michel m=5 and
+every member of the benchmark's candidate pools (`perfbench/pools.json`),
+each generated by `perfbench/inputs.py` and read through its HOA text.
+Each line is `name sha256`, where the digest is `build_digest`: eight
+builds (canonical/baseline x drtw/drw x default/strict marks), each
+contributing `emit_rabin`, `stats.to_text()` and `emit_dot`.  The
+benchmark files are only read.
+
+A change that must keep emitted bytes compares the library before and
+after it, running this script from the change against each source tree:
+
+    PYTHONPATH=/path/to/parent/src python tests/sweep_build_digests.py > parent.txt
+    PYTHONPATH=src python tests/sweep_build_digests.py > change.txt
+    cmp parent.txt change.txt
+
+The name keeps pytest from collecting this script.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import json
+import sys
+from pathlib import Path
+from typing import Iterator, Tuple
+
+from histree.automata import NBW
+from histree.formats import parse_nbw
+from record_build_digests import build_digest, golden_inputs
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _bench_inputs():
+    sys.dont_write_bytecode = True
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", PERFBENCH / "inputs.py")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def sweep_inputs() -> Iterator[Tuple[str, NBW]]:
+    yield from golden_inputs()
+    inputs = _bench_inputs()
+    yield "michel5", parse_nbw(inputs.to_hoa(inputs.michel(5)))
+    pools = json.loads((PERFBENCH / "pools.json").read_text(encoding="utf-8"))
+    for family, members in pools.items():
+        for i in members:
+            yield f"{family}:{i}", parse_nbw(inputs.to_hoa(inputs.member(family, i)))
+
+
+if __name__ == "__main__":
+    for name, a in sweep_inputs():
+        print(name, build_digest(a), flush=True)

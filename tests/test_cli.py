@@ -142,6 +142,16 @@ def test_unsupported_acceptance_is_input_error(tmp_path, capsys):
     assert "acceptance" in err
 
 
+def test_misspelled_acceptance_name_exits_2(tmp_path, capsys):
+    path = tmp_path / "buchixyz.hoa"
+    text = emit_nbw_hoa(e1()).replace("acc-name: Buchi", "acc-name: Buchixyz 7")
+    path.write_text(text, encoding="utf-8")
+    assert main(["determinize", "--in", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "Buchixyz 7" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_non_utf8_file_is_input_error(tmp_path, capsys):
     path = tmp_path / "latin1.native"
     path.write_bytes(emit_nbw_native(e1()).replace('"p"', '"\u00e9"').encode("latin-1"))

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from histree.automata import NBW, TransitionAnnotation
@@ -13,7 +15,7 @@ from histree.determinize import (
 )
 from histree.dot import emit_dot
 from histree.errors import CapacityError, InputError
-from histree.formats import emit_rabin
+from histree.formats import emit_rabin, parse_nbw
 from histree.fixtures import e1, no_finals, single_final_loop
 from histree.oracle import det_lasso_member, lassos_upto, nbw_lasso_member
 from histree.automata import LassoWord
@@ -253,6 +255,21 @@ def test_capacity_error_carries_partial_stats(corpus_sample):
         assert err.value.partial.states >= 1
 
 
+def test_overflow_census_counts_the_overflowing_trees_fresh_names(corpus_sample):
+    """At the state limit, the partial census reads the trees explored so
+    far, including the one whose step overflowed: a tree's fresh children
+    are spawned whatever the letter, so the overflowing tree's first step
+    has already spawned them all.  Here that tree holds the two off-table
+    names, which a count of only the completed steps would miss (0)."""
+    target = corpus_sample[2]  # default_corpus()[2]
+    for build in (build_drtw, build_drw):
+        with pytest.raises(CapacityError) as err:
+            build(target, max_states=4)
+        partial = err.value.partial
+        assert (partial.states, partial.transitions, partial.pairs) == (4, 4, 0)
+        assert (partial.max_tree_nodes, partial.off_table_intermediate_names) == (3, 2)
+
+
 def test_drw_state_limit_counts_the_split_states(e1_nbw):
     """The DRTW of e1 fits two states; its DRW splits them into three, so
     the DRW build alone exceeds the limit.  The partial record reports the
@@ -427,3 +444,39 @@ def test_two_same_height_nodes_can_accept_in_one_step():
     assert engine.successor(start, "s")[1].accepting == {Identifier(2, 1), Identifier(2, 2)}
     heights = {height(name) for name in trace.accepting}
     assert heights == {2}
+
+
+def _census_inputs(all_fixtures, corpus_sample):
+    named = list(all_fixtures.items()) + [(f"random:{i}", a) for i, a in enumerate(corpus_sample)]
+    for n in (4, 5, 6):
+        path = Path(__file__).parent / "fixtures" / f"pair_index_n{n}.hoa"
+        named.append((path.stem, parse_nbw(path.read_text(encoding="utf-8"))))
+    return named
+
+
+def test_fresh_names_are_one_past_each_nodes_last_child(e1_nbw):
+    t = tree(e1_nbw, {(): {"p", "q"}, (1,): {"q"}, (1, 1): {"q"}})
+    assert t.fresh == ((2,), (1, 2), (1, 1, 1))
+    assert Determinizer(e1_nbw).initial_tree().fresh == ((1,),)
+    assert HistoryTree(()).fresh == ()
+
+
+@pytest.mark.parametrize("strict", [False, True])
+def test_census_matches_the_per_step_definition(strict, all_fixtures, corpus_sample):
+    """The census read off the trees equals its per-step definition: the
+    distinct spawned names of height >= n over every (tree, symbol), and the
+    largest tree.  Every step spawns exactly the tree's names and its fresh
+    children."""
+    for name, a in _census_inputs(all_fixtures, corpus_sample):
+        engine = Determinizer(a, "canonical", strict_marks=strict)
+        trees = engine.build_drtw().payloads
+        off_table = set()
+        for t in trees:
+            for symbol in a.alphabet:
+                spawned = set(engine.successor_trace(t, symbol).spawned)
+                assert spawned == t.names | set(t.fresh), name
+                off_table |= {x for x in spawned if height(x) >= len(a.states)}
+        for mode in ("canonical", "baseline"):
+            for d in (engine.build_drtw(mode), engine.build_drw(mode)):
+                assert d.stats.off_table_intermediate_names == len(off_table), (name, mode)
+                assert d.stats.max_tree_nodes == max(t.node_count for t in trees), (name, mode)

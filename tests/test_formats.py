@@ -221,6 +221,33 @@ def test_rabin_pair_count_must_be_a_number():
             parse_rabin(text.replace(line, bad))
 
 
+def test_acceptance_marks_in_the_wrong_place_are_refused():
+    """Where marks sit follows the properties line; a document whose marks
+    sit in the other place is refused, not read as accepting nothing."""
+    drtw = emit_rabin(build_drtw(e1()))
+    assert "properties: deterministic trans-acc\n" in drtw and "[@s0] 1 {1}\n" in drtw
+    relabelled = drtw.replace("trans-acc", "state-acc")
+    with pytest.raises(UnsupportedAcceptanceError, match="edge acceptance in a state-acc document"):
+        parse_rabin(relabelled)
+    drw = emit_rabin(build_drw(e1()))
+    assert "properties: deterministic state-acc\n" in drw and "[+{} -{}]\" {0}\n" in drw
+    with pytest.raises(UnsupportedAcceptanceError, match="state acceptance in a trans-acc document"):
+        parse_rabin(drw.replace("state-acc", "trans-acc"))
+
+
+def test_acc_name_must_match_exactly():
+    buchi = emit_nbw_hoa(e1())
+    assert "acc-name: Buchi\n" in buchi
+    for bad in ("acc-name: Buchixyz 7\n", "acc-name: Buchi 7\n", "acc-name: generalized-Buchi 1\n"):
+        with pytest.raises(UnsupportedAcceptanceError):
+            parse_nbw(buchi.replace("acc-name: Buchi\n", bad))
+    rabin = emit_rabin(build_drtw(e1()))
+    with pytest.raises(UnsupportedAcceptanceError):
+        parse_rabin(rabin.replace("acc-name: Rabin 1\n", "acc-name: Rabinxyz 1\n"))
+    with pytest.raises(ParseError, match="pair count"):
+        parse_rabin(rabin.replace("acc-name: Rabin 1\n", "acc-name: Rabin 1 1\n"))
+
+
 def test_declared_states_need_blocks_before_anything_is_sized():
     """Both readers check the State: blocks against the States: header
     before sizing anything by it, so a huge header is an InputError."""
