@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import ClassVar, FrozenSet, Hashable, Iterable, List, Mapping, Sequence, Tuple
+from typing import ClassVar, Dict, FrozenSet, Hashable, Iterable, List, Mapping, Sequence, Tuple
 
 from .errors import InputError
 
@@ -265,11 +265,16 @@ class _Rabin:
         if self.acceptance.kind != self.acceptance_kind:
             raise InputError(f"{type(self).__name__} acceptance must be {self.acceptance_kind} based")
 
-    def state_label(self, sid: int) -> str:
-        """State `sid` as HOA names and DOT labels show it: its payload
-        rendered with the identifier table, or as plain text."""
-        payload = self.payloads[sid]
-        return payload.render(self.table) if hasattr(payload, "render") else str(payload)
+    def state_labels(self) -> List[str]:
+        """Every state as HOA names and DOT labels show it: its payload
+        rendered with the identifier table, or as plain text.  The trees
+        share one memo of label texts, so each distinct label is rendered
+        once per call."""
+        texts: Dict[int, str] = {}
+        return [
+            payload.render(self.table, texts) if hasattr(payload, "render") else str(payload)
+            for payload in self.payloads
+        ]
 
 
 class DRTW(_Rabin):

@@ -10,28 +10,47 @@ Those properties bound the tree at one node per automaton state.
 Reading a symbol rewrites the tree in five phases (spawn a fresh youngest
 child per node, strip states already owned by older siblings, drop empty
 nodes, collapse subtrees whose children cover their parent, and compress
-sibling gaps).  The fresh children's names depend on the tree alone, not
-on the letter, so the tree owns them (`HistoryTree.fresh`).  Labels are
-state masks in the automaton's encoding: spawn advances each through the
-NBW's successor rows with `image`, and the later phases are single passes
-over the node names in sorted order, which is preorder (a parent precedes
-its subtree, and older siblings precede younger ones).  A node whose
-children covered it is recorded as accepting for that transition; a node
-displaced by compression is recorded as unstable.  Compression renames
-exactly the unstable nodes and keeps sorted order, so the kernel reads the
-stable/unstable split and the sorted result tree off its one renaming;
-`classify`, the gap-rule definition of stability, stays the reference that
-`check_history_tree` and the tests apply.  The marks name nodes, and one
-exploration of the tree graph serves every build.  The exploration only
-discovers trees and edges: each build's census (the largest tree, and the
-transient off-table names, which are the fresh children of height >= n)
-is read off the reachable trees, and both builds end in one tail that
-assembles the automaton.  The DRW's states are the start state and then
-the distinct DRTW edge targets (a tree with its incoming marks) in edge
-order, with no second walk.  A baseline build indexes its Rabin pairs by
-those names.  A canonical build is the same build with its pair indices
-relabeled through the (height, flag) identifier table, which merges names
-that can never share a tree and so lowers the number of pairs.
+sibling gaps).  A node whose children covered it is recorded as accepting
+for that transition; a node displaced by compression is recorded as
+unstable.  Only the labels depend on the letter: the fresh children's
+names depend on the tree alone (`HistoryTree.fresh`), and so do the
+spawned names' preorder and their parents.  The kernel therefore steps a
+tree on every letter at once.  Labels are state masks in the automaton's
+encoding; a packed label gives letter j a lane of n+1 bits, the state
+mask in its n low bits and a guard bit on top that a label never sets.
+Adding a fill of n ones per lane carries into exactly the guard bits of
+the nonempty lanes, so `(x + fill) & guards` tests every lane of x for
+emptiness at once, and "children's union equals the label" is that test
+on their XOR.  Node sets are guard-bit masks: lane j's guard bit is set
+when the node is in the set on letter j.
+
+Spawn is one `image` per node over per-state successor rows packed across
+the letters; dedup, the nonempty test, collapse and prune are bitwise
+passes over the spawned names in preorder (a parent precedes its subtree,
+and older siblings precede younger ones), built once per tree.  So are
+the new sibling indices of compression, as a per-lane count of surviving
+older siblings, and stability: a survivor is stable when its count gives
+back its own index and its parent is stable.  `Determinizer` keeps the
+packed phases of the tree it stepped last, and each `successor_trace`
+decodes its letter's lane: it renames the survivors and splits them into
+stable and unstable, which gives the result tree and the marks.  The
+other phases of a `StepTrace` are views of that lane, decoded only when
+read.  `classify`, the gap-rule definition of stability, and `compress`
+stay the references that `check_history_tree`, the trace's `renaming` and
+the tests apply; `tests/test_kernel.py` holds the five-phase step, one
+letter at a time on dicts, as the specification.
+
+The marks name nodes, and one exploration of the tree graph serves every
+build.  The exploration only discovers trees and edges: the census (the
+largest tree, and the transient off-table names, which are the fresh
+children of height >= n) is read off the reachable trees once per engine,
+and both builds end in one tail that assembles the automaton.  The DRW's
+states are the start state and then the distinct DRTW edge targets (a
+tree with its incoming marks) in edge order, with no second walk.  A
+baseline build indexes its Rabin pairs by those names.  A canonical build
+is the same build with its pair indices relabeled through the (height,
+flag) identifier table, which merges names that can never share a tree
+and so lowers the number of pairs.
 """
 
 from __future__ import annotations
@@ -108,14 +127,20 @@ class HistoryTree:
         """A label as its state names, sorted as strings, in braces."""
         return "{" + ",".join(sorted(q for i, q in enumerate(self.states) if label >> i & 1)) + "}"
 
-    def render(self, table: Optional[IdentifierTable] = None) -> str:
+    def render(self, table: Optional[IdentifierTable] = None, texts: Optional[Dict[int, str]] = None) -> str:
         """Stable one-line rendering used for state names and DOT labels;
-        with a table, each node also shows its identifier."""
+        with a table, each node also shows its identifier.  `texts` memoizes
+        label texts by mask for trees over the same states."""
         if self.is_sink:
             return "sink"
+        if texts is None:
+            texts = {}
         parts = []
         for name, label in self.entries:
-            text = f"{name_str(name)}:{self.label_text(label)}"
+            label_text = texts.get(label)
+            if label_text is None:
+                label_text = texts[label] = self.label_text(label)
+            text = f"{name_str(name)}:{label_text}"
             if table is not None:
                 text += f"{table.lookup(name)}"
             parts.append(text)
@@ -129,27 +154,227 @@ class EnrichedHistoryTree:
     tree: HistoryTree
     incoming: TransitionAnnotation
 
-    def render(self, table: Optional[IdentifierTable] = None) -> str:
+    def render(self, table: Optional[IdentifierTable] = None, texts: Optional[Dict[int, str]] = None) -> str:
         plus = ",".join(str(i) for i in sorted(self.incoming.accepting))
         minus = ",".join(str(i) for i in sorted(self.incoming.unstable))
-        return f"{self.tree.render(table)} [+{{{plus}}} -{{{minus}}}]"
+        return f"{self.tree.render(table, texts)} [+{{{plus}}} -{{{minus}}}]"
 
 
 @dataclass(frozen=True)
+class _Lanes:
+    """An engine's packing of letters into lanes: letter j owns bits
+    j*(n+1) .. j*(n+1) + n - 1 of a packed label, and bit j*(n+1) + n is
+    its guard bit, always clear in a label.  Adding `fill` (each lane's n
+    low bits set) carries into a lane's guard bit exactly when the lane is
+    nonzero, so `(x + fill) & guards` marks the nonempty lanes of x."""
+
+    n: int
+    index: Mapping[Symbol, int]  # letter -> lane
+    rows: Tuple[int, ...]  # per state, its successor rows packed across letters
+    final: int  # the final states in every lane
+    ones: int  # bit 0 of every lane
+    fill: int
+    guards: int
+
+    @classmethod
+    def of(cls, nbw: NBW) -> "_Lanes":
+        n = len(nbw.states)
+        shifts = [j * (n + 1) for j in range(len(nbw.alphabet))]
+        ones = sum(1 << shift for shift in shifts)
+        return cls(
+            n=n,
+            index={sym: j for j, sym in enumerate(nbw.alphabet)},
+            rows=tuple(
+                sum(nbw.rows[sym][i] << shift for sym, shift in zip(nbw.alphabet, shifts))
+                for i in range(n)
+            ),
+            final=nbw.final_mask * ones,
+            ones=ones,
+            fill=((1 << n) - 1) * ones,
+            guards=ones << n,
+        )
+
+
+class _Phases:
+    """One tree's spawn, dedup, collapse and prune phases for every letter
+    at once.  Position p of each list is the p-th spawned name in preorder;
+    labels are packed across lanes, and node sets are guard-bit masks (the
+    guard bit of lane j set when the node is in the set on letter j).
+    `survivors` holds, in preorder, every node that survives on some
+    letter: (position, pruned, stable, accepting, unstable mark, name,
+    packed label, parent position, packed new sibling index)."""
+
+    __slots__ = ("tree", "names", "spawned", "deduped", "survivors")
+
+    def __init__(self, tree: HistoryTree, lanes: _Lanes, strict_marks: bool):
+        self.tree = tree
+        rows, fill, guards, ones, n = lanes.rows, lanes.fill, lanes.guards, lanes.ones, lanes.n
+        # Spawn: every node advances its label on every letter, and its
+        # fresh youngest child holds the final states among the successors.
+        # In preorder that child follows its parent's subtree, so it is
+        # placed when the walk leaves the subtree; `path` holds each open
+        # ancestor's position and fresh child, and a root-named sentinel
+        # closes them all.
+        self.names = names = []
+        self.spawned = spawned = []
+        parents: List[int] = []
+        path: List[Tuple[int, NodeName, int]] = []
+        for (name, label), child in zip((*tree.entries, (ROOT, 0)), (*tree.fresh, None)):
+            while len(path) > len(name):
+                parent, fresh, fresh_label = path.pop()
+                parents.append(parent)
+                names.append(fresh)
+                spawned.append(fresh_label)
+            if child is None:
+                break
+            advanced = image(label, rows)
+            parents.append(path[-1][0] if path else -1)
+            path.append((len(names), child, advanced & lanes.final))
+            names.append(name)
+            spawned.append(advanced)
+        size = len(names)
+
+        # Dedup: a state an older sibling held before dedup leaves every
+        # younger sibling's subtree, lane by lane.
+        poison = [0] * size
+        self.deduped = deduped = [0] * size
+        kids = [0] * size  # union of the children's deduped labels
+        for p, (label, q) in enumerate(zip(spawned, parents)):
+            if q >= 0:
+                inherited = poison[p] = poison[q]
+                poison[q] = inherited | label
+                deduped[p] = label = label & ~inherited
+                kids[q] |= label
+            else:
+                deduped[p] = label
+
+        # Per lane: drop empty nodes, keep a node when its parent survives
+        # uncovered, and collapse the survivors whose children's labels add
+        # up to their own.  Compression gives a survivor the sibling index
+        # one past its surviving older siblings; it is stable when that
+        # index is its own and its parent is stable.
+        through = [0] * size  # lanes where the node survives uncovered
+        stable = [0] * size
+        count = [0] * size  # per parent: its surviving children so far
+        self.survivors = survivors = []
+        for p, (label, q, name) in enumerate(zip(deduped, parents, names)):
+            live = (label + fill) & (through[q] if q >= 0 else guards)
+            if not live:
+                continue
+            if q < 0:
+                kept = live
+                rank = 0
+            else:
+                # Surviving siblings have disjoint nonempty labels, so a
+                # lane counts at most n of them; a larger index never matches.
+                rank = count[q] = count[q] + (live >> n)
+                index = name[-1]
+                kept = live & stable[q] & ~((rank ^ index * ones) + fill) if index <= n else 0
+            cover = live & ~((kids[p] ^ label) + fill)
+            through[p] = live ^ cover
+            stable[p] = kept
+            minus = live & ~kept & ~cover if strict_marks else live & ~kept
+            survivors.append((p, live, kept, cover, minus, name, label, q, rank))
+
+    def decode(self, lane: int, states: Tuple[str, ...]) -> Tuple[HistoryTree, TransitionAnnotation]:
+        """The result tree and name-indexed marks of one lane: its
+        surviving nodes renamed and split into stable and unstable."""
+        n = len(states)
+        shift = lane * (n + 1)
+        guard = 1 << (shift + n)
+        mask = (1 << n) - 1  # a lane's label; also fits its sibling counts, at most n
+        entries = []
+        stable: List[NodeName] = []
+        plus: List[NodeName] = []
+        minus: List[NodeName] = []
+        renamed: Dict[int, NodeName] = {}
+        names = self.names
+        for p, live, kept, accepting, unstable, name, label, q, rank in self.survivors:
+            if not live & guard:
+                continue
+            if kept & guard:
+                stable.append(name)
+                if accepting & guard:
+                    plus.append(name)
+            else:
+                if unstable & guard:
+                    minus.append(name)
+                # The root is always stable, so an unstable node has a parent.
+                name = renamed[p] = renamed.get(q, names[q]) + (rank >> shift & mask,)
+            entries.append((name, label >> shift & mask))
+        return (
+            HistoryTree(tuple(entries), states),
+            TransitionAnnotation(frozenset(plus), frozenset(minus), frozenset(stable)),
+        )
+
+
+@dataclass(frozen=True, eq=False)
 class StepTrace:
-    """Intermediate trees of one successor computation, for inspection.
-    `spawned` holds the tree's own names and its `fresh` children."""
+    """One successor step of a tree on a letter.  `result` and `marks` are
+    decoded when the step is taken; the phase dicts are views of the
+    letter's lane of the tree's packed phases, decoded when first read.
+    `spawned` holds the tree's own names and its `fresh` children; labels
+    are state masks and names come in sorted order.  Two traces are equal
+    when every field is."""
 
     symbol: Symbol
-    spawned: Dict[NodeName, int]  # labels are state masks; names in sorted order
-    deduped: Dict[NodeName, int]
-    nonempty: Dict[NodeName, int]
-    pruned: Dict[NodeName, int]
-    accepting: FrozenSet[NodeName]
-    unstable: FrozenSet[NodeName]
-    renaming: Dict[NodeName, NodeName]
     result: HistoryTree
     marks: TransitionAnnotation  # indexed by node name
+    phases: _Phases = field(repr=False)
+    lane: int = field(repr=False)
+
+    def _lane(self, packed: List[int]) -> List[int]:
+        n = len(self.result.states)
+        shift = self.lane * (n + 1)
+        mask = (1 << n) - 1
+        return [label >> shift & mask for label in packed]
+
+    def _survivors(self, member) -> List[NodeName]:
+        """The names of the lane's survivors for which `member(pruned,
+        stable, accepting)` has the lane's guard bit."""
+        n = len(self.result.states)
+        guard = 1 << (self.lane * (n + 1) + n)
+        return [name for _, live, kept, accepting, _, name, *_ in self.phases.survivors
+                if member(live, kept, accepting) & guard]
+
+    @cached_property
+    def spawned(self) -> Dict[NodeName, int]:
+        return dict(zip(self.phases.names, self._lane(self.phases.spawned)))
+
+    @cached_property
+    def deduped(self) -> Dict[NodeName, int]:
+        return dict(zip(self.phases.names, self._lane(self.phases.deduped)))
+
+    @cached_property
+    def nonempty(self) -> Dict[NodeName, int]:
+        return {name: label for name, label in self.deduped.items() if label}
+
+    @cached_property
+    def pruned(self) -> Dict[NodeName, int]:
+        return {name: self.deduped[name] for name in self._survivors(lambda live, kept, accepting: live)}
+
+    @cached_property
+    def accepting(self) -> FrozenSet[NodeName]:
+        return frozenset(self._survivors(lambda live, kept, accepting: accepting))
+
+    @cached_property
+    def unstable(self) -> FrozenSet[NodeName]:
+        return frozenset(self._survivors(lambda live, kept, accepting: live & ~kept))
+
+    @cached_property
+    def renaming(self) -> Dict[NodeName, NodeName]:
+        return compress(self.pruned)
+
+    def __eq__(self, other):
+        if not isinstance(other, StepTrace):
+            return NotImplemented
+        return all(
+            getattr(self, f) == getattr(other, f)
+            for f in ("symbol", "spawned", "deduped", "nonempty", "pruned", "accepting",
+                      "unstable", "renaming", "result", "marks")
+        )
+
+    __hash__ = None
 
 
 def relabel(marks: TransitionAnnotation, table: Optional[IdentifierTable]) -> TransitionAnnotation:
@@ -173,7 +398,9 @@ def _check_mode(mode: str) -> None:
 class Determinizer:
     """Bundles one input automaton with a mode and mark semantics; all
     methods are pure with respect to trees.  The mode is the default
-    labeling of the builds."""
+    labeling of the builds.  The engine keeps the packed phases of the
+    tree it stepped last, matched by identity, so stepping one tree on
+    each letter in turn computes them once."""
 
     def __init__(
         self,
@@ -189,6 +416,7 @@ class Determinizer:
         self.strict_marks = strict_marks
         self.max_states = max_states
         self.n = len(nbw.states)
+        self._last_phases: Optional[_Phases] = None
 
     @cached_property
     def table(self) -> IdentifierTable:
@@ -204,70 +432,21 @@ class Determinizer:
         start = self.nbw.mask(self.nbw.initial)
         return HistoryTree(((ROOT, start),) if start else (), self.nbw.states)
 
+    @cached_property
+    def _lanes(self) -> _Lanes:
+        return _Lanes.of(self.nbw)
+
     def successor_trace(self, tree: HistoryTree, symbol: Symbol) -> StepTrace:
-        if symbol not in self.nbw.alphabet:
+        """One step of `tree` on `symbol`: its letter's lane of the tree's
+        phases, which are computed for every letter at once."""
+        lane = self._lanes.index.get(symbol)
+        if lane is None:
             raise InputError(f"symbol {symbol!r} not in alphabet")
-        rows = self.nbw.rows[symbol]
-
-        # Spawn: every node advances its label by one symbol and gains its
-        # fresh youngest child holding the final states among successors.
-        advanced = [(name, image(label, rows)) for name, label in tree.entries]
-        final = self.nbw.final_mask
-        fresh = [(child, label & final) for child, (_, label) in zip(tree.fresh, advanced)]
-        spawned = dict(sorted(advanced + fresh))
-
-        # Dedup: a state claimed by an older sibling (pre-dedup label) is
-        # removed from every younger sibling's whole subtree.  In preorder a
-        # parent precedes its subtree and older siblings precede younger
-        # ones, so `poison[parent]` has grown by the older siblings' labels
-        # by the time a child is reached.
-        deduped: Dict[NodeName, int] = {}
-        poison: Dict[NodeName, int] = {}
-        for name, label in spawned.items():
-            inherited = 0
-            if name:
-                inherited = poison[name[:-1]]
-                poison[name[:-1]] = inherited | label
-            poison[name] = inherited
-            deduped[name] = label & ~inherited
-
-        # Drop nodes whose label emptied (their subtrees empty with them).
-        nonempty = {n: l for n, l in deduped.items() if l}
-
-        # Collapse: a node whose children's labels add up to its own loses
-        # the whole subtree below it and counts as accepting.
-        kid_union: Dict[NodeName, int] = {}
-        for name, label in nonempty.items():
-            if name:
-                kid_union[name[:-1]] = kid_union.get(name[:-1], 0) | label
-        covered = {n for n, union in kid_union.items() if union == nonempty[n]}
-        # A node survives when its parent survives uncovered.
-        pruned: Dict[NodeName, int] = {}
-        for name, label in nonempty.items():
-            if not name or (name[:-1] in pruned and name[:-1] not in covered):
-                pruned[name] = label
-        accepting = frozenset(covered.intersection(pruned))
-
-        # Compress sibling gaps.  The renamed nodes are exactly the unstable
-        # ones, and renaming keeps sorted order, so the result is sorted.
-        renaming = compress(pruned)
-        unstable = frozenset(n for n, m in renaming.items() if n != m)
-        stable = frozenset(pruned).difference(unstable)
-        result = HistoryTree(tuple((renaming[n], l) for n, l in pruned.items()), self.nbw.states)
-        minus = unstable - accepting if self.strict_marks else unstable
-        marks = TransitionAnnotation(accepting & stable, minus, stable)
-        return StepTrace(
-            symbol=symbol,
-            spawned=spawned,
-            deduped=deduped,
-            nonempty=nonempty,
-            pruned=pruned,
-            accepting=accepting,
-            unstable=unstable,
-            renaming=renaming,
-            result=result,
-            marks=marks,
-        )
+        phases = self._last_phases
+        if phases is None or phases.tree is not tree:
+            phases = self._last_phases = _Phases(tree, self._lanes, self.strict_marks)
+        result, marks = phases.decode(lane, self.nbw.states)
+        return StepTrace(symbol, result, marks, phases, lane)
 
     def successor(self, tree: HistoryTree, symbol: Symbol) -> Tuple[HistoryTree, TransitionAnnotation]:
         """One step with its marks indexed as the engine's Rabin pairs."""
@@ -280,11 +459,14 @@ class Determinizer:
     def _graph(self):
         """The reachable tree graph with name-indexed marks, explored
         breadth-first once per engine: (trees, transitions).  Deterministic
-        numbering: discovery order with the alphabet in declared order."""
+        numbering: discovery order with the alphabet in declared order.
+        Equal marks share one annotation, which keeps the graph's memory
+        near its trees' own."""
         start = self.initial_tree()
         trees = [start]
         index = {start: 0}
         transitions: Dict[Tuple[int, Symbol], Edge] = {}
+        shared: Dict[TransitionAnnotation, TransitionAnnotation] = {}
         for sid, tree in enumerate(trees):
             for symbol in self.nbw.alphabet:
                 trace = self.successor_trace(tree, symbol)
@@ -292,25 +474,35 @@ class Determinizer:
                 if tid is None:
                     if len(trees) >= self.max_states:
                         # The census covers the trees stepped so far, this one included.
-                        partial = self._stats(self.mode, len(trees), len(transitions), 0, trees[: sid + 1])
+                        partial = self._stats(self.mode, len(trees), len(transitions), 0,
+                                              self._census(trees[: sid + 1]))
                         raise CapacityError(f"state limit {self.max_states} exceeded", partial=partial)
                     tid = len(trees)
                     trees.append(trace.result)
                     index[trace.result] = tid
-                transitions[(sid, symbol)] = (tid, trace.marks)
+                transitions[(sid, symbol)] = (tid, shared.setdefault(trace.marks, trace.marks))
         return tuple(trees), transitions
 
-    def _stats(self, mode, states, transitions, pairs, trees) -> BuildStats:
-        """A build's census, its tree fields read off `trees`.  A tree's own
-        names have height below n, so only fresh children are off-table."""
+    def _census(self, trees) -> Tuple[int, int]:
+        """The largest tree and the number of off-table names among
+        `trees`.  A tree's own names have height below n, so only fresh
+        children are off-table."""
         off_table = {name for tree in trees for name in tree.fresh if height(name) >= self.n}
-        largest = max(tree.node_count for tree in trees)
+        return max(tree.node_count for tree in trees), len(off_table)
+
+    @cached_property
+    def _graph_census(self) -> Tuple[int, int]:
+        """The census of the whole tree graph, read once per engine."""
+        return self._census(self._graph[0])
+
+    def _stats(self, mode, states, transitions, pairs, census) -> BuildStats:
+        largest, off_table = census
         return BuildStats(mode, self.strict_marks, states, transitions, pairs,
-                          max_tree_nodes=largest, off_table_intermediate_names=len(off_table))
+                          max_tree_nodes=largest, off_table_intermediate_names=off_table)
 
     def _automaton(self, cls, mode, table, payloads, transitions, acceptance):
         """The one tail of both builds: the census and the automaton."""
-        stats = self._stats(mode, len(payloads), len(transitions), len(acceptance.pairs), self._graph[0])
+        stats = self._stats(mode, len(payloads), len(transitions), len(acceptance.pairs), self._graph_census)
         return cls(
             payloads=tuple(payloads),
             alphabet=self.nbw.alphabet,
@@ -354,7 +546,7 @@ class Determinizer:
         start = (0, relabel(TransitionAnnotation(stable=trees[0].names), table))
         states = list(dict.fromkeys([start, *tree_edges.values()]))
         if len(states) > self.max_states:
-            partial = self._stats(mode, self.max_states, 0, 0, trees)
+            partial = self._stats(mode, self.max_states, 0, 0, self._graph_census)
             raise CapacityError(f"state limit {self.max_states} exceeded", partial=partial)
         index = {state: sid for sid, state in enumerate(states)}
         transitions: Dict[Tuple[int, Symbol], Edge] = {}

@@ -61,11 +61,11 @@ def _nbw_dot(a: NBW) -> str:
 
 def _rabin_dot(d: Union[DRTW, DRW]) -> str:
     lines = ["digraph rabin {", "  rankdir=LR;"]
-    for sid, payload in enumerate(d.payloads):
+    for sid, (payload, label) in enumerate(zip(d.payloads, d.state_labels())):
         tree = payload.tree if isinstance(payload, EnrichedHistoryTree) else payload
         sinkish = isinstance(tree, HistoryTree) and tree.is_sink
         style = " style=dashed" if sinkish else ""
-        lines.append(f"  n{sid} [label={_q(d.state_label(sid))} shape=box{style}];")
+        lines.append(f"  n{sid} [label={_q(label)} shape=box{style}];")
     lines.append("  init [shape=point];")
     lines.append(f"  init -> n{d.initial};")
     for sid in range(len(d.payloads)):

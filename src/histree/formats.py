@@ -418,14 +418,19 @@ def emit_rabin(d: Union[DRTW, DRW]) -> str:
             for target in targets:
                 sets[target] = sets.get(target, 0) | 1 << number
 
+    texts = {0: ""}  # each distinct mask's text, rendered once
+
     def sig(target) -> str:
         mask = sets.get(target, 0)
-        return " {" + " ".join(map(str, bits(mask))) + "}" if mask else ""
+        text = texts.get(mask)
+        if text is None:
+            text = texts[mask] = " {" + " ".join(map(str, bits(mask))) + "}"
+        return text
 
     lines.append("--BODY--")
-    for sid in range(len(d.payloads)):
+    for sid, label in enumerate(d.state_labels()):
         state_sig = "" if on_transitions else sig(sid)
-        lines.append(f"State: {sid} {_quote(d.state_label(sid))}{state_sig}")
+        lines.append(f"State: {sid} {_quote(label)}{state_sig}")
         for k, sym in enumerate(d.alphabet):
             dst, _ = d.transitions[(sid, sym)]
             edge_sig = sig((sid, sym)) if on_transitions else ""

@@ -480,3 +480,25 @@ def test_census_matches_the_per_step_definition(strict, all_fixtures, corpus_sam
             for d in (engine.build_drtw(mode), engine.build_drw(mode)):
                 assert d.stats.off_table_intermediate_names == len(off_table), (name, mode)
                 assert d.stats.max_tree_nodes == max(t.node_count for t in trees), (name, mode)
+
+
+def test_one_census_walk_serves_every_build(monkeypatch, all_fixtures):
+    """An engine reads the census off its trees once, however many builds
+    it makes; each build's stats text is what a fresh engine's gives."""
+    a = all_fixtures["rename_takeover"]
+    walks = []
+    census = Determinizer._census
+
+    def counting(self, trees):
+        walks.append(len(trees))
+        return census(self, trees)
+
+    expected = {
+        (mode, build): getattr(Determinizer(a), build)(mode).stats.to_text()
+        for mode, build in (("canonical", "build_drtw"), ("baseline", "build_drtw"), ("canonical", "build_drw"))
+    }
+    monkeypatch.setattr(Determinizer, "_census", counting)
+    engine = Determinizer(a)
+    for (mode, build), text in expected.items():
+        assert getattr(engine, build)(mode).stats.to_text() == text
+    assert walks == [len(engine._graph[0])]

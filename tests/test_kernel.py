@@ -1,0 +1,185 @@
+"""The packed successor kernel against the five-phase reference step.
+
+`reference_step` is the successor step written one letter at a time on
+dicts, phase by phase: the specification.  `Determinizer.successor_trace`
+computes a tree's phases for every letter at once on packed ints and must
+give a `StepTrace` equal to the reference field by field on every
+reachable (tree, letter)."""
+
+from pathlib import Path
+from typing import Dict
+
+import pytest
+
+from histree.automata import NBW, TransitionAnnotation, image
+from histree.determinize import Determinizer, HistoryTree, StepTrace
+from histree.errors import InputError
+from histree.formats import parse_nbw
+from histree.trees import NodeName, compress
+
+FIXTURE_DIR = Path(__file__).parent / "fixtures"
+
+FIELDS = ("symbol", "spawned", "deduped", "nonempty", "pruned", "accepting",
+          "unstable", "renaming", "result", "marks")
+
+
+def reference_step(nbw: NBW, tree: HistoryTree, symbol: str, strict_marks: bool) -> Dict[str, object]:
+    """Every field of one successor step, computed phase by phase."""
+    rows = nbw.rows[symbol]
+
+    # Spawn: every node advances its label by one symbol and gains a fresh
+    # youngest child, one past its last child, holding the final states
+    # among its successors.
+    degrees: Dict[NodeName, int] = {}
+    for name, _ in tree.entries:
+        if name:
+            degrees[name[:-1]] = max(degrees.get(name[:-1], 0), name[-1])
+    advanced = [(name, image(label, rows)) for name, label in tree.entries]
+    fresh = [(name + (degrees.get(name, 0) + 1,), label & nbw.final_mask) for name, label in advanced]
+    spawned = dict(sorted(advanced + fresh))
+
+    # Dedup: a state claimed by an older sibling (pre-dedup label) leaves
+    # every younger sibling's whole subtree.
+    deduped: Dict[NodeName, int] = {}
+    poison: Dict[NodeName, int] = {}
+    for name, label in spawned.items():
+        inherited = 0
+        if name:
+            inherited = poison[name[:-1]]
+            poison[name[:-1]] = inherited | label
+        poison[name] = inherited
+        deduped[name] = label & ~inherited
+
+    # Drop emptied nodes.
+    nonempty = {name: label for name, label in deduped.items() if label}
+
+    # Collapse: a node whose children's labels add up to its own loses its
+    # subtree and accepts; a node survives when its parent survives
+    # uncovered.
+    kid_union: Dict[NodeName, int] = {}
+    for name, label in nonempty.items():
+        if name:
+            kid_union[name[:-1]] = kid_union.get(name[:-1], 0) | label
+    covered = {name for name, union in kid_union.items() if union == nonempty[name]}
+    pruned: Dict[NodeName, int] = {}
+    for name, label in nonempty.items():
+        if not name or (name[:-1] in pruned and name[:-1] not in covered):
+            pruned[name] = label
+    accepting = frozenset(covered.intersection(pruned))
+
+    # Compress sibling gaps; the renamed nodes are the unstable ones.
+    renaming = compress(pruned)
+    unstable = frozenset(name for name, new in renaming.items() if name != new)
+    stable = frozenset(pruned).difference(unstable)
+    result = HistoryTree(tuple(sorted((renaming[name], label) for name, label in pruned.items())), nbw.states)
+    minus = unstable - accepting if strict_marks else unstable
+    return dict(
+        symbol=symbol,
+        spawned=spawned,
+        deduped=deduped,
+        nonempty=nonempty,
+        pruned=pruned,
+        accepting=accepting,
+        unstable=unstable,
+        renaming=renaming,
+        result=result,
+        marks=TransitionAnnotation(accepting & stable, minus, stable),
+    )
+
+
+def wide_nbw() -> NBW:
+    """Ten states over six letters: 11-bit lanes, 66 bits per packed label."""
+    states = tuple(f"s{i}" for i in range(10))
+    letters = "abcdef"
+    transitions = []
+    for i in range(10):
+        for k, symbol in enumerate(letters):
+            transitions.append((states[i], symbol, states[(i * (k + 1) + k) % 10]))
+            if (i + k) % 4 == 0:
+                transitions.append((states[i], symbol, states[(i + k + 1) % 10]))
+    return NBW.make(states, tuple(letters), transitions, states[:1], states[::3])
+
+
+def one_state_nbw() -> NBW:
+    return NBW.make(("p",), ("a", "b"), [("p", "a", "p"), ("p", "b", "p")], ("p",), ("p",))
+
+
+def _differential_inputs(all_fixtures, corpus_sample):
+    named = [(f"fixture:{name}", a) for name, a in all_fixtures.items()]
+    named += [(f"random:{i}", a) for i, a in enumerate(corpus_sample)]
+    for name in ("pair_index_n4", "pair_index_n5", "pair_index_n6", "michel4"):
+        named.append((name, parse_nbw((FIXTURE_DIR / f"{name}.hoa").read_text(encoding="utf-8"))))
+    named += [("wide", wide_nbw()), ("one_state", one_state_nbw())]
+    return named
+
+
+def _assert_matches(trace: StepTrace, expected: Dict[str, object], where) -> None:
+    for f in FIELDS:
+        assert getattr(trace, f) == expected[f], (where, f)
+
+
+@pytest.mark.parametrize("strict", [False, True])
+def test_kernel_matches_the_reference_step(strict, all_fixtures, corpus_sample):
+    """Every reachable (tree, letter), and the sink on every letter.  The
+    reference's results drive the breadth-first walk, so a faulty kernel
+    fails at its first wrong step instead of exploring a wrong graph."""
+    for name, a in _differential_inputs(all_fixtures, corpus_sample):
+        engine = Determinizer(a, "baseline", strict_marks=strict)
+        trees = [engine.initial_tree()]
+        seen = set(trees)
+        for tree in trees:
+            for symbol in a.alphabet:
+                expected = reference_step(a, tree, symbol, strict)
+                _assert_matches(engine.successor_trace(tree, symbol), expected, (name, tree, symbol))
+                if expected["result"] not in seen:
+                    seen.add(expected["result"])
+                    trees.append(expected["result"])
+        assert tuple(trees) == engine.build_drtw().payloads, name
+        sink = HistoryTree((), a.states)
+        for symbol in a.alphabet:
+            _assert_matches(engine.successor_trace(sink, symbol), reference_step(a, sink, symbol, strict), name)
+
+
+def test_differential_inputs_cover_wide_lanes_and_one_state():
+    wide = wide_nbw()
+    assert (len(wide.states) + 1) * len(wide.alphabet) > 64
+    assert len(Determinizer(wide).build_drtw().payloads) > 100
+    assert len(one_state_nbw().states) == 1
+
+
+def test_one_entry_cache_interleaved_and_equal_trees(corpus_sample):
+    """Interleaved steps (A on a, B on a, A on b) and an equal tree held in
+    a distinct object give what a fresh engine gives."""
+    for a in corpus_sample[:20]:
+        if len(a.alphabet) < 2:
+            continue
+        first, second = a.alphabet[:2]
+        engine = Determinizer(a)
+        trees = engine.build_drtw().payloads
+        for tree_a, tree_b in zip(trees, trees[1:] + trees[:1]):
+            for tree, symbol in ((tree_a, first), (tree_b, first), (tree_a, second), (tree_b, second)):
+                assert engine.successor_trace(tree, symbol) == Determinizer(a).successor_trace(tree, symbol)
+            twin = HistoryTree(tuple(tree_a.entries), a.states)
+            assert twin == tree_a and twin is not tree_a
+            for symbol in a.alphabet:
+                trace = engine.successor_trace(twin, symbol)
+                assert trace == Determinizer(a).successor_trace(tree_a, symbol)
+                assert trace.spawned == reference_step(a, tree_a, symbol, False)["spawned"]
+
+
+def test_unknown_symbol_raises_after_a_cached_step(e1_nbw):
+    engine = Determinizer(e1_nbw)
+    tree = engine.initial_tree()
+    engine.successor_trace(tree, "a")
+    with pytest.raises(InputError):
+        engine.successor_trace(tree, "z")
+    assert engine.successor_trace(tree, "a") == Determinizer(e1_nbw).successor_trace(tree, "a")
+
+
+def test_trace_equality_needs_every_field(e1_nbw):
+    engine = Determinizer(e1_nbw)
+    t0 = engine.initial_tree()
+    t1 = engine.successor_trace(t0, "a").result
+    assert engine.successor_trace(t0, "a") != engine.successor_trace(t1, "a")
+    assert engine.successor_trace(t1, "a") == Determinizer(e1_nbw).successor_trace(t1, "a")
+    assert engine.successor_trace(t1, "a") != "not a trace"
