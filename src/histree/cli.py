@@ -2,7 +2,8 @@
 
 Exit codes: 0 success (and, for verify, equivalence), 1 a differential
 counterexample was found, 2 bad input or exceeded capacity; an exceeded
-state limit also prints the partial build statistics to stderr.
+state limit (`--max-states`, default DEFAULT_MAX_STATES) also prints the
+partial build statistics to stderr.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .determinize import MODES, Determinizer
+from .determinize import DEFAULT_MAX_STATES, MODES, Determinizer
 from .dot import emit_dot
 from .errors import HistreeError, InputError
 from .formats import emit_rabin, parse_nbw
@@ -27,19 +28,26 @@ def _read_automaton(path: str):
     return parse_nbw(text)
 
 
+def _engine(nbw, mode: str, strict: bool, max_states=None) -> Determinizer:
+    """The build engine; without `max_states` the library's default limit
+    applies."""
+    limit = {} if max_states is None else {"max_states": max_states}
+    return Determinizer(nbw, mode, strict, **limit)
+
+
 def _cmd_determinize(args) -> int:
     nbw = _read_automaton(args.infile)
-    engine = Determinizer(nbw, args.mode, strict_marks=args.strict_paper_marks)
+    engine = _engine(nbw, args.mode, args.strict_paper_marks, args.max_states)
     automaton = engine.build_drw() if args.out == "drw" else engine.build_drtw()
     sys.stdout.write(emit_rabin(automaton))
     return 0
 
 
-def _targets(nbw, strict: bool):
+def _targets(nbw, strict: bool, max_states=None):
     """The builds that verify and stats report on, all from one engine and
     one exploration; the canonical builds relabel the baseline build's
     pair indices."""
-    engine = Determinizer(nbw, "canonical", strict)
+    engine = _engine(nbw, "canonical", strict, max_states)
     return [
         ("canonical-drtw", engine.build_drtw()),
         ("baseline-drtw", engine.build_drtw("baseline")),
@@ -50,7 +58,7 @@ def _targets(nbw, strict: bool):
 def _cmd_verify(args) -> int:
     nbw = _read_automaton(args.infile)
     failed = False
-    for label, automaton in _targets(nbw, args.strict_paper_marks):
+    for label, automaton in _targets(nbw, args.strict_paper_marks, args.max_states):
         report = bounded_equiv(nbw, automaton, args.max_u, args.max_v)
         sys.stdout.write(f"target={label}\n")
         sys.stdout.write(report.to_text())
@@ -77,6 +85,12 @@ def _cmd_render(args) -> int:
     return 0
 
 
+def _max_states_option(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--max-states", type=int, metavar="N",
+                        help=f"state limit of each build (default {DEFAULT_MAX_STATES}); "
+                             "exceeding it exits 2 with partial statistics")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="histree",
@@ -94,6 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="acceptance on transitions (drtw) or states (drw)")
     det.add_argument("--strict-paper-marks", action="store_true",
                      help="mark only displaced nodes rejecting; skip the vanished-witness rule")
+    _max_states_option(det)
     det.set_defaults(func=_cmd_determinize)
 
     ver = sub.add_parser("verify", help="differential check against the bounded lasso oracle")
@@ -101,6 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--max-u", type=int, default=4, help="largest prefix length")
     ver.add_argument("--max-v", type=int, default=4, help="largest period length")
     ver.add_argument("--strict-paper-marks", action="store_true")
+    _max_states_option(ver)
     ver.set_defaults(func=_cmd_verify)
 
     gen = sub.add_parser("gen-table", help="dump the identifier table in spine order")

@@ -40,6 +40,19 @@ stay the references that `check_history_tree`, the trace's `renaming` and
 the tests apply; `tests/test_kernel.py` holds the five-phase step, one
 letter at a time on dicts, as the specification.
 
+Most steps reach a tree or a mark set the engine has seen before, so the
+engine interns both: it keeps one `HistoryTree` per distinct entries
+tuple and one `TransitionAnnotation` per distinct (accepting, unstable,
+stable) name tuple, and a step that reaches a known value builds no new
+dataclass or frozenset.  Interned trees are known sound; any other tree
+is checked with `check_history_tree` before its first step, so a
+malformed tree raises InputError instead of a wrong successor.  Past the
+step every table is keyed on ints: the exploration numbers its trees and
+marks in discovery order, a build relabels each distinct mark once and
+gives equal relabeled marks one number, a DRW state is a (tree id, mark
+number) pair, and pair assembly reads each distinct annotation once, a
+pair's sets being unions of the keys that share one.
+
 The marks name nodes, and one exploration of the tree graph serves every
 build.  The exploration only discovers trees and edges: the census (the
 largest tree, and the transient off-table names, which are the fresh
@@ -57,7 +70,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, FrozenSet, Hashable, List, Mapping, Optional, Sequence, Set, Tuple
+from itertools import product
+from typing import Dict, FrozenSet, Hashable, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .automata import (
     DRTW,
@@ -65,7 +79,6 @@ from .automata import (
     BuildStats,
     Edge,
     NBW,
-    PairIndex,
     RabinPair,
     RabinPairSet,
     Symbol,
@@ -127,22 +140,29 @@ class HistoryTree:
         """A label as its state names, sorted as strings, in braces."""
         return "{" + ",".join(sorted(q for i, q in enumerate(self.states) if label >> i & 1)) + "}"
 
-    def render(self, table: Optional[IdentifierTable] = None, texts: Optional[Dict[int, str]] = None) -> str:
+    def render(self, table: Optional[IdentifierTable] = None, texts: Optional[Dict] = None) -> str:
         """Stable one-line rendering used for state names and DOT labels;
-        with a table, each node also shows its identifier.  `texts` memoizes
-        label texts by mask for trees over the same states."""
+        with a table, each node also shows its identifier.  `texts` is a
+        memo for trees over the same states and table: it keeps each
+        distinct entry's text, and on a miss each distinct label's text
+        (keyed by mask) and name's text with its identifier (keyed by
+        name), so each is rendered once."""
         if self.is_sink:
             return "sink"
         if texts is None:
             texts = {}
         parts = []
-        for name, label in self.entries:
-            label_text = texts.get(label)
-            if label_text is None:
-                label_text = texts[label] = self.label_text(label)
-            text = f"{name_str(name)}:{label_text}"
-            if table is not None:
-                text += f"{table.lookup(name)}"
+        for entry in self.entries:
+            text = texts.get(entry)
+            if text is None:
+                name, label = entry
+                label_text = texts.get(label)
+                if label_text is None:
+                    label_text = texts[label] = self.label_text(label)
+                name_text = texts.get(name)
+                if name_text is None:
+                    name_text = texts[name] = (name_str(name), "" if table is None else f"{table.lookup(name)}")
+                text = texts[entry] = f"{name_text[0]}:{label_text}{name_text[1]}"
             parts.append(text)
         return " ".join(parts)
 
@@ -154,10 +174,17 @@ class EnrichedHistoryTree:
     tree: HistoryTree
     incoming: TransitionAnnotation
 
-    def render(self, table: Optional[IdentifierTable] = None, texts: Optional[Dict[int, str]] = None) -> str:
-        plus = ",".join(str(i) for i in sorted(self.incoming.accepting))
-        minus = ",".join(str(i) for i in sorted(self.incoming.unstable))
-        return f"{self.tree.render(table, texts)} [+{{{plus}}} -{{{minus}}}]"
+    def render(self, table: Optional[IdentifierTable] = None, texts: Optional[Dict] = None) -> str:
+        """The tree's rendering and its incoming marks; `texts` also keeps
+        each distinct annotation's text (keyed by the annotation)."""
+        if texts is None:
+            texts = {}
+        marks = texts.get(self.incoming)
+        if marks is None:
+            plus = ",".join(str(i) for i in sorted(self.incoming.accepting))
+            minus = ",".join(str(i) for i in sorted(self.incoming.unstable))
+            marks = texts[self.incoming] = f" [+{{{plus}}} -{{{minus}}}]"
+        return self.tree.render(table, texts) + marks
 
 
 @dataclass(frozen=True)
@@ -193,6 +220,12 @@ class _Lanes:
             fill=((1 << n) - 1) * ones,
             guards=ones << n,
         )
+
+
+# A step's name-indexed marks as sorted name tuples: (accepting, unstable,
+# stable).  Survivors are decoded in preorder, which is sorted name order,
+# so equal mark sets give equal tuples.
+_MarkNames = Tuple[Tuple[NodeName, ...], Tuple[NodeName, ...], Tuple[NodeName, ...]]
 
 
 class _Phases:
@@ -276,10 +309,10 @@ class _Phases:
             minus = live & ~kept & ~cover if strict_marks else live & ~kept
             survivors.append((p, live, kept, cover, minus, name, label, q, rank))
 
-    def decode(self, lane: int, states: Tuple[str, ...]) -> Tuple[HistoryTree, TransitionAnnotation]:
-        """The result tree and name-indexed marks of one lane: its
-        surviving nodes renamed and split into stable and unstable."""
-        n = len(states)
+    def decode(self, lane: int, n: int) -> Tuple[Tuple[Tuple[NodeName, int], ...], _MarkNames]:
+        """The result tree's entries and the name-indexed marks of one
+        lane, as sorted name tuples: its surviving nodes renamed and split
+        into stable and unstable.  The engine interns both."""
         shift = lane * (n + 1)
         guard = 1 << (shift + n)
         mask = (1 << n) - 1  # a lane's label; also fits its sibling counts, at most n
@@ -302,10 +335,7 @@ class _Phases:
                 # The root is always stable, so an unstable node has a parent.
                 name = renamed[p] = renamed.get(q, names[q]) + (rank >> shift & mask,)
             entries.append((name, label >> shift & mask))
-        return (
-            HistoryTree(tuple(entries), states),
-            TransitionAnnotation(frozenset(plus), frozenset(minus), frozenset(stable)),
-        )
+        return tuple(entries), (tuple(plus), tuple(minus), tuple(stable))
 
 
 @dataclass(frozen=True, eq=False)
@@ -395,12 +425,26 @@ def _check_mode(mode: str) -> None:
         raise InputError(f"unknown mode {mode!r}; expected one of {MODES}")
 
 
+class _Graph(NamedTuple):
+    """The reachable tree graph of one engine, with name-indexed marks.
+    Edges come in (tree id, letter) order, each as (target tree id, mark
+    number); `marks` holds the engine's annotation of each number."""
+
+    trees: Tuple[HistoryTree, ...]
+    edges: List[Tuple[int, int]]
+    marks: List[TransitionAnnotation]
+
+
 class Determinizer:
     """Bundles one input automaton with a mode and mark semantics; all
     methods are pure with respect to trees.  The mode is the default
     labeling of the builds.  The engine keeps the packed phases of the
     tree it stepped last, matched by identity, so stepping one tree on
-    each letter in turn computes them once."""
+    each letter in turn computes them once.  It also interns its values:
+    one `HistoryTree` per distinct entries tuple and one
+    `TransitionAnnotation` per distinct mark set, so a step that reaches a
+    known tree or mark set builds no new one.  A tree it did not produce
+    is checked once before its first step."""
 
     def __init__(
         self,
@@ -410,6 +454,8 @@ class Determinizer:
         max_states: int = DEFAULT_MAX_STATES,
     ):
         _check_mode(mode)
+        if max_states < 1:
+            raise InputError(f"state limit must be at least 1 (got {max_states})")
         nbw.require_valid()
         self.nbw = nbw
         self.mode = mode
@@ -417,6 +463,9 @@ class Determinizer:
         self.max_states = max_states
         self.n = len(nbw.states)
         self._last_phases: Optional[_Phases] = None
+        # Every tree known sound, by entries, and every mark set met.
+        self._trees: Dict[Tuple[Tuple[NodeName, int], ...], HistoryTree] = {}
+        self._marks: Dict[_MarkNames, TransitionAnnotation] = {}
 
     @cached_property
     def table(self) -> IdentifierTable:
@@ -428,9 +477,16 @@ class Determinizer:
         _check_mode(mode)
         return self.table if mode == "canonical" else None
 
+    def _tree(self, entries: Tuple[Tuple[NodeName, int], ...]) -> HistoryTree:
+        """The engine's one tree with these entries."""
+        tree = self._trees.get(entries)
+        if tree is None:
+            tree = self._trees[entries] = HistoryTree(entries, self.nbw.states)
+        return tree
+
     def initial_tree(self) -> HistoryTree:
         start = self.nbw.mask(self.nbw.initial)
-        return HistoryTree(((ROOT, start),) if start else (), self.nbw.states)
+        return self._tree(((ROOT, start),) if start else ())
 
     @cached_property
     def _lanes(self) -> _Lanes:
@@ -438,14 +494,27 @@ class Determinizer:
 
     def successor_trace(self, tree: HistoryTree, symbol: Symbol) -> StepTrace:
         """One step of `tree` on `symbol`: its letter's lane of the tree's
-        phases, which are computed for every letter at once."""
+        phases, which are computed for every letter at once.  A tree the
+        engine has not met is checked first; an unsound one raises
+        InputError listing its problems."""
         lane = self._lanes.index.get(symbol)
         if lane is None:
             raise InputError(f"symbol {symbol!r} not in alphabet")
         phases = self._last_phases
         if phases is None or phases.tree is not tree:
+            if tree.entries not in self._trees:
+                problems = check_history_tree(tree, self.nbw)
+                if problems:
+                    raise InputError("not a history tree of this automaton: " + "; ".join(problems))
+                self._tree(tree.entries)
             phases = self._last_phases = _Phases(tree, self._lanes, self.strict_marks)
-        result, marks = phases.decode(lane, self.nbw.states)
+        entries, names = phases.decode(lane, self.n)
+        result = self._trees.get(entries)
+        if result is None:
+            result = self._tree(entries)
+        marks = self._marks.get(names)
+        if marks is None:
+            marks = self._marks[names] = TransitionAnnotation(*map(frozenset, names))
         return StepTrace(symbol, result, marks, phases, lane)
 
     def successor(self, tree: HistoryTree, symbol: Symbol) -> Tuple[HistoryTree, TransitionAnnotation]:
@@ -456,32 +525,37 @@ class Determinizer:
     # -- automaton construction --------------------------------------------
 
     @cached_property
-    def _graph(self):
+    def _graph(self) -> _Graph:
         """The reachable tree graph with name-indexed marks, explored
-        breadth-first once per engine: (trees, transitions).  Deterministic
-        numbering: discovery order with the alphabet in declared order.
-        Equal marks share one annotation, which keeps the graph's memory
-        near its trees' own."""
+        breadth-first once per engine.  Deterministic numbering: discovery
+        order with the alphabet in declared order, for trees and marks
+        alike.  The engine interns its trees and marks, so the graph
+        indexes trees by their entries and marks by identity."""
         start = self.initial_tree()
         trees = [start]
-        index = {start: 0}
-        transitions: Dict[Tuple[int, Symbol], Edge] = {}
-        shared: Dict[TransitionAnnotation, TransitionAnnotation] = {}
+        index = {start.entries: 0}
+        edges: List[Tuple[int, int]] = []
+        marks: List[TransitionAnnotation] = []
+        numbers: Dict[int, int] = {}  # id of an engine annotation -> its number
         for sid, tree in enumerate(trees):
             for symbol in self.nbw.alphabet:
                 trace = self.successor_trace(tree, symbol)
-                tid = index.get(trace.result)
+                result = trace.result
+                tid = index.get(result.entries)
                 if tid is None:
                     if len(trees) >= self.max_states:
                         # The census covers the trees stepped so far, this one included.
-                        partial = self._stats(self.mode, len(trees), len(transitions), 0,
+                        partial = self._stats(self.mode, len(trees), len(edges), 0,
                                               self._census(trees[: sid + 1]))
                         raise CapacityError(f"state limit {self.max_states} exceeded", partial=partial)
-                    tid = len(trees)
-                    trees.append(trace.result)
-                    index[trace.result] = tid
-                transitions[(sid, symbol)] = (tid, shared.setdefault(trace.marks, trace.marks))
-        return tuple(trees), transitions
+                    tid = index[result.entries] = len(trees)
+                    trees.append(result)
+                mid = numbers.get(id(trace.marks))
+                if mid is None:
+                    mid = numbers[id(trace.marks)] = len(marks)
+                    marks.append(trace.marks)
+                edges.append((tid, mid))
+        return _Graph(tuple(trees), edges, marks)
 
     def _census(self, trees) -> Tuple[int, int]:
         """The largest tree and the number of off-table names among
@@ -493,7 +567,7 @@ class Determinizer:
     @cached_property
     def _graph_census(self) -> Tuple[int, int]:
         """The census of the whole tree graph, read once per engine."""
-        return self._census(self._graph[0])
+        return self._census(self._graph.trees)
 
     def _stats(self, mode, states, transitions, pairs, census) -> BuildStats:
         largest, off_table = census
@@ -513,79 +587,90 @@ class Determinizer:
             table=table,
         )
 
+    def _transitions(self, edges: List[Edge]) -> Dict[Tuple[int, Symbol], Edge]:
+        """The transition map whose state sid has edge edges[sid * k + j]
+        on the j-th letter."""
+        alphabet = self.nbw.alphabet
+        return dict(zip(product(range(len(edges) // max(len(alphabet), 1)), alphabet), edges))
+
     def _relabeled(self, mode: Optional[str]):
         """A build's mode (default: the engine's), the table that indexes
-        its pairs (None for node names) and the tree graph's edges with
-        their marks relabeled by it.  Equal marks share one relabeled
-        annotation, which keeps a canonical build's memory near the
-        graph's own."""
+        its pairs (None for node names), each graph mark's number among the
+        relabeled marks, and those marks numbered in first-seen order.
+        Relabeling is done once per graph mark, and relabeled marks that
+        are equal get one number and one annotation."""
         mode = mode or self.mode
         table = self._table_for(mode)
-        edges = self._graph[1]
-        relabeled = {marks: relabel(marks, table) for marks in {marks for _, marks in edges.values()}}
-        return mode, table, {key: (dst, relabeled[marks]) for key, (dst, marks) in edges.items()}
+        numbers: Dict[TransitionAnnotation, int] = {}
+        renumber = [numbers.setdefault(relabel(marks, table), len(numbers)) for marks in self._graph.marks]
+        return mode, table, renumber, numbers
 
     def build_drtw(self, mode: Optional[str] = None) -> DRTW:
         """The DRTW with pairs indexed as `mode` (default: the engine's)."""
-        mode, table, transitions = self._relabeled(mode)
+        mode, table, renumber, numbers = self._relabeled(mode)
+        marks = list(numbers)
+        relabeled = [marks[number] for number in renumber]
+        transitions = self._transitions([(tid, relabeled[mid]) for tid, mid in self._graph.edges])
         acceptance = assemble_pairs(transitions, strict_marks=self.strict_marks)
-        return self._automaton(DRTW, mode, table, self._graph[0], transitions, acceptance)
+        return self._automaton(DRTW, mode, table, self._graph.trees, transitions, acceptance)
 
     def build_drw(self, mode: Optional[str] = None) -> DRW:
         """Split each tree of the DRTW by the annotation of the edge that
-        entered it.  A DRW state is a (tree id, incoming annotation) pair
-        whose edge on a symbol is its tree's edge on that symbol, so the
-        states are the start state and then the distinct edge targets in
-        edge order (tree id, then alphabet): breadth-first order, with no
-        successor computed and no second walk."""
-        mode, table, tree_edges = self._relabeled(mode)
-        trees = self._graph[0]
+        entered it.  A DRW state is a (tree id, mark number) pair whose edge
+        on a symbol is its tree's edge on that symbol, so the states are
+        the start state and then the distinct edge targets in edge order
+        (tree id, then alphabet): breadth-first order, with no successor
+        computed and no second walk."""
+        mode, table, renumber, numbers = self._relabeled(mode)
+        trees, tree_edges, _ = self._graph
         # Nodes of the initial tree count as stably present at time zero,
         # so re-entering the same tree through a quiet transition merges
         # with the start state.
-        start = (0, relabel(TransitionAnnotation(stable=trees[0].names), table))
-        states = list(dict.fromkeys([start, *tree_edges.values()]))
+        start_marks = relabel(TransitionAnnotation(stable=trees[0].names), table)
+        start = (0, numbers.setdefault(start_marks, len(numbers)))
+        marks = list(numbers)
+        split = [(tid, renumber[mid]) for tid, mid in tree_edges]
+        states = list(dict.fromkeys([start, *split]))
         if len(states) > self.max_states:
             partial = self._stats(mode, self.max_states, 0, 0, self._graph_census)
             raise CapacityError(f"state limit {self.max_states} exceeded", partial=partial)
         index = {state: sid for sid, state in enumerate(states)}
-        transitions: Dict[Tuple[int, Symbol], Edge] = {}
-        for sid, (tree_id, _) in enumerate(states):
-            for symbol in self.nbw.alphabet:
-                target = tree_edges[(tree_id, symbol)]
-                transitions[(sid, symbol)] = (index[target], target[1])
-        acceptance = assemble_state_pairs([ann for _, ann in states], strict_marks=self.strict_marks)
-        payloads = [EnrichedHistoryTree(trees[t], ann) for t, ann in states]
-        return self._automaton(DRW, mode, table, payloads, transitions, acceptance)
+        targets = [(index[state], marks[state[1]]) for state in split]
+        k = len(self.nbw.alphabet)
+        edges: List[Edge] = []
+        for tid, _ in states:
+            edges += targets[tid * k : tid * k + k]
+        acceptance = assemble_state_pairs([marks[mid] for _, mid in states], strict_marks=self.strict_marks)
+        payloads = [EnrichedHistoryTree(trees[tid], marks[mid]) for tid, mid in states]
+        return self._automaton(DRW, mode, table, payloads, self._transitions(edges), acceptance)
 
 
 # -- pair assembly ----------------------------------------------------------
 
 
-def _assemble(kind: str, marks: Mapping[Hashable, TransitionAnnotation], strict_marks: bool) -> RabinPairSet:
-    """Rabin pairs over the keys of `marks`, one per index that some key
-    marks accepting; see assemble_pairs for the rejecting rule."""
-    # One pass: per index, the keys marking it accepting, unstable and
-    # stably carrying it.
-    accepting: Dict[PairIndex, Set[Hashable]] = {}
-    unstable: Dict[PairIndex, Set[Hashable]] = {}
-    carrying: Dict[PairIndex, Set[Hashable]] = {}
-    for key, ann in marks.items():
-        for by_index, indices in (
-            (accepting, ann.accepting),
-            (unstable, ann.unstable),
-            (carrying, ann.stable),
-        ):
-            for idx in indices:
-                by_index.setdefault(idx, set()).add(key)
-    keys = frozenset(marks)
+def _assemble(kind: str, keys: Iterable[Hashable], marks: Iterable[TransitionAnnotation],
+              strict_marks: bool) -> RabinPairSet:
+    """Rabin pairs over `keys`, the i-th carrying the i-th of `marks`: one
+    per index that some key marks accepting; see assemble_pairs for the
+    rejecting rule.  Keys are grouped by their annotation object, and each
+    pair's sets are unions of whole groups, so every distinct annotation is
+    read once however many keys share it."""
+    groups: Dict[int, Tuple[TransitionAnnotation, List[Hashable]]] = {}
+    for key, ann in zip(keys, marks):
+        group = groups.get(id(ann))
+        if group is None:
+            group = groups[id(ann)] = (ann, [])
+        group[1].append(key)
+    members = [(ann, frozenset(group)) for ann, group in groups.values()]
     pairs = []
-    for idx in sorted(accepting):
-        rej = unstable.get(idx, set())
-        if not strict_marks:
-            # Every key but those stably carrying idx without marking it unstable.
-            rej = keys - (carrying.get(idx, set()) - rej)
-        pairs.append(RabinPair(index=idx, accepting=frozenset(accepting[idx]), rejecting=frozenset(rej)))
+    for idx in sorted({idx for ann, _ in members for idx in ann.accepting}):
+        accepting = [group for ann, group in members if idx in ann.accepting]
+        # Strict marks reject only where idx is unstable; otherwise every key
+        # but those stably carrying idx without marking it unstable.
+        rejecting = [group for ann, group in members
+                     if idx in ann.unstable or (not strict_marks and idx not in ann.stable)]
+        pairs.append(RabinPair(index=idx, accepting=frozenset().union(*accepting),
+                               rejecting=frozenset().union(*rejecting)))
     return RabinPairSet(kind=kind, pairs=tuple(pairs))
 
 
@@ -603,7 +688,7 @@ def assemble_pairs(
     node carries the index: a node that vanished, or re-entered the tree
     only by renaming, cannot witness progress.
     """
-    return _assemble("transition", {key: ann for key, (_, ann) in transitions.items()}, strict_marks)
+    return _assemble("transition", transitions, [ann for _, ann in transitions.values()], strict_marks)
 
 
 def assemble_state_pairs(
@@ -613,7 +698,7 @@ def assemble_state_pairs(
 ) -> RabinPairSet:
     """State-based variant: marks and stable carriers are read off each
     state's incoming annotation."""
-    return _assemble("state", dict(enumerate(incoming)), strict_marks)
+    return _assemble("state", range(len(incoming)), incoming, strict_marks)
 
 
 # -- validation --------------------------------------------------------------
@@ -625,6 +710,9 @@ def check_history_tree(tree: HistoryTree, nbw: NBW, table: Optional[IdentifierTa
     problems: List[str] = []
     names = tree.names
     n = len(nbw.states)
+    order = [name for name, _ in tree.entries]
+    if any(first >= second for first, second in zip(order, order[1:])):
+        problems.append("entries not in strictly increasing name order")
     if not is_prefix_closed(names):
         problems.append("name set not prefix closed")
     parts = classify(names)

@@ -411,30 +411,24 @@ def emit_rabin(d: Union[DRTW, DRW]) -> str:
     lines += [f"acc-name: Rabin {len(pairs)}", _rabin_acceptance_line(len(pairs))]
     lines.append("properties: deterministic " + ("trans-acc" if on_transitions else "state-acc"))
     # One pass over the pairs gives each mark target its acceptance sets
-    # as a mask: bit 2i where pair i rejects it, bit 2i+1 where it accepts.
-    sets: Dict[Hashable, int] = {}
+    # as a mask: bit 2i where pair i rejects it, bit 2i+1 where it accepts
+    # it.  Each distinct mask's text is rendered once.
+    masks: Dict[Hashable, int] = {}
     for i, pair in enumerate(pairs):
         for number, targets in ((2 * i, pair.rejecting), (2 * i + 1, pair.accepting)):
             for target in targets:
-                sets[target] = sets.get(target, 0) | 1 << number
-
-    texts = {0: ""}  # each distinct mask's text, rendered once
-
-    def sig(target) -> str:
-        mask = sets.get(target, 0)
-        text = texts.get(mask)
-        if text is None:
-            text = texts[mask] = " {" + " ".join(map(str, bits(mask))) + "}"
-        return text
+                masks[target] = masks.get(target, 0) | 1 << number
+    texts = {mask: " {" + " ".join(map(str, bits(mask))) + "}" for mask in set(masks.values())}
+    texts[0] = ""
 
     lines.append("--BODY--")
+    letters = [(sym, f"[@s{k}] ") for k, sym in enumerate(d.alphabet)]
+    transitions = d.transitions
     for sid, label in enumerate(d.state_labels()):
-        state_sig = "" if on_transitions else sig(sid)
-        lines.append(f"State: {sid} {_quote(label)}{state_sig}")
-        for k, sym in enumerate(d.alphabet):
-            dst, _ = d.transitions[(sid, sym)]
-            edge_sig = sig((sid, sym)) if on_transitions else ""
-            lines.append(f"[@s{k}] {dst}{edge_sig}")
+        lines.append(f"State: {sid} {_quote(label)}{'' if on_transitions else texts[masks.get(sid, 0)]}")
+        for sym, letter in letters:
+            key = (sid, sym)
+            lines.append(f"{letter}{transitions[key][0]}{texts[masks.get(key, 0)] if on_transitions else ''}")
     lines.append("--END--")
     return "\n".join(lines) + "\n"
 

@@ -7,7 +7,9 @@ each contributing `emit_rabin`, `stats.to_text()` and `emit_dot`.
 `nbw_digests.txt` has one line per input: its name and one sha256 over
 `emit_nbw_hoa`, `emit_nbw_native` and `emit_dot` of the input automaton.
 The inputs are the hand-written fixtures, the default corpus and
-`fixtures/michel4.hoa`.
+`fixtures/michel4.hoa`.  `michel5_digest.txt` holds the build digest of
+the benchmark's heaviest input, `fixtures/michel5.hoa` (Michel m=5, 2163
+DRTW states), on its own so that the other files keep their inputs.
 
 `tests/test_build_digests.py` compares against the recorded files.  A
 change that alters emitted bytes on purpose re-records them with
@@ -33,6 +35,8 @@ from histree.formats import emit_nbw_hoa, emit_nbw_native, emit_rabin, parse_nbw
 FIXTURE_DIR = Path(__file__).parent / "fixtures"
 DIGEST_FILE = FIXTURE_DIR / "build_digests.txt"
 NBW_DIGEST_FILE = FIXTURE_DIR / "nbw_digests.txt"
+MICHEL5_FILE = FIXTURE_DIR / "michel5.hoa"
+MICHEL5_DIGEST_FILE = FIXTURE_DIR / "michel5_digest.txt"
 
 
 def golden_inputs() -> Iterator[Tuple[str, NBW]]:
@@ -70,11 +74,19 @@ def nbw_digests() -> Dict[str, str]:
     return {name: nbw_digest(a) for name, a in golden_inputs()}
 
 
+def michel5_digests() -> Dict[str, str]:
+    return {"michel5": build_digest(parse_nbw(MICHEL5_FILE.read_text(encoding="utf-8")))}
+
+
 def digest_text(digests: Dict[str, str]) -> str:
     return "".join(f"{name} {value}\n" for name, value in digests.items())
 
 
 if __name__ == "__main__":
-    for path, digests in ((DIGEST_FILE, build_digests), (NBW_DIGEST_FILE, nbw_digests)):
+    for path, digests in (
+        (DIGEST_FILE, build_digests),
+        (NBW_DIGEST_FILE, nbw_digests),
+        (MICHEL5_DIGEST_FILE, michel5_digests),
+    ):
         path.write_text(digest_text(digests()), encoding="utf-8")
         print(f"wrote {path}")

@@ -4,9 +4,11 @@ record_build_digests.py for the inputs and how to re-record."""
 
 from record_build_digests import (
     DIGEST_FILE,
+    MICHEL5_DIGEST_FILE,
     NBW_DIGEST_FILE,
     build_digests,
     digest_text,
+    michel5_digests,
     nbw_digests,
 )
 
@@ -24,3 +26,7 @@ def test_builds_match_recorded_digests():
 
 def test_nbw_writers_match_recorded_digests():
     assert _changed(NBW_DIGEST_FILE, nbw_digests) == []
+
+
+def test_michel5_builds_match_recorded_digest():
+    assert _changed(MICHEL5_DIGEST_FILE, michel5_digests) == []

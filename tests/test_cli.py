@@ -233,3 +233,37 @@ def test_capacity_error_prints_partial_stats(monkeypatch, capsys):
         assert captured.out == ""
         assert captured.err.startswith("error: state limit 3 exceeded\nmode=canonical\n")
         assert "states=3\n" in captured.err
+
+
+def test_max_states_limits_determinize_and_verify(e1_file, capsys):
+    """`--max-states N` sets each build's state limit: the default output is
+    unchanged, a limit the build fits in changes nothing, and an exceeded
+    one exits 2 with the partial statistics on stderr."""
+    michel4 = str(Path(__file__).parent / "fixtures" / "michel4.hoa")
+    for command in (["determinize", "--in", michel4], ["determinize", "--in", michel4, "--out", "drw"],
+                    ["verify", "--in", e1_file]):
+        outputs = []
+        for argv in (command, [*command, "--max-states", "100000"]):
+            assert main(argv) == 0
+            out = capsys.readouterr().out
+            outputs.append([line for line in out.splitlines() if not line.startswith("seconds=")])
+        assert outputs[0] == outputs[1] and len(outputs[0]) > 5
+    assert main(["determinize", "--in", michel4, "--max-states", "299"]) == 0
+    assert capsys.readouterr().out.count("State: ") == 299
+    for command in (["determinize", "--in", michel4, "--max-states", "298"],
+                    ["verify", "--in", michel4, "--max-states", "3"]):
+        assert main(command) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        limit = command[-1]
+        assert captured.err.startswith(f"error: state limit {limit} exceeded\nmode=canonical\n")
+        assert f"states={limit}\n" in captured.err
+
+
+@pytest.mark.parametrize("limit", ["0", "-1"])
+def test_max_states_below_one_is_input_error(e1_file, capsys, limit):
+    for command in ("determinize", "verify"):
+        assert main([command, "--in", e1_file, "--max-states", limit]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: state limit must be at least 1 (got {limit})\n"

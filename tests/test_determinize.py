@@ -12,6 +12,7 @@ from histree.determinize import (
     build_drtw,
     build_drw,
     check_history_tree,
+    relabel,
 )
 from histree.dot import emit_dot
 from histree.errors import CapacityError, InputError
@@ -111,6 +112,55 @@ def test_successor_rejects_unknown_symbol(e1_nbw):
     engine = Determinizer(e1_nbw)
     with pytest.raises(InputError):
         engine.successor(engine.initial_tree(), "z")
+
+
+@pytest.mark.parametrize(
+    "entries, problem",
+    [
+        ((((), 4),), "mentions unknown states"),  # bit 2 of a 2-state automaton
+        ((((1,), 1),), "not prefix closed"),  # no root
+        ((((), 3), ((1,), 3)), "do not form a strict subset"),
+        ((((1,), 2), ((), 3)), "increasing name order"),
+    ],
+)
+def test_successor_rejects_unsound_trees(e1_nbw, entries, problem):
+    """A tree the engine did not produce is checked before its first step,
+    and an unsound one raises InputError naming its problems instead of an
+    IndexError or a meaningless successor."""
+    engine = Determinizer(e1_nbw)
+    bad = HistoryTree(entries, e1_nbw.states)
+    for step in (engine.successor_trace, engine.successor):
+        with pytest.raises(InputError, match=problem):
+            step(bad, "a")
+    assert engine.build_drtw() == build_drtw(e1_nbw)
+
+
+def test_successor_checks_a_foreign_tree_once(e1_nbw, monkeypatch):
+    """A sound foreign tree is checked once, then known; the engine's own
+    trees are never checked."""
+    import histree.determinize as determinize
+
+    checked = []
+    check = determinize.check_history_tree
+
+    def counting(tree, nbw, table=None):
+        checked.append(tree.entries)
+        return check(tree, nbw, table)
+
+    monkeypatch.setattr(determinize, "check_history_tree", counting)
+    engine = Determinizer(e1_nbw)
+    engine.build_drtw()
+    engine.build_drw()
+    assert checked == []
+    foreign = tree(e1_nbw, {(): {"p", "q"}, (1,): {"q"}})
+    start = engine.initial_tree()
+    for t in (foreign, start, foreign, start, HistoryTree(foreign.entries, e1_nbw.states)):
+        engine.successor_trace(t, "a")
+    assert checked == []  # the engine produced these entries
+    other = tree(e1_nbw, {(): {"q"}})
+    for t in (other, start, other):
+        engine.successor_trace(t, "a")
+    assert checked == [other.entries]
 
 
 def test_build_drtw_e1(e1_nbw):
@@ -446,7 +496,7 @@ def test_two_same_height_nodes_can_accept_in_one_step():
     assert heights == {2}
 
 
-def _census_inputs(all_fixtures, corpus_sample):
+def _named_inputs(all_fixtures, corpus_sample):
     named = list(all_fixtures.items()) + [(f"random:{i}", a) for i, a in enumerate(corpus_sample)]
     for n in (4, 5, 6):
         path = Path(__file__).parent / "fixtures" / f"pair_index_n{n}.hoa"
@@ -467,7 +517,7 @@ def test_census_matches_the_per_step_definition(strict, all_fixtures, corpus_sam
     distinct spawned names of height >= n over every (tree, symbol), and the
     largest tree.  Every step spawns exactly the tree's names and its fresh
     children."""
-    for name, a in _census_inputs(all_fixtures, corpus_sample):
+    for name, a in _named_inputs(all_fixtures, corpus_sample):
         engine = Determinizer(a, "canonical", strict_marks=strict)
         trees = engine.build_drtw().payloads
         off_table = set()
@@ -502,3 +552,46 @@ def test_one_census_walk_serves_every_build(monkeypatch, all_fixtures):
     for (mode, build), text in expected.items():
         assert getattr(engine, build)(mode).stats.to_text() == text
     assert walks == [len(engine._graph[0])]
+
+
+@pytest.mark.parametrize("strict", [False, True])
+@pytest.mark.parametrize("mode", ["canonical", "baseline"])
+def test_equal_trees_and_marks_are_one_object(mode, strict, all_fixtures, corpus_sample):
+    """Within one engine, equal trees and equal name-indexed marks are one
+    object.  A build numbers its relabeled marks by value: as many distinct
+    mark objects as distinct relabeled marks, on the DRTW's edges and on
+    the DRW's states and edges.  The DRW's states are what the equality
+    keyed reference gives: the start pair, then the distinct relabeled
+    DRTW edge targets in edge order."""
+    for name, a in _named_inputs(all_fixtures, corpus_sample):
+        engine = Determinizer(a, mode, strict_marks=strict)
+        table = engine.table if mode == "canonical" else None
+        drtw, drw = engine.build_drtw(), engine.build_drw()
+        trees = drtw.payloads
+        traces = {(sid, symbol): engine.successor_trace(t, symbol)
+                  for sid, t in enumerate(trees) for symbol in a.alphabet}
+        for key, trace in traces.items():
+            assert trace.result is trees[drtw.transitions[key][0]], name
+        named = [trace.marks for trace in traces.values()]
+        assert len({id(m) for m in named}) == len(set(named)), name
+
+        for marks in ([ann for _, ann in drtw.transitions.values()],
+                      [p.incoming for p in drw.payloads] + [ann for _, ann in drw.transitions.values()]):
+            assert len({id(m) for m in marks}) == len(set(marks)), name
+
+        start = (trees[0], relabel(TransitionAnnotation(stable=trees[0].names), table))
+        edges = [(trees[drtw.transitions[key][0]], relabel(trace.marks, table)) for key, trace in traces.items()]
+        reference = list(dict.fromkeys([start, *edges]))
+        assert [(p.tree, p.incoming) for p in drw.payloads] == reference, name
+        assert all(p.tree is trees[trees.index(p.tree)] for p in drw.payloads), name
+
+
+def test_relabeling_merges_equal_canonical_marks(corpus_sample):
+    """default_corpus()[2] has five name-indexed marks that relabel to four
+    canonical ones, each one object in the canonical build."""
+    a = corpus_sample[2]
+    engine = Determinizer(a)
+    named = {engine.successor_trace(t, symbol).marks
+             for t in engine.build_drtw("baseline").payloads for symbol in a.alphabet}
+    canonical = [ann for _, ann in engine.build_drtw().transitions.values()]
+    assert (len(named), len(set(canonical)), len({id(m) for m in canonical})) == (5, 4, 4)
