@@ -10,11 +10,10 @@ from .automata import (
     BuildStats,
     LassoWord,
     NBW,
-    RabinPair,
     RabinPairSet,
     TransitionAnnotation,
     image,
-    rabin_loop_accepts,
+    rabin_accepts,
     validate_nbw,
 )
 from .determinize import (

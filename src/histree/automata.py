@@ -1,5 +1,5 @@
 """Core automaton values: Buchi input, deterministic Rabin output, Rabin
-pair evaluation and lasso words.
+acceptance signatures and lasso words.
 
 All values are immutable after construction and safe to share between
 threads.  Symbols and Buchi states are opaque strings; states of the
@@ -21,10 +21,8 @@ State = str
 
 Transition = Tuple[State, Symbol, State]
 
-# Mark targets: (state id, symbol) for transition acceptance, state id for
-# state acceptance.  Pair indices are hashable values owned by the caller.
+# Pair indices are hashable values owned by the caller.
 PairIndex = Hashable
-EdgeTarget = Tuple[int, Symbol]
 
 
 @dataclass(frozen=True)
@@ -135,43 +133,36 @@ def validate_nbw(a: NBW) -> List[str]:
 
 
 @dataclass(frozen=True)
-class RabinPair:
-    index: PairIndex
-    accepting: FrozenSet  # visit infinitely often
-    rejecting: FrozenSet  # visit only finitely often
-
-
-@dataclass(frozen=True)
 class RabinPairSet:
-    """An indexed family of Rabin pairs over transitions or states."""
+    """A Rabin condition over transitions or states.  Pair i has index
+    `indices[i]`.  `signatures` maps each mark target, an edge
+    (state id, symbol) or a state id, to its acceptance sets as an int:
+    bit 2i is set when the target is in pair i's rejecting (Fin) set, bit
+    2i+1 when it is in pair i's accepting (Inf) set.  A target in no set
+    has no entry."""
 
     kind: str  # "transition" | "state"
-    pairs: Tuple[RabinPair, ...]
+    indices: Tuple[PairIndex, ...]
+    signatures: Mapping[Hashable, int]
 
     def __post_init__(self):
         if self.kind not in ("transition", "state"):
             raise InputError(f"bad acceptance kind {self.kind!r}")
-        indices = [p.index for p in self.pairs]
-        if len(set(indices)) != len(indices):
+        if len(set(self.indices)) != len(self.indices):
             raise InputError("duplicate Rabin pair indices")
+        sets = 2 * len(self.indices)
+        if any(not 0 <= signature < 1 << sets for signature in set(self.signatures.values())):
+            raise InputError(f"acceptance set out of range for {len(self.indices)} pairs (sets below {sets})")
 
 
-def _check_targets(kind: str, targets: Iterable) -> None:
-    for t in targets:
-        if kind == "transition":
-            ok = isinstance(t, tuple) and len(t) == 2 and isinstance(t[0], int)
-        else:
-            ok = isinstance(t, int)
-        if not ok:
-            raise InputError(f"mark target {t!r} does not match acceptance kind {kind!r}")
-
-
-def rabin_loop_accepts(acc: RabinPairSet, inf_set: Iterable) -> bool:
-    """Whether a loop with infinity set `inf_set` satisfies some pair:
-    the pair's accepting set is hit and its rejecting set is avoided."""
-    inf = frozenset(inf_set)
-    _check_targets(acc.kind, inf)
-    return any(p.accepting & inf and not (p.rejecting & inf) for p in acc.pairs)
+def rabin_accepts(signature: int) -> bool:
+    """Whether a loop whose targets' signatures OR to `signature` satisfies
+    some pair: the pair's Inf bit is set and its Fin bit is clear."""
+    while signature > 0:
+        if signature & 3 == 2:
+            return True
+        signature >>= 2
+    return False
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 from .determinize import DEFAULT_MAX_STATES, MODES, Determinizer
@@ -91,7 +92,10 @@ def _max_states_option(parser: argparse.ArgumentParser) -> None:
                              "exceeding it exits 2 with partial statistics")
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing keeps no
+    state in it, so every call starts from the same defaults."""
     parser = argparse.ArgumentParser(
         prog="histree",
         description=(
@@ -135,8 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except HistreeError as exc:

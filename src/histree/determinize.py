@@ -79,7 +79,6 @@ from .automata import (
     BuildStats,
     Edge,
     NBW,
-    RabinPair,
     RabinPairSet,
     Symbol,
     TransitionAnnotation,
@@ -576,7 +575,7 @@ class Determinizer:
 
     def _automaton(self, cls, mode, table, payloads, transitions, acceptance):
         """The one tail of both builds: the census and the automaton."""
-        stats = self._stats(mode, len(payloads), len(transitions), len(acceptance.pairs), self._graph_census)
+        stats = self._stats(mode, len(payloads), len(transitions), len(acceptance.indices), self._graph_census)
         return cls(
             payloads=tuple(payloads),
             alphabet=self.nbw.alphabet,
@@ -648,30 +647,27 @@ class Determinizer:
 # -- pair assembly ----------------------------------------------------------
 
 
-def _assemble(kind: str, keys: Iterable[Hashable], marks: Iterable[TransitionAnnotation],
+def _assemble(kind: str, keys: Iterable[Hashable], marks: Sequence[TransitionAnnotation],
               strict_marks: bool) -> RabinPairSet:
-    """Rabin pairs over `keys`, the i-th carrying the i-th of `marks`: one
-    per index that some key marks accepting; see assemble_pairs for the
-    rejecting rule.  Keys are grouped by their annotation object, and each
-    pair's sets are unions of whole groups, so every distinct annotation is
-    read once however many keys share it."""
-    groups: Dict[int, Tuple[TransitionAnnotation, List[Hashable]]] = {}
-    for key, ann in zip(keys, marks):
-        group = groups.get(id(ann))
-        if group is None:
-            group = groups[id(ann)] = (ann, [])
-        group[1].append(key)
-    members = [(ann, frozenset(group)) for ann, group in groups.values()]
-    pairs = []
-    for idx in sorted({idx for ann, _ in members for idx in ann.accepting}):
-        accepting = [group for ann, group in members if idx in ann.accepting]
-        # Strict marks reject only where idx is unstable; otherwise every key
-        # but those stably carrying idx without marking it unstable.
-        rejecting = [group for ann, group in members
-                     if idx in ann.unstable or (not strict_marks and idx not in ann.stable)]
-        pairs.append(RabinPair(index=idx, accepting=frozenset().union(*accepting),
-                               rejecting=frozenset().union(*rejecting)))
-    return RabinPairSet(kind=kind, pairs=tuple(pairs))
+    """The Rabin condition over `keys`, the i-th carrying the i-th of
+    `marks`: one pair per index that some key marks accepting; see
+    assemble_pairs for the rejecting rule.  Each distinct annotation
+    object's signature is computed once however many keys share it."""
+    distinct = {id(ann): ann for ann in marks}
+    indices = tuple(sorted({idx for ann in distinct.values() for idx in ann.accepting}))
+    signature_of: Dict[int, int] = {}
+    for ident, ann in distinct.items():
+        signature = 0
+        for i, idx in enumerate(indices):
+            if idx in ann.accepting:
+                signature |= 2 << 2 * i
+            # Strict marks reject only where idx is unstable; otherwise every
+            # key but those stably carrying idx without marking it unstable.
+            if idx in ann.unstable or (not strict_marks and idx not in ann.stable):
+                signature |= 1 << 2 * i
+        signature_of[ident] = signature
+    signatures = {key: signature_of[id(ann)] for key, ann in zip(keys, marks) if signature_of[id(ann)]}
+    return RabinPairSet(kind, indices, signatures)
 
 
 def assemble_pairs(
@@ -679,8 +675,9 @@ def assemble_pairs(
     *,
     strict_marks: bool = False,
 ) -> RabinPairSet:
-    """Rabin pairs over transitions: one pair per index that is marked
-    accepting on some transition.
+    """The Rabin condition over transitions: one pair per index that is
+    marked accepting on some transition, read off each transition's
+    signature.
 
     A pair's accepting set holds the transitions marked accepting at that
     index.  Its rejecting set holds the transitions marked unstable there

@@ -20,7 +20,6 @@ from .automata import (
     DRW,
     EMPTY_ANNOTATION,
     NBW,
-    RabinPair,
     RabinPairSet,
     bits,
 )
@@ -107,6 +106,7 @@ class _TokenStream:
 # -- HOA parsing --------------------------------------------------------------
 
 _IGNORED_HEADERS = {"name:", "tool:"}
+_ONCE_HEADERS = {"States:", "AP:", "acc-name:", "Acceptance:"}  # a repeat would override the first
 
 
 @dataclass
@@ -173,6 +173,7 @@ def _parse_hoa_document(text: str) -> _HoaDocument:
         raise ParseError(f"unsupported HOA version {version.value!r}", version.line, version.col)
 
     doc = _HoaDocument(-1, [], [], {}, None, None, [], [], {})
+    seen = set()
     while True:
         tok = stream.peek()
         if tok is None:
@@ -181,6 +182,10 @@ def _parse_hoa_document(text: str) -> _HoaDocument:
             break
         tok = stream.next("header", "header or --BODY--")
         name = tok.value
+        if name in _ONCE_HEADERS:
+            if name in seen:
+                raise ParseError(f"repeated {name} header", tok.line, tok.col)
+            seen.add(name)
         if name == "States:":
             doc.state_count = int(stream.next("int", "state count").value)
         elif name == "Start:":
@@ -406,29 +411,24 @@ def emit_rabin(d: Union[DRTW, DRW]) -> str:
     acceptance sets 2i (Fin, rejecting) and 2i+1 (Inf, accepting).  Output
     is a pure function of the automaton, so emission is byte stable."""
     on_transitions = d.acceptance.kind == "transition"
-    pairs = d.acceptance.pairs
+    pair_count = len(d.acceptance.indices)
     lines = _hoa_preamble(len(d.payloads), [d.initial], d.alphabet)
-    lines += [f"acc-name: Rabin {len(pairs)}", _rabin_acceptance_line(len(pairs))]
+    lines += [f"acc-name: Rabin {pair_count}", _rabin_acceptance_line(pair_count)]
     lines.append("properties: deterministic " + ("trans-acc" if on_transitions else "state-acc"))
-    # One pass over the pairs gives each mark target its acceptance sets
-    # as a mask: bit 2i where pair i rejects it, bit 2i+1 where it accepts
-    # it.  Each distinct mask's text is rendered once.
-    masks: Dict[Hashable, int] = {}
-    for i, pair in enumerate(pairs):
-        for number, targets in ((2 * i, pair.rejecting), (2 * i + 1, pair.accepting)):
-            for target in targets:
-                masks[target] = masks.get(target, 0) | 1 << number
-    texts = {mask: " {" + " ".join(map(str, bits(mask))) + "}" for mask in set(masks.values())}
+    # A target's signature has bit s set for each acceptance set s it is
+    # in; each distinct signature's text is rendered once.
+    signatures = d.acceptance.signatures
+    texts = {sig: " {" + " ".join(map(str, bits(sig))) + "}" for sig in set(signatures.values())}
     texts[0] = ""
 
     lines.append("--BODY--")
     letters = [(sym, f"[@s{k}] ") for k, sym in enumerate(d.alphabet)]
     transitions = d.transitions
     for sid, label in enumerate(d.state_labels()):
-        lines.append(f"State: {sid} {_quote(label)}{'' if on_transitions else texts[masks.get(sid, 0)]}")
+        lines.append(f"State: {sid} {_quote(label)}{'' if on_transitions else texts[signatures.get(sid, 0)]}")
         for sym, letter in letters:
             key = (sid, sym)
-            lines.append(f"{letter}{transitions[key][0]}{texts[masks.get(key, 0)] if on_transitions else ''}")
+            lines.append(f"{letter}{transitions[key][0]}{texts[signatures.get(key, 0)] if on_transitions else ''}")
     lines.append("--END--")
     return "\n".join(lines) + "\n"
 
@@ -450,8 +450,7 @@ def parse_rabin(text: str) -> Union[DRTW, DRW]:
     on_transitions = "state-acc" not in doc.properties
     payloads = _state_labels(doc)
     transitions = {}
-    acc_targets: Dict[int, set] = {}
-    rej_targets: Dict[int, set] = {}
+    marked: List[Tuple[Hashable, Tuple[int, ...]]] = []
     for src, edge_list in doc.edges.items():
         for sym_index, dst, sig in edge_list:
             sym = alphabet[sym_index]
@@ -460,22 +459,24 @@ def parse_rabin(text: str) -> Union[DRTW, DRW]:
             transitions[(src, sym)] = (dst, EMPTY_ANNOTATION)
             if sig and not on_transitions:
                 raise UnsupportedAcceptanceError(f"state {src}: edge acceptance in a state-acc document")
-            _collect_sig(sig, pair_count, (src, sym), acc_targets, rej_targets)
+            marked.append(((src, sym), sig))
     for num, _, sig in doc.states:
         if sig and on_transitions:
             raise UnsupportedAcceptanceError(f"state {num}: state acceptance in a trans-acc document")
-        _collect_sig(sig, pair_count, num, acc_targets, rej_targets)
-    pairs = tuple(
-        RabinPair(i, frozenset(acc_targets.get(i, ())), frozenset(rej_targets.get(i, ())))
-        for i in range(pair_count)
-    )
+        marked.append((num, sig))
+    # RabinPairSet refuses a set number past the pairs; clamping to the
+    # first such number keeps a huge one from building a huge int.
+    signatures: Dict[Hashable, int] = {}
+    for target, sets in marked:
+        for s in sets:
+            signatures[target] = signatures.get(target, 0) | 1 << min(s, 2 * pair_count)
     cls = DRTW if on_transitions else DRW
     return cls(
         payloads=tuple(payloads),
         alphabet=alphabet,
         initial=int(doc.start[0].value),
         transitions=transitions,
-        acceptance=RabinPairSet(kind=cls.acceptance_kind, pairs=pairs),
+        acceptance=RabinPairSet(cls.acceptance_kind, tuple(range(pair_count)), signatures),
     )
 
 
@@ -489,16 +490,6 @@ def _check_rabin_acceptance(acceptance: Optional[List[_Token]], pair_count: int)
         if found == [t.value for t in expected]:
             return
     raise UnsupportedAcceptanceError(f"acceptance {' '.join(found)!r} is not the Rabin condition on {pair_count} pairs")
-
-
-def _collect_sig(sig, pair_count, target, acc_targets, rej_targets) -> None:
-    for s in sig:
-        if s >= 2 * pair_count:
-            raise InputError(f"acceptance set {s} out of range")
-        if s % 2:
-            acc_targets.setdefault(s // 2, set()).add(target)
-        else:
-            rej_targets.setdefault(s // 2, set()).add(target)
 
 
 # -- native JSON-lines ---------------------------------------------------------

@@ -29,9 +29,9 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
 from math import comb
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
-from .automata import DRTW, DRW, LassoWord, NBW, Symbol, image, rabin_loop_accepts
+from .automata import DRTW, DRW, LassoWord, NBW, Symbol, image, rabin_accepts
 from .errors import CapacityError, HistreeError, InputError
 from .trees import IdentifierTable, NodeName
 
@@ -128,24 +128,23 @@ def nbw_lasso_member(a: NBW, w: LassoWord) -> bool:
 def _loop_accepts(d: Union[DRTW, DRW], state: int, period: Sequence[Symbol]) -> bool:
     """Whether period^omega read from `state` is accepted: iterate the
     period until a period-boundary state repeats, then evaluate the Rabin
-    pairs on the marks seen inside the detected loop."""
+    pairs on the OR of the signatures seen inside the detected loop."""
     on_transitions = d.acceptance.kind == "transition"
+    signatures = d.acceptance.signatures
     seen: Dict[int, int] = {state: 0}
-    marks_per_lap: List[FrozenSet] = []
+    lap_signatures: List[int] = []
     limit = len(d.payloads) + 1
     for lap in range(limit):
-        lap_marks: Set = set()
+        signature = 0
         for sym in period:
             nxt, _ = d.transitions[(state, sym)]
-            lap_marks.add((state, sym) if on_transitions else nxt)
+            signature |= signatures.get((state, sym) if on_transitions else nxt, 0)
             state = nxt
-        marks_per_lap.append(frozenset(lap_marks))
+        lap_signatures.append(signature)
         if state in seen:
-            start = seen[state]
-            loop_marks: Set = set()
-            for lap_set in marks_per_lap[start:]:
-                loop_marks |= lap_set
-            return rabin_loop_accepts(d.acceptance, loop_marks)
+            for earlier in lap_signatures[seen[state]:]:
+                signature |= earlier
+            return rabin_accepts(signature)
         seen[state] = lap + 1
     raise HistreeError("period boundary failed to repeat within the state count")
 

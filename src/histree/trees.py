@@ -137,9 +137,9 @@ def compress(names: Iterable[NodeName]) -> Dict[NodeName, NodeName]:
     once.  One pass over the names in sorted order, which is preorder,
     keeping a running child count per parent.  The renaming preserves
     lexicographic order, and the renamed names (those mapped to a different
-    name) are exactly the unstable nodes of `classify`; the successor
-    kernel relies on both to read the stable/unstable split and the sorted
-    result tree off this one pass.
+    name) are exactly the unstable nodes of `classify`.  The packed
+    successor kernel renames survivors itself; this function serves
+    `StepTrace.renaming` and the tests that check the kernel against it.
     """
     out: Dict[NodeName, NodeName] = {}
     kids: Dict[NodeName, int] = {}

@@ -49,7 +49,7 @@ def pair_counts(a: NBW) -> Tuple[int, int, int]:
     engine = Determinizer(a, "baseline", max_states=STATE_CAP)
     baseline = engine.build_drtw("baseline")
     canonical = engine.build_drtw("canonical")
-    return len(baseline.acceptance.pairs), len(canonical.acceptance.pairs), len(baseline.payloads)
+    return len(baseline.acceptance.indices), len(canonical.acceptance.indices), len(baseline.payloads)
 
 
 def score(a: NBW) -> Optional[Score]:

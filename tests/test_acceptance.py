@@ -145,7 +145,7 @@ def test_criterion_6_index_complexity(builds):
     strict_improvement = []
     for name, (a, canonical, baseline, _drw) in builds.items():
         n = len(a.states)
-        c, b = len(canonical.acceptance.pairs), len(baseline.acceptance.pairs)
+        c, b = len(canonical.acceptance.indices), len(baseline.acceptance.indices)
         assert c <= b, (name, c, b)
         assert b <= 2 ** (n - 1), name
         assert c <= 2 ** (n - 1), name
@@ -155,7 +155,7 @@ def test_criterion_6_index_complexity(builds):
     worst = {}
     for name, (a, canonical, *_rest) in builds.items():
         n = len(a.states)
-        pairs = len(canonical.acceptance.pairs)
+        pairs = len(canonical.acceptance.indices)
         # The headline budget is only reported: Michel m=4 exceeds it (see
         # below).  The identifier count of the capacity-n table holds.
         assert pairs <= verify_identifier_bounds(max(n, 1)).identifiers_used, (name, pairs)
@@ -176,12 +176,12 @@ def test_michel4_exceeds_the_headline_pair_bound():
     a = parse_nbw((FIXTURE_DIR / "michel4.hoa").read_text(encoding="utf-8"))
     n = len(a.states)
     drtw = build_drtw(a, "canonical")
-    assert (n, len(drtw.payloads), len(drtw.acceptance.pairs)) == (5, 299, 5)
+    assert (n, len(drtw.payloads), len(drtw.acceptance.indices)) == (5, 299, 5)
     headline = 2 ** ((n - 1 + 1) // 2)
     holding = 1 + sum(min(2 ** (h - 1), 2 ** (n - h - 1)) for h in range(1, n))
     assert holding == verify_identifier_bounds(n).identifiers_used
     assert (headline, holding) == (4, 7)
-    assert [p.index for p in drtw.acceptance.pairs] == [Identifier(h, 1) for h in range(5)]
+    assert drtw.acceptance.indices == tuple(Identifier(h, 1) for h in range(5))
 
 
 def _conflict_graph(n):
@@ -260,7 +260,7 @@ def test_searched_pair_index_fixtures(n, states, baseline_pairs, canonical_pairs
     engine = Determinizer(a, "canonical")
     canonical, baseline, drw = engine.build_drtw(), engine.build_drtw("baseline"), engine.build_drw()
     assert len(canonical.payloads) == states
-    assert (len(baseline.acceptance.pairs), len(canonical.acceptance.pairs)) == (baseline_pairs, canonical_pairs)
+    assert (len(baseline.acceptance.indices), len(canonical.acceptance.indices)) == (baseline_pairs, canonical_pairs)
     assert canonical_pairs < baseline_pairs
     assert canonical_pairs == verify_identifier_bounds(n).identifiers_used
     for d in (canonical, baseline, drw):
@@ -289,7 +289,8 @@ def test_criterion_7_micro_example_exactness():
 
     drtw = engine.build_drtw()
     assert len(drtw.payloads) == 2
-    assert len(drtw.acceptance.pairs) == 1
+    assert drtw.acceptance.indices == (Identifier(1, 1),)
+    assert drtw.acceptance.signatures == {(1, "a"): 0b10}
     assert drtw.transitions[(1, "a")][1].accepting == {Identifier(1, 1)}
     drw = engine.build_drw()
     assert len(drw.payloads) == 3

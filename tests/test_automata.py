@@ -7,10 +7,9 @@ from histree.automata import (
     EMPTY_ANNOTATION,
     LassoWord,
     NBW,
-    RabinPair,
     RabinPairSet,
     image,
-    rabin_loop_accepts,
+    rabin_accepts,
     validate_nbw,
 )
 from histree.errors import InputError
@@ -75,49 +74,89 @@ def test_image_monotone_and_distributes_over_union():
             assert image(a.mask(small | big), rows) == image(a.mask(small), rows) | image(a.mask(big), rows)
 
 
-def test_rabin_loop_accepts_examples():
-    acc = RabinPairSet(
-        "state", (RabinPair(index=0, accepting=frozenset({1}), rejecting=frozenset({2})),)
-    )
-    assert rabin_loop_accepts(acc, {1})
-    assert not rabin_loop_accepts(acc, {1, 2})
-    assert not rabin_loop_accepts(RabinPairSet("state", ()), {1, 2, 3})
+def _set_rule(pairs, inf):
+    """The Rabin rule on explicit sets, the reference for rabin_accepts:
+    some pair's accepting set meets `inf` and its rejecting set misses it."""
+    return any(accepting & inf and not rejecting & inf for accepting, rejecting in pairs)
 
 
-def test_rabin_loop_accepts_kind_mismatch():
-    acc = RabinPairSet(
-        "transition",
-        (RabinPair(index=0, accepting=frozenset({(0, "a")}), rejecting=frozenset()),),
-    )
-    with pytest.raises(InputError):
-        rabin_loop_accepts(acc, {3})
+def _signatures(pairs):
+    """Each target's signature: bit 2i for pair i's rejecting set, bit
+    2i+1 for its accepting set."""
+    signatures = {}
+    for i, (accepting, rejecting) in enumerate(pairs):
+        for bit, targets in ((1 << 2 * i, rejecting), (2 << 2 * i, accepting)):
+            for target in targets:
+                signatures[target] = signatures.get(target, 0) | bit
+    return signatures
+
+
+def _loop_signature(signatures, inf):
+    out = 0
+    for target in inf:
+        out |= signatures.get(target, 0)
+    return out
+
+
+def test_rabin_accepts_examples():
+    acc = RabinPairSet("state", (0,), {1: 0b10, 2: 0b01})
+    assert rabin_accepts(_loop_signature(acc.signatures, {1}))
+    assert not rabin_accepts(_loop_signature(acc.signatures, {1, 2}))
+    assert not rabin_accepts(0)
+    # The second pair accepts where the first rejects.
+    assert rabin_accepts(0b1001)
+    assert not rabin_accepts(0b0111)
+
+
+def test_rabin_accepts_equals_the_set_rule_exhaustively():
+    """Every signature of 0 to 4 pairs, read as the loop that visits one
+    target per set the signature names: target s is in acceptance set s,
+    so pair i accepts {2i+1} and rejects {2i}."""
+    for count in range(5):
+        pairs = [(frozenset({2 * i + 1}), frozenset({2 * i})) for i in range(count)]
+        for signature in range(1 << 2 * count):
+            inf = frozenset(s for s in range(2 * count) if signature >> s & 1)
+            assert rabin_accepts(signature) == _set_rule(pairs, inf), (count, signature)
+
+
+def test_acceptance_kind_must_match_the_automaton():
+    with pytest.raises(InputError, match="bad acceptance kind"):
+        RabinPairSet("edge", (), {})
+    state_based = RabinPairSet("state", (0,), {0: 0b10})
+    with pytest.raises(InputError, match="DRTW acceptance must be transition based"):
+        DRTW(payloads=("only",), alphabet=("a",), initial=0,
+             transitions={(0, "a"): (0, EMPTY_ANNOTATION)}, acceptance=state_based)
+
+
+def test_signatures_name_only_the_pairs_sets():
+    for signature in (0b100, -1, 1 << 64):
+        with pytest.raises(InputError, match="out of range for 1 pairs"):
+            RabinPairSet("state", ("X",), {3: signature})
+    assert RabinPairSet("state", ("X",), {3: 0b11}).signatures == {3: 0b11}
 
 
 def test_rabin_monotone_in_accepting_antitone_in_rejecting():
     rng = random.Random(11)
     universe = list(range(8))
     for _ in range(200):
-        pairs = tuple(
-            RabinPair(
-                index=i,
-                accepting=frozenset(x for x in universe if rng.random() < 0.3),
-                rejecting=frozenset(x for x in universe if rng.random() < 0.3),
-            )
-            for i in range(rng.randint(0, 3))
-        )
-        acc = RabinPairSet("state", pairs)
+        pairs = [
+            (frozenset(x for x in universe if rng.random() < 0.3),
+             frozenset(x for x in universe if rng.random() < 0.3))
+            for _ in range(rng.randint(0, 3))
+        ]
         inf = frozenset(x for x in universe if rng.random() < 0.4)
-        before = rabin_loop_accepts(acc, inf)
+        before = rabin_accepts(_loop_signature(_signatures(pairs), inf))
+        assert before == _set_rule(pairs, inf)
         if pairs:
             k = rng.randrange(len(pairs))
             extra = rng.choice(universe)
             grown = list(pairs)
-            grown[k] = RabinPair(pairs[k].index, pairs[k].accepting | {extra}, pairs[k].rejecting)
-            after = rabin_loop_accepts(RabinPairSet("state", tuple(grown)), inf)
+            grown[k] = (pairs[k][0] | {extra}, pairs[k][1])
+            after = rabin_accepts(_loop_signature(_signatures(grown), inf))
             assert after or not before  # growing A never flips accept -> reject
             shrunk = list(pairs)
-            shrunk[k] = RabinPair(pairs[k].index, pairs[k].accepting, frozenset())
-            eased = rabin_loop_accepts(RabinPairSet("state", tuple(shrunk)), inf)
+            shrunk[k] = (pairs[k][0], frozenset())
+            eased = rabin_accepts(_loop_signature(_signatures(shrunk), inf))
             assert eased or not before  # clearing R never flips accept -> reject
 
 
@@ -130,17 +169,11 @@ def test_lasso_word_requires_period():
 
 def test_duplicate_pair_indices_rejected():
     with pytest.raises(InputError):
-        RabinPairSet(
-            "state",
-            (
-                RabinPair(index=0, accepting=frozenset(), rejecting=frozenset()),
-                RabinPair(index=0, accepting=frozenset(), rejecting=frozenset()),
-            ),
-        )
+        RabinPairSet("state", (0, 0), {})
 
 
 def test_drtw_totality_enforced():
-    acc = RabinPairSet("transition", ())
+    acc = RabinPairSet("transition", (), {})
     with pytest.raises(InputError):
         DRTW(
             payloads=("only",),

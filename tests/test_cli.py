@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -6,7 +9,7 @@ import pytest
 from histree.cli import main
 from histree.fixtures import e1, spawn_die_respawn
 from histree.formats import emit_nbw_hoa, emit_nbw_native, parse_rabin
-from test_formats import NON_STRING_DOCUMENTS, NON_STRING_IDS
+from test_formats import NON_STRING_DOCUMENTS, NON_STRING_IDS, REPEATED_HEADERS, repeated_header_document
 
 
 @pytest.fixture()
@@ -55,6 +58,30 @@ def test_verify_strict_marks_finds_counterexample(tmp_path, capsys):
     assert rc == 1
     out = capsys.readouterr().out
     assert "counterexample=u:-;v:a,a,b" in out
+
+
+def _without_timings(text):
+    return [line for line in text.splitlines() if not line.startswith("seconds=")]
+
+
+def test_options_do_not_carry_over_between_calls(tmp_path, capsys):
+    """The parser is built once per process, so a flag given to one call
+    must not reach the next: in-process calls match separate processes."""
+    path = tmp_path / "sdr.native"
+    path.write_text(emit_nbw_native(spawn_die_respawn()), encoding="utf-8")
+    runs = [["verify", "--in", str(path), "--strict-paper-marks"], ["verify", "--in", str(path)]]
+    in_process = []
+    for argv in runs:
+        rc = main(argv)
+        in_process.append((rc, _without_timings(capsys.readouterr().out)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    separate = []
+    for argv in runs:
+        done = subprocess.run([sys.executable, "-m", "histree.cli", *argv],
+                              capture_output=True, text=True, env=env, check=False)
+        separate.append((done.returncode, _without_timings(done.stdout)))
+    assert [rc for rc, _ in in_process] == [1, 0]
+    assert in_process == separate
 
 
 def test_gen_table_golden(capsys):
@@ -216,6 +243,17 @@ def test_non_string_native_items_exit_2(doc, tmp_path, capsys):
     assert main(["verify", "--in", str(path)]) == 2
     captured = capsys.readouterr()
     assert "must list strings" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("header", REPEATED_HEADERS)
+def test_repeated_header_exits_2(header, tmp_path, capsys):
+    text, line = repeated_header_document(header)
+    path = tmp_path / "repeated.hoa"
+    path.write_text(text, encoding="utf-8")
+    assert main(["determinize", "--in", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {line}:1: repeated {header} header\n"
     assert captured.out == ""
 
 

@@ -167,11 +167,8 @@ def test_build_drtw_e1(e1_nbw):
     d = build_drtw(e1_nbw)
     assert len(d.payloads) == 2
     assert d.initial == 0
-    assert len(d.acceptance.pairs) == 1
-    pair = d.acceptance.pairs[0]
-    assert pair.index == Identifier(1, 1)
-    assert pair.accepting == {(1, "a")}
-    assert pair.rejecting == frozenset()
+    assert d.acceptance.indices == (Identifier(1, 1),)
+    assert d.acceptance.signatures == {(1, "a"): 0b10}
     _, loop_ann = d.transitions[(1, "a")]
     assert loop_ann.accepting == {Identifier(1, 1)}
     assert det_lasso_member(d, LassoWord((), ("a",)))
@@ -180,7 +177,7 @@ def test_build_drtw_e1(e1_nbw):
 def test_build_drtw_no_finals_has_no_pairs():
     d = build_drtw(no_finals())
     assert all(ann.accepting == frozenset() for _, ann in d.transitions.values())
-    assert d.acceptance.pairs == ()
+    assert (d.acceptance.indices, d.acceptance.signatures) == ((), {})
     for w in lassos_upto(d.alphabet, 2, 2):
         assert not det_lasso_member(d, w)
 
@@ -266,20 +263,19 @@ def test_assemble_pairs_absence_rule():
         (1, "a"): (0, renamed_in),
     }
     acc = assemble_pairs(transitions)
-    assert len(acc.pairs) == 1
-    pair = acc.pairs[0]
-    assert pair.accepting == {(0, "a")}
-    assert pair.rejecting == {(1, "a")}
+    assert acc.indices == (mark,)
+    assert acc.signatures == {(0, "a"): 0b10, (1, "a"): 0b01}
 
     relaxed = assemble_pairs(transitions, strict_marks=True)
-    assert relaxed.pairs[0].rejecting == frozenset()
+    assert relaxed.indices == (mark,)
+    assert relaxed.signatures == {(0, "a"): 0b10}
 
 
 def test_assemble_pairs_requires_an_accepting_occurrence():
     minus_only = TransitionAnnotation(unstable=frozenset({"X"}))
     transitions = {(0, "a"): (0, minus_only)}
     acc = assemble_pairs(transitions)
-    assert acc.pairs == ()
+    assert (acc.indices, acc.signatures) == ((), {})
 
 
 def test_assemble_state_pairs_absence_rule():
@@ -291,9 +287,8 @@ def test_assemble_state_pairs_absence_rule():
         TransitionAnnotation(unstable=kept, stable=frozenset()),
     ]
     acc = assemble_state_pairs(incoming)
-    assert len(acc.pairs) == 1
-    assert acc.pairs[0].accepting == {1}
-    assert acc.pairs[0].rejecting == {0, 2}
+    assert acc.indices == (mark,)
+    assert acc.signatures == {0: 0b01, 1: 0b10, 2: 0b01}
 
 
 def test_capacity_error_carries_partial_stats(corpus_sample):
@@ -432,7 +427,7 @@ def test_canonical_pair_count_never_exceeds_baseline(corpus_sample):
     for a in corpus_sample[:25]:
         canonical = build_drtw(a, "canonical")
         baseline = build_drtw(a, "baseline")
-        assert len(canonical.acceptance.pairs) <= len(baseline.acceptance.pairs)
+        assert len(canonical.acceptance.indices) <= len(baseline.acceptance.indices)
 
 
 def test_build_drw_modes_agree_on_language(e1_nbw):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from histree.corpus import default_corpus
-from histree.determinize import build_drtw, build_drw
+from histree.determinize import Determinizer, build_drtw, build_drw
 from histree.errors import InputError, ParseError
 from histree.fixtures import e1, fixtures
 from histree.formats import (
@@ -148,6 +148,32 @@ NON_STRING_DOCUMENTS = [
 NON_STRING_IDS = ["int-states", "list-states", "bool-states"]
 
 
+# Per header, an earlier copy placed above MINIMAL_HOA's own line: if the
+# later header won, each document would parse.
+REPEATED_HEADERS = {
+    "States:": "States: 3\n",
+    "AP:": 'AP: 2 "a" "b"\n',
+    "acc-name:": "acc-name: Rabin 1\n",
+    "Acceptance:": "Acceptance: 2 (Fin(0)&Inf(1))\n",
+}
+
+
+def repeated_header_document(header):
+    """MINIMAL_HOA with `header` given twice, and the repeat's line."""
+    lines = MINIMAL_HOA.splitlines(keepends=True)
+    at = next(i for i, line in enumerate(lines) if line.startswith(header))
+    lines.insert(at, REPEATED_HEADERS[header])
+    return "".join(lines), at + 2
+
+
+@pytest.mark.parametrize("header", REPEATED_HEADERS)
+def test_repeated_header_is_refused_at_the_repeat(header):
+    text, line = repeated_header_document(header)
+    with pytest.raises(ParseError, match=f"repeated {header} header") as err:
+        parse_nbw(text)
+    assert (err.value.line, err.value.column) == (line, 1)
+
+
 @pytest.mark.parametrize("doc", NON_STRING_DOCUMENTS, ids=NON_STRING_IDS)
 def test_native_header_items_must_be_strings(doc):
     with pytest.raises(ParseError) as err:
@@ -193,6 +219,33 @@ def test_reparsed_rabin_preserves_verdicts():
             assert type(back) is type(d)
             for w in lassos_upto(a.alphabet, 3, 3):
                 assert det_lasso_member(back, w) == det_lasso_member(d, w), (name, w)
+
+
+def test_rabin_documents_round_trip_byte_for_byte():
+    """Every build's document reads back to an automaton that writes the
+    same bytes: its condition survives as the per-target signatures."""
+    count = 0
+    for a in list(fixtures().values()) + default_corpus(count=40):
+        for strict in (False, True):
+            engine = Determinizer(a, "canonical", strict_marks=strict)
+            for mode in ("canonical", "baseline"):
+                for build in (engine.build_drtw, engine.build_drw):
+                    d = build(mode)
+                    text = emit_rabin(d)
+                    back = parse_rabin(text)
+                    assert emit_rabin(back) == text
+                    assert back.acceptance.signatures == d.acceptance.signatures
+                    count += 1
+    assert count == 8 * 51
+
+
+def test_parse_rabin_refuses_sets_past_its_pairs():
+    text = emit_rabin(build_drtw(e1()))
+    assert "acc-name: Rabin 1\n" in text and "[@s0] 1 {1}\n" in text
+    assert parse_rabin(text).acceptance.signatures == {(1, "a"): 0b10}
+    for sets in ("{2}", "{0 1 2}", "{3}", "{100000000000000000000}"):
+        with pytest.raises(InputError, match="acceptance set out of range for 1 pairs"):
+            parse_rabin(text.replace("[@s0] 1 {1}\n", f"[@s0] 1 {sets}\n"))
 
 
 def test_parse_rabin_requires_rabin():

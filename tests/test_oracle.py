@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from histree.automata import DRTW, EMPTY_ANNOTATION, LassoWord, NBW, RabinPair, RabinPairSet
+from histree.automata import DRTW, EMPTY_ANNOTATION, LassoWord, NBW, RabinPairSet
 from histree.determinize import Determinizer, build_drtw, build_drw
 from histree.errors import CapacityError, InputError
 from histree.fixtures import e1, finitely_many_b, fixtures, no_finals, spawn_die_respawn
@@ -207,13 +207,31 @@ def test_bounded_equiv_e1_clean():
     assert report.tested == sum(1 for _ in lassos_upto(a.alphabet, 3, 3))
 
 
+def _signatures_kept(acc, indices, keep):
+    """acc with indices `indices`, each target's signature mapped by
+    `keep`; targets left with signature 0 lose their entry."""
+    kept = {target: keep(sig) for target, sig in acc.signatures.items()}
+    return RabinPairSet(acc.kind, indices, {target: sig for target, sig in kept.items() if sig})
+
+
+def _gutted(acc):
+    """acc with every pair's Inf bit cleared: no accepting set left."""
+    fin_bits = sum(1 << 2 * i for i in range(len(acc.indices)))
+    return _signatures_kept(acc, acc.indices, lambda sig: sig & fin_bits)
+
+
+def _dropped(acc, i):
+    """acc without pair i: its two bits go, and later pairs move down."""
+    low = (1 << 2 * i) - 1
+    return _signatures_kept(acc, acc.indices[:i] + acc.indices[i + 1 :],
+                            lambda sig: sig & low | sig >> 2 * i + 2 << 2 * i)
+
+
 def test_bounded_equiv_detects_mutation():
     a = e1()
     d = build_drtw(a)
-    gutted = RabinPairSet(
-        "transition",
-        tuple(RabinPair(p.index, frozenset(), p.rejecting) for p in d.acceptance.pairs),
-    )
+    gutted = _gutted(d.acceptance)
+    assert gutted.indices == d.acceptance.indices
     broken = type(d)(
         payloads=d.payloads,
         alphabet=d.alphabet,
@@ -291,23 +309,21 @@ def _reference_scan(verdicts, d):
 def _acceptance_mutants(d):
     """d with every accepting set gutted, then d with each single pair dropped."""
     acc = d.acceptance
-    gutted = tuple(RabinPair(p.index, frozenset(), p.rejecting) for p in acc.pairs)
-    yield replace(d, acceptance=RabinPairSet(acc.kind, gutted))
-    for i in range(len(acc.pairs)):
-        yield replace(d, acceptance=RabinPairSet(acc.kind, acc.pairs[:i] + acc.pairs[i + 1 :]))
+    yield replace(d, acceptance=_gutted(acc))
+    for i in range(len(acc.indices)):
+        yield replace(d, acceptance=_dropped(acc, i))
 
 
 def _one_state(alphabet, accepts_all):
     """A one-state DRTW: every prefix reaches the same state, whatever
     NBW states it reaches."""
-    loops = frozenset((0, sym) for sym in alphabet)
-    pairs = (RabinPair(0, loops, frozenset()),) if accepts_all else ()
+    signatures = {(0, sym): 0b10 for sym in alphabet} if accepts_all else {}
     return DRTW(
         payloads=(None,),
         alphabet=alphabet,
         initial=0,
         transitions={(0, sym): (0, EMPTY_ANNOTATION) for sym in alphabet},
-        acceptance=RabinPairSet("transition", pairs),
+        acceptance=RabinPairSet("transition", (0,) if accepts_all else (), signatures),
     )
 
 
