@@ -232,8 +232,9 @@ class BuildStats:
 class _Rabin:
     """A deterministic Rabin automaton.  States are dense integers;
     `payloads[i]` carries the tree behind state i.  The transition map is
-    total over states x alphabet.  Each subclass names the acceptance kind
-    it takes, so a DRTW never equals a DRW."""
+    total over states x alphabet, and every edge targets a state.  Each
+    subclass names the acceptance kind it takes, so a DRTW never equals a
+    DRW."""
 
     payloads: Tuple[object, ...]
     alphabet: Tuple[Symbol, ...]
@@ -251,10 +252,32 @@ class _Rabin:
             raise InputError(f"initial state {self.initial} out of range")
         for i in range(n):
             for sym in self.alphabet:
-                if (i, sym) not in self.transitions:
+                edge = self.transitions.get((i, sym))
+                if edge is None:
                     raise InputError(f"transition map not total: missing ({i},{sym})")
+                if not 0 <= edge[0] < n:
+                    raise InputError(
+                        f"transition ({i},{sym}) targets state {edge[0]}, out of range"
+                    )
         if self.acceptance.kind != self.acceptance_kind:
             raise InputError(f"{type(self).__name__} acceptance must be {self.acceptance_kind} based")
+
+    @cached_property
+    def letter_rows(self) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
+        """Per letter, in alphabet order, each state's step as (successor,
+        signature): the signature read on that step is the edge's for
+        transition acceptance and the successor's for state acceptance.
+        The same walk as `transitions` and `acceptance`, indexed by ints."""
+        on_edges = self.acceptance.kind == "transition"
+        signatures = self.acceptance.signatures
+        rows = []
+        for sym in self.alphabet:
+            row = []
+            for i in range(len(self.payloads)):
+                nxt = self.transitions[(i, sym)][0]
+                row.append((nxt, signatures.get((i, sym) if on_edges else nxt, 0)))
+            rows.append(tuple(row))
+        return tuple(rows)
 
     def state_labels(self) -> List[str]:
         """Every state as HOA names and DOT labels show it: its payload

@@ -14,12 +14,19 @@ uses to advance a tree label.
 
 `bounded_equiv` scans every lasso up to the bounds, but a lasso's two
 verdicts depend only on the NBW states and the deterministic state its
-prefix reaches, and on its period.  So one call builds each symbol profile
-and each period's accepting states once, walks prefixes one letter at a
-time in enumeration order, and evaluates the periods only of the first
-prefix to reach each (states, state) pair.  `nbw_lasso_member` and
+prefix reaches, and on its period.  So the scan walks prefixes one letter
+at a time in enumeration order, and evaluates the periods only of the
+first prefix to reach each (states, state) pair.  `nbw_lasso_member` and
 `det_lasso_member` stay as the per-lasso entry points and share the scan's
-period and loop helpers.  Nothing is kept between calls.
+period and loop helpers.
+
+What the scan derives from one automaton alone is kept on that automaton
+object, as its cached properties are, and goes when it goes; nothing is
+kept at module level or keyed by value.  The NBW keeps each period's
+accepting states, for the longest period bound asked of it so far, so the
+three targets of one `histree verify` job compute them once.  The
+deterministic automaton keeps `letter_rows`, its steps as per-letter int
+rows, which the loop walks read in place of the (state, symbol) map.
 """
 
 from __future__ import annotations
@@ -125,21 +132,22 @@ def nbw_lasso_member(a: NBW, w: LassoWord) -> bool:
     return bool(after_prefix & _accepting_states(word_profile(a, w.period)))
 
 
-def _loop_accepts(d: Union[DRTW, DRW], state: int, period: Sequence[Symbol]) -> bool:
-    """Whether period^omega read from `state` is accepted: iterate the
-    period until a period-boundary state repeats, then evaluate the Rabin
-    pairs on the OR of the signatures seen inside the detected loop."""
-    on_transitions = d.acceptance.kind == "transition"
-    signatures = d.acceptance.signatures
+def _loop_accepts(
+    rows: Sequence[Sequence[Tuple[int, int]]], state: int, period: Sequence[int]
+) -> bool:
+    """Whether period^omega read from `state` is accepted, over a
+    deterministic automaton's `letter_rows` and a period of letter
+    indices: iterate the period until a period-boundary state repeats,
+    then evaluate the Rabin pairs on the OR of the signatures seen inside
+    the detected loop."""
     seen: Dict[int, int] = {state: 0}
     lap_signatures: List[int] = []
-    limit = len(d.payloads) + 1
-    for lap in range(limit):
+    # A row has one entry per state, so a boundary state repeats within that many laps plus one.
+    for lap in range(len(rows[0]) + 1):
         signature = 0
-        for sym in period:
-            nxt, _ = d.transitions[(state, sym)]
-            signature |= signatures.get((state, sym) if on_transitions else nxt, 0)
-            state = nxt
+        for k in period:
+            state, step = rows[k][state]
+            signature |= step
         lap_signatures.append(signature)
         if state in seen:
             for earlier in lap_signatures[seen[state]:]:
@@ -152,13 +160,15 @@ def _loop_accepts(d: Union[DRTW, DRW], state: int, period: Sequence[Symbol]) -> 
 def det_lasso_member(d: Union[DRTW, DRW], w: LassoWord) -> bool:
     """Simulate the deterministic automaton on the prefix, then on the
     period until its loop closes."""
+    letter = {sym: k for k, sym in enumerate(d.alphabet)}
     for sym in w.prefix + w.period:
-        if sym not in d.alphabet:
+        if sym not in letter:
             raise InputError(f"symbol {sym!r} not in alphabet")
+    rows = d.letter_rows
     state = d.initial
     for sym in w.prefix:
-        state, _ = d.transitions[(state, sym)]
-    return _loop_accepts(d, state, w.period)
+        state = rows[letter[sym]][state][0]
+    return _loop_accepts(rows, state, [letter[sym] for sym in w.period])
 
 
 @dataclass(frozen=True)
@@ -228,7 +238,7 @@ def lasso_count(letters: int, max_u: int, max_v: int) -> int:
     return powers(0, max_u) * powers(1, max_v)
 
 
-def _period_acceptance(a: NBW, max_v: int) -> List[int]:
+def _period_masks(a: NBW, max_v: int) -> Tuple[int, ...]:
     """`_accepting_states` of every period, in `_periods` order.  A
     depth-first walk extends each period's profile by one symbol profile,
     and keeps only the masks."""
@@ -241,16 +251,31 @@ def _period_acceptance(a: NBW, max_v: int) -> List[int]:
             by_length[depth].append(_accepting_states(profile))
         if depth < max_v:
             stack.extend((depth + 1, profile.compose(p)) for p in reversed(symbols))
-    return [mask for masks in by_length for mask in masks]
+    return tuple(mask for masks in by_length for mask in masks)
 
 
-def _shortlex_rank(word: Sequence[Symbol], alphabet: Sequence[Symbol]) -> int:
-    """How many words precede `word` in the order lassos_upto enumerates
-    prefixes: its value in bijective base len(alphabet)."""
-    digit = {sym: i + 1 for i, sym in enumerate(alphabet)}
+_PERIOD_MASKS = "_oracle_period_masks"  # the instance dict key that keeps them
+
+
+def _period_acceptance(a: NBW, max_v: int) -> Tuple[int, ...]:
+    """`_period_masks(a, max_v)`, computed once per automaton object for
+    the longest bound asked so far and kept in its instance dict, where
+    its cached properties live.  Periods come shortest first, so a
+    shorter bound reads a prefix of the kept masks."""
+    count = lasso_count(len(a.alphabet), 0, max_v)
+    masks = a.__dict__.get(_PERIOD_MASKS, ())
+    if len(masks) < count:
+        masks = a.__dict__[_PERIOD_MASKS] = _period_masks(a, max_v)
+    return masks[:count]
+
+
+def _shortlex_rank(word: Sequence[int], letters: int) -> int:
+    """How many words precede `word`, a tuple of letter indices, in the
+    order lassos_upto enumerates prefixes: its value in bijective base
+    `letters`."""
     rank = 0
-    for sym in word:
-        rank = rank * len(alphabet) + digit[sym]
+    for k in word:
+        rank = rank * letters + k + 1
     return rank
 
 
@@ -283,6 +308,10 @@ def bounded_equiv(a: NBW, d: Union[DRTW, DRW], max_u: int, max_v: int) -> EquivR
     a.require_valid()
     start = time.monotonic()
     accepting = _period_acceptance(a, max_v)
+    letters = range(len(a.alphabet))
+    periods = list(zip(_periods(letters, max_v), accepting))
+    nbw_rows = [a.rows[sym] for sym in a.alphabet]
+    rows = d.letter_rows
     seen: Set[Tuple[int, int]] = set()
     evaluated = 0
     level = [((), a.mask(a.initial), d.initial)]
@@ -292,21 +321,25 @@ def bounded_equiv(a: NBW, d: Union[DRTW, DRW], max_u: int, max_v: int) -> EquivR
             if (states, state) in seen:
                 continue
             seen.add((states, state))
-            for i, (period, accepts) in enumerate(zip(_periods(a.alphabet, max_v), accepting)):
+            for i, (period, accepts) in enumerate(periods):
                 evaluated += 1
                 expected = bool(states & accepts)
-                got = _loop_accepts(d, state, period)
+                got = _loop_accepts(rows, state, period)
                 if expected != got:
                     return EquivReport(
-                        _shortlex_rank(prefix, a.alphabet) * len(accepting) + i + 1,
-                        Counterexample(prefix, period, expected, got),
+                        _shortlex_rank(prefix, len(a.alphabet)) * len(periods) + i + 1,
+                        Counterexample(
+                            tuple(a.alphabet[k] for k in prefix),
+                            tuple(a.alphabet[k] for k in period),
+                            expected,
+                            got,
+                        ),
                         time.monotonic() - start,
                         evaluated,
                     )
             if u_len < max_u:
                 extended.extend(
-                    (prefix + (sym,), image(states, a.rows[sym]), d.transitions[(state, sym)][0])
-                    for sym in a.alphabet
+                    (prefix + (k,), image(states, nbw_rows[k]), rows[k][state][0]) for k in letters
                 )
         level = extended
     return EquivReport(total, None, time.monotonic() - start, evaluated)

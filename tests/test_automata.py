@@ -4,6 +4,7 @@ import pytest
 
 from histree.automata import (
     DRTW,
+    DRW,
     EMPTY_ANNOTATION,
     LassoWord,
     NBW,
@@ -12,7 +13,9 @@ from histree.automata import (
     rabin_accepts,
     validate_nbw,
 )
+from histree.determinize import Determinizer
 from histree.errors import InputError
+from histree.fixtures import fixtures
 
 
 def test_validate_rejects_undeclared_transition_state(e1_nbw):
@@ -190,3 +193,33 @@ def test_drtw_totality_enforced():
         acceptance=acc,
     )
     assert ok.transitions[(0, "a")][0] == 0
+
+
+@pytest.mark.parametrize("cls, kind", [(DRTW, "transition"), (DRW, "state")])
+@pytest.mark.parametrize("target", [5, -1])
+def test_edge_targets_must_be_states(cls, kind, target):
+    """An edge into no state is refused when the automaton is built, not
+    met later as a KeyError or, on int rows, as a read of the last state."""
+    with pytest.raises(InputError, match=f"targets state {target}, out of range"):
+        cls(
+            payloads=(None,),
+            alphabet=("a",),
+            initial=0,
+            transitions={(0, "a"): (target, EMPTY_ANNOTATION)},
+            acceptance=RabinPairSet(kind, (), {}),
+        )
+
+
+def test_letter_rows_mirror_transitions_and_signatures():
+    for name, a in fixtures().items():
+        engine = Determinizer(a)
+        for d in (engine.build_drtw(), engine.build_drw()):
+            on_edges = d.acceptance.kind == "transition"
+            signatures = d.acceptance.signatures
+            assert len(d.letter_rows) == len(d.alphabet)
+            for k, sym in enumerate(d.alphabet):
+                for i, (nxt, signature) in enumerate(d.letter_rows[k]):
+                    assert nxt == d.transitions[(i, sym)][0], (name, i, sym)
+                    target = (i, sym) if on_edges else nxt
+                    assert signature == signatures.get(target, 0), (name, i, sym)
+            assert d.letter_rows is d.letter_rows

@@ -8,11 +8,13 @@ from pathlib import Path
 
 import pytest
 
+import histree.oracle
 from histree.automata import DRTW, EMPTY_ANNOTATION, LassoWord, NBW, RabinPairSet
+from histree.cli import main
 from histree.determinize import Determinizer, build_drtw, build_drw
 from histree.errors import CapacityError, InputError
 from histree.fixtures import e1, finitely_many_b, fixtures, no_finals, spawn_die_respawn
-from histree.formats import parse_nbw
+from histree.formats import emit_nbw_hoa, parse_nbw
 from histree.oracle import (
     Counterexample,
     EquivReport,
@@ -335,12 +337,61 @@ def _differential_targets(a):
     return builds + [strict] + mutants + [_one_state(a.alphabet, b) for b in (True, False)]
 
 
-def test_bounded_equiv_matches_the_per_lasso_reference_scan(corpus_sample):
+def _named_inputs(corpus_sample):
+    """The fixtures, the corpus sample and the pair_index inputs, by name."""
     fixture_dir = Path(__file__).parent / "fixtures"
     named = list(fixtures().items()) + [(f"random:{i}", a) for i, a in enumerate(corpus_sample)]
     for n in (4, 5, 6):
         text = (fixture_dir / f"pair_index_n{n}.hoa").read_text(encoding="utf-8")
         named.append((f"pair_index_n{n}", parse_nbw(text)))
+    return named
+
+
+def _dict_walk_member(d, w):
+    """Independent of `letter_rows`: walk `d.transitions` and
+    `acceptance.signatures` as given.  After as many periods as d has
+    states the period-boundary state lies on its cycle; the loop is the
+    laps from there back to that state, and some pair must have its
+    accepting bit and not its rejecting bit among their signatures."""
+    acc = d.acceptance
+
+    def lap(state):
+        signature = 0
+        for sym in w.period:
+            nxt = d.transitions[(state, sym)][0]
+            signature |= acc.signatures.get((state, sym) if acc.kind == "transition" else nxt, 0)
+            state = nxt
+        return state, signature
+
+    state = d.initial
+    for sym in w.prefix:
+        state = d.transitions[(state, sym)][0]
+    for _ in range(len(d.payloads)):
+        state = lap(state)[0]
+    entry, loop = state, 0
+    while True:
+        state, signature = lap(state)
+        loop |= signature
+        if state == entry:
+            break
+    return any(loop >> 2 * i + 1 & 1 and not loop >> 2 * i & 1 for i in range(len(acc.indices)))
+
+
+def test_det_member_matches_an_independent_dict_walk(corpus_sample):
+    checked = accepted = 0
+    for name, a in _named_inputs(corpus_sample):
+        words = list(lassos_upto(a.alphabet, 3, 3))
+        for d in _differential_targets(a):
+            for w in words:
+                got = det_lasso_member(d, w)
+                assert got == _dict_walk_member(d, w), (name, w)
+                checked += 1
+                accepted += got
+    assert 0 < accepted < checked
+
+
+def test_bounded_equiv_matches_the_per_lasso_reference_scan(corpus_sample):
+    named = _named_inputs(corpus_sample)
     one_letter = [(name, a) for name, a in named if len(a.alphabet) == 1]
     assert {name for name, _ in one_letter} >= {"e1", "single_final_loop"}
     runs = [(3, 3, named), (0, 1, named), (30, 4, one_letter)]
@@ -378,6 +429,46 @@ def test_bounded_equiv_keeps_no_reference_to_its_automata():
     del a, d
     gc.collect()
     assert [ref() for ref in refs] == [None, None]
+
+
+def _count_mask_computations(monkeypatch):
+    calls = []
+    real = histree.oracle._period_masks
+    monkeypatch.setattr(histree.oracle, "_period_masks",
+                        lambda a, max_v: calls.append((a, max_v)) or real(a, max_v))
+    return calls
+
+
+def test_verify_computes_the_period_masks_once_for_its_three_targets(tmp_path, monkeypatch, capsys):
+    calls = _count_mask_computations(monkeypatch)
+    path = tmp_path / "sdr.hoa"
+    path.write_text(emit_nbw_hoa(spawn_die_respawn()), encoding="utf-8")
+    assert main(["verify", "--in", str(path)]) == 0
+    assert capsys.readouterr().out.count("counterexample=none") == 3
+    assert [max_v for _, max_v in calls] == [4]
+
+
+def test_equal_automata_parsed_apart_compute_their_own_masks(monkeypatch):
+    calls = _count_mask_computations(monkeypatch)
+    text = emit_nbw_hoa(spawn_die_respawn())
+    first, second = parse_nbw(text), parse_nbw(text)
+    assert first == second and first is not second
+    d = build_drtw(first)
+    for a in (first, second, first):
+        assert bounded_equiv(a, d, 2, 3).equivalent
+    assert len(calls) == 2 and calls[0][0] is first and calls[1][0] is second
+
+
+def test_kept_masks_serve_shorter_and_longer_bounds(monkeypatch):
+    a = spawn_die_respawn()
+    fresh = histree.oracle._period_masks(spawn_die_respawn(), 4)
+    count = {v: lasso_count(len(a.alphabet), 0, v) for v in (2, 4)}
+    calls = _count_mask_computations(monkeypatch)
+    assert histree.oracle._period_acceptance(a, 2) == fresh[:count[2]]
+    assert histree.oracle._period_acceptance(a, 4) == fresh
+    assert len(fresh) == count[4]
+    assert histree.oracle._period_acceptance(a, 2) == fresh[:count[2]]
+    assert [max_v for _, max_v in calls] == [2, 4]
 
 
 def test_equiv_report_text_round():
