@@ -259,8 +259,19 @@ class _Rabin:
                     raise InputError(
                         f"transition ({i},{sym}) targets state {edge[0]}, out of range"
                     )
+        # With every edge present, a key count beyond the edges is a key
+        # outside states x alphabet, so the keys are exactly the edges.
+        if len(self.transitions) != n * len(set(self.alphabet)):
+            raise InputError("transition map has keys outside states x alphabet")
         if self.acceptance.kind != self.acceptance_kind:
             raise InputError(f"{type(self).__name__} acceptance must be {self.acceptance_kind} based")
+        # Every signature sits on an edge (state, symbol) or on a state.
+        on_edges = self.acceptance_kind == "transition"
+        targets = self.transitions.keys() if on_edges else range(n)
+        for key in self.acceptance.signatures:
+            if key not in targets:
+                raise InputError(f"acceptance signature on {key!r}, not "
+                                 f"{'an edge' if on_edges else 'a state'} of the automaton")
 
     @cached_property
     def letter_rows(self) -> Tuple[Tuple[Tuple[int, int], ...], ...]:

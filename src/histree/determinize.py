@@ -12,10 +12,16 @@ child per node, strip states already owned by older siblings, drop empty
 nodes, collapse subtrees whose children cover their parent, and compress
 sibling gaps).  A node whose children covered it is recorded as accepting
 for that transition; a node displaced by compression is recorded as
-unstable.  Only the labels depend on the letter: the fresh children's
-names depend on the tree alone (`HistoryTree.fresh`), and so do the
-spawned names' preorder and their parents.  The kernel therefore steps a
-tree on every letter at once.  Labels are state masks in the automaton's
+unstable.  Only the labels depend on the letter: the spawned names (each
+node and its fresh youngest child, one past its last child), their
+preorder and their parents depend on the tree's shape, its name tuple,
+alone.  The kernel therefore steps a tree on every letter at once, and
+the engine keeps one `_Skeleton` per shape: the spawned names in
+preorder, their parents and packed sibling indices, each entry's own
+position and its fresh child's, the fresh names of height >= n and the
+node count.  Reachable trees share few shapes (Michel m=5 has 2,163
+trees of 6 shapes), so that work is done once per shape and a tree's
+step is label arithmetic only.  Labels are state masks in the automaton's
 encoding; a packed label gives letter j a lane of n+1 bits, the state
 mask in its n low bits and a guard bit on top that a label never sets.
 Adding a fill of n ones per lane carries into exactly the guard bits of
@@ -26,19 +32,20 @@ when the node is in the set on letter j.
 
 Spawn is one `image` per node over per-state successor rows packed across
 the letters; dedup, the nonempty test, collapse and prune are bitwise
-passes over the spawned names in preorder (a parent precedes its subtree,
-and older siblings precede younger ones), built once per tree.  So are
-the new sibling indices of compression, as a per-lane count of surviving
-older siblings, and stability: a survivor is stable when its count gives
-back its own index and its parent is stable.  `Determinizer` keeps the
-packed phases of the tree it stepped last, and each `successor_trace`
-decodes its letter's lane: it renames the survivors and splits them into
-stable and unstable, which gives the result tree and the marks.  The
-other phases of a `StepTrace` are views of that lane, decoded only when
-read.  `classify`, the gap-rule definition of stability, and `compress`
-stay the references that `check_history_tree`, the trace's `renaming` and
-the tests apply; `tests/test_kernel.py` holds the five-phase step, one
-letter at a time on dicts, as the specification.
+passes over the skeleton's positions (a parent precedes its subtree, and
+older siblings precede younger ones), run once per tree.  So are the new
+sibling indices of compression, as a per-lane count of surviving older
+siblings, and stability: a survivor is stable when its count gives back
+its own index and its parent is stable.  The phases end by decoding
+every lane: its survivors renamed and split into stable and unstable,
+which gives the result tree and the marks.  `Determinizer` keeps the
+phases of the tree it stepped last, and each `successor_trace` reads its
+letter's lane.  The other phases of a `StepTrace` are views of that
+lane, decoded only when read.  `classify`, the gap-rule definition of
+stability, and `compress` stay the references that `check_history_tree`,
+the trace's `renaming` and the tests apply; `tests/test_kernel.py` holds
+the five-phase step, one letter at a time on dicts, as the
+specification.
 
 Most steps reach a tree or a mark set the engine has seen before, so the
 engine interns both: it keeps one `HistoryTree` per distinct entries
@@ -54,10 +61,11 @@ number) pair, and pair assembly reads each distinct annotation once, a
 pair's sets being unions of the keys that share one.
 
 The marks name nodes, and one exploration of the tree graph serves every
-build.  The exploration only discovers trees and edges: the census (the
-largest tree, and the transient off-table names, which are the fresh
-children of height >= n) is read off the reachable trees once per engine,
-and both builds end in one tail that assembles the automaton.  The DRW's
+build.  The exploration only discovers trees and edges, noting each
+tree's skeleton: the census (the largest tree, and the transient
+off-table names, which are the fresh children of height >= n) is read
+once per engine off the distinct skeletons of the reachable trees, and
+both builds end in one tail that assembles the automaton.  The DRW's
 states are the start state and then the distinct DRTW edge targets (a
 tree with its incoming marks) in edge order, with no second walk.  A
 baseline build indexes its Rabin pairs by those names.  A canonical build
@@ -115,17 +123,6 @@ class HistoryTree:
     @cached_property
     def names(self) -> FrozenSet[NodeName]:
         return frozenset(n for n, _ in self.entries)
-
-    @cached_property
-    def fresh(self) -> Tuple[NodeName, ...]:
-        """Each node's fresh youngest child, in entry order: the name one
-        past its last child.  Every step spawns these, whatever the letter.
-        Sorted names are preorder, so the last child seen is the youngest."""
-        degrees: Dict[NodeName, int] = {}
-        for name, _ in self.entries:
-            if name:
-                degrees[name[:-1]] = name[-1]
-        return tuple(name + (degrees.get(name, 0) + 1,) for name, _ in self.entries)
 
     @property
     def is_sink(self) -> bool:
@@ -227,130 +224,178 @@ class _Lanes:
 _MarkNames = Tuple[Tuple[NodeName, ...], Tuple[NodeName, ...], Tuple[NodeName, ...]]
 
 
+class _Skeleton:
+    """What a step of a tree depends on by the tree's shape (its name
+    tuple) alone, whatever its labels and the letter.  Position p is the
+    p-th spawned name in preorder, `names[p]`: the tree's own names, each
+    followed after its subtree by its fresh youngest child, one past its
+    last child.  Entry i of the tree sits at position `slots[i]` and its
+    fresh child at `fresh[i]`.  `below` holds every position but the
+    root's, in preorder, as (position, parent position, name, sibling
+    index packed into every lane); in a sound tree a spawned name's index
+    is at most n, so it fits a lane.  `off_table` holds the fresh names of
+    height >= n, the only spawned names outside the identifier table, and
+    `node_count` the tree's size."""
+
+    __slots__ = ("names", "slots", "fresh", "below", "off_table", "node_count")
+
+    def __init__(self, names: Tuple[NodeName, ...], lanes: _Lanes):
+        degrees: Dict[NodeName, int] = {}
+        for name in names:
+            if name:
+                degrees[name[:-1]] = name[-1]
+        # Sorted names are preorder, so the last child seen is the youngest,
+        # and a fresh child is placed when the walk leaves its parent's
+        # subtree; `path` holds each open ancestor's position, fresh child
+        # and entry number.
+        self.names = spawned = []
+        self.slots = slots = []
+        self.fresh = fresh = [0] * len(names)
+        self.below = below = []
+        path: List[Tuple[int, NodeName, int]] = []
+
+        def place(name: NodeName) -> int:
+            if path:
+                below.append((len(spawned), path[-1][0], name, name[-1] * lanes.ones))
+            spawned.append(name)
+            return len(spawned) - 1
+
+        def close(depth: int) -> None:
+            while len(path) > depth:
+                _, child, i = path[-1]
+                fresh[i] = place(child)  # while its parent is still path[-1]
+                path.pop()
+
+        for i, name in enumerate(names):
+            close(len(name))
+            slots.append(len(spawned))
+            path.append((place(name), name + (degrees.get(name, 0) + 1,), i))
+        close(0)
+        self.off_table = frozenset(spawned[p] for p in fresh if height(spawned[p]) >= lanes.n)
+        self.node_count = len(names)
+
+
 class _Phases:
     """One tree's spawn, dedup, collapse and prune phases for every letter
-    at once.  Position p of each list is the p-th spawned name in preorder;
-    labels are packed across lanes, and node sets are guard-bit masks (the
-    guard bit of lane j set when the node is in the set on letter j).
+    at once, over its shape's skeleton, and each letter's decoded step.
+    Position p of each list is the skeleton's p-th spawned name; labels
+    are packed across lanes, and node sets are guard-bit masks (the guard
+    bit of lane j set when the node is in the set on letter j).
     `survivors` holds, in preorder, every node that survives on some
     letter: (position, pruned, stable, accepting, unstable mark, name,
-    packed label, parent position, packed new sibling index)."""
+    packed label, parent position, packed new sibling index).  `lanes`
+    holds per letter the result tree's entries and the name-indexed marks
+    as sorted name tuples (accepting, unstable, stable)."""
 
-    __slots__ = ("tree", "names", "spawned", "deduped", "survivors")
+    __slots__ = ("tree", "skeleton", "spawned", "deduped", "survivors", "lanes")
 
-    def __init__(self, tree: HistoryTree, lanes: _Lanes, strict_marks: bool):
+    def __init__(self, tree: HistoryTree, skeleton: _Skeleton, labels: Sequence[int],
+                 lanes: _Lanes, strict_marks: bool):
         self.tree = tree
-        rows, fill, guards, ones, n = lanes.rows, lanes.fill, lanes.guards, lanes.ones, lanes.n
+        self.skeleton = skeleton
+        rows, final, fill, guards, n = lanes.rows, lanes.final, lanes.fill, lanes.guards, lanes.n
+        names = skeleton.names
+        size = len(names)
         # Spawn: every node advances its label on every letter, and its
         # fresh youngest child holds the final states among the successors.
-        # In preorder that child follows its parent's subtree, so it is
-        # placed when the walk leaves the subtree; `path` holds each open
-        # ancestor's position and fresh child, and a root-named sentinel
-        # closes them all.
-        self.names = names = []
-        self.spawned = spawned = []
-        parents: List[int] = []
-        path: List[Tuple[int, NodeName, int]] = []
-        for (name, label), child in zip((*tree.entries, (ROOT, 0)), (*tree.fresh, None)):
-            while len(path) > len(name):
-                parent, fresh, fresh_label = path.pop()
-                parents.append(parent)
-                names.append(fresh)
-                spawned.append(fresh_label)
-            if child is None:
-                break
-            advanced = image(label, rows)
-            parents.append(path[-1][0] if path else -1)
-            path.append((len(names), child, advanced & lanes.final))
-            names.append(name)
-            spawned.append(advanced)
-        size = len(names)
+        self.spawned = spawned = [0] * size
+        for label, slot, child in zip(labels, skeleton.slots, skeleton.fresh):
+            advanced = spawned[slot] = image(label, rows)
+            spawned[child] = advanced & final
 
         # Dedup: a state an older sibling held before dedup leaves every
-        # younger sibling's subtree, lane by lane.
+        # younger sibling's subtree, lane by lane.  The root keeps its label.
         poison = [0] * size
-        self.deduped = deduped = [0] * size
+        self.deduped = deduped = spawned[:]
         kids = [0] * size  # union of the children's deduped labels
-        for p, (label, q) in enumerate(zip(spawned, parents)):
-            if q >= 0:
-                inherited = poison[p] = poison[q]
-                poison[q] = inherited | label
-                deduped[p] = label = label & ~inherited
-                kids[q] |= label
-            else:
-                deduped[p] = label
+        for p, q, _, _ in skeleton.below:
+            inherited = poison[p] = poison[q]
+            label = deduped[p]
+            poison[q] = inherited | label
+            deduped[p] = label = label & ~inherited
+            kids[q] |= label
 
         # Per lane: drop empty nodes, keep a node when its parent survives
         # uncovered, and collapse the survivors whose children's labels add
         # up to their own.  Compression gives a survivor the sibling index
         # one past its surviving older siblings; it is stable when that
-        # index is its own and its parent is stable.
+        # index is its own and its parent is stable.  The root survives
+        # stably on its nonempty lanes.
         through = [0] * size  # lanes where the node survives uncovered
         stable = [0] * size
         count = [0] * size  # per parent: its surviving children so far
         self.survivors = survivors = []
-        for p, (label, q, name) in enumerate(zip(deduped, parents, names)):
-            live = (label + fill) & (through[q] if q >= 0 else guards)
+        if size:
+            label = deduped[0]
+            live = stable[0] = (label + fill) & guards
+            cover = live & ~((kids[0] ^ label) + fill)
+            through[0] = live ^ cover
+            if live:
+                survivors.append((0, live, live, cover, 0, ROOT, label, -1, 0))
+        for p, q, name, index in skeleton.below:
+            label = deduped[p]
+            live = (label + fill) & through[q]
             if not live:
                 continue
-            if q < 0:
-                kept = live
-                rank = 0
-            else:
-                # Surviving siblings have disjoint nonempty labels, so a
-                # lane counts at most n of them; a larger index never matches.
-                rank = count[q] = count[q] + (live >> n)
-                index = name[-1]
-                kept = live & stable[q] & ~((rank ^ index * ones) + fill) if index <= n else 0
+            # Surviving siblings have disjoint nonempty labels, so a lane
+            # counts at most n of them.
+            rank = count[q] = count[q] + (live >> n)
+            kept = live & stable[q] & ~((rank ^ index) + fill)
             cover = live & ~((kids[p] ^ label) + fill)
             through[p] = live ^ cover
             stable[p] = kept
             minus = live & ~kept & ~cover if strict_marks else live & ~kept
             survivors.append((p, live, kept, cover, minus, name, label, q, rank))
 
-    def decode(self, lane: int, n: int) -> Tuple[Tuple[Tuple[NodeName, int], ...], _MarkNames]:
-        """The result tree's entries and the name-indexed marks of one
-        lane, as sorted name tuples: its surviving nodes renamed and split
-        into stable and unstable.  The engine interns both."""
-        shift = lane * (n + 1)
-        guard = 1 << (shift + n)
+        # Decode each lane: rename its survivors and split them into stable
+        # and unstable, which gives the result tree and the marks.
+        self.lanes = decoded = []
         mask = (1 << n) - 1  # a lane's label; also fits its sibling counts, at most n
-        entries = []
-        stable: List[NodeName] = []
-        plus: List[NodeName] = []
-        minus: List[NodeName] = []
-        renamed: Dict[int, NodeName] = {}
-        names = self.names
-        for p, live, kept, accepting, unstable, name, label, q, rank in self.survivors:
-            if not live & guard:
-                continue
-            if kept & guard:
-                stable.append(name)
-                if accepting & guard:
-                    plus.append(name)
-            else:
-                if unstable & guard:
-                    minus.append(name)
-                # The root is always stable, so an unstable node has a parent.
-                name = renamed[p] = renamed.get(q, names[q]) + (rank >> shift & mask,)
-            entries.append((name, label >> shift & mask))
-        return tuple(entries), (tuple(plus), tuple(minus), tuple(stable))
+        for shift in range(0, len(lanes.index) * (n + 1), n + 1):
+            guard = 1 << (shift + n)
+            entries = []
+            stable_names: List[NodeName] = []
+            plus: List[NodeName] = []
+            minus_names: List[NodeName] = []
+            renamed: Dict[int, NodeName] = {}
+            for p, live, kept, accepting, unstable, name, label, q, rank in survivors:
+                if not live & guard:
+                    continue
+                if kept & guard:
+                    stable_names.append(name)
+                    if accepting & guard:
+                        plus.append(name)
+                else:
+                    if unstable & guard:
+                        minus_names.append(name)
+                    # The root is always stable, so an unstable node has a parent.
+                    name = renamed[p] = renamed.get(q, names[q]) + (rank >> shift & mask,)
+                entries.append((name, label >> shift & mask))
+            decoded.append((tuple(entries), (tuple(plus), tuple(minus_names), tuple(stable_names))))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class StepTrace:
     """One successor step of a tree on a letter.  `result` and `marks` are
     decoded when the step is taken; the phase dicts are views of the
     letter's lane of the tree's packed phases, decoded when first read.
-    `spawned` holds the tree's own names and its `fresh` children; labels
-    are state masks and names come in sorted order.  Two traces are equal
-    when every field is."""
+    `spawned` holds the tree's own names and each node's fresh youngest
+    child; labels are state masks and names come in sorted order.  Two
+    traces are equal when every field is.  The fields are read-only;
+    construction fills the instance dict directly, without the frozen
+    `__setattr__` per field."""
 
     symbol: Symbol
     result: HistoryTree
     marks: TransitionAnnotation  # indexed by node name
     phases: _Phases = field(repr=False)
     lane: int = field(repr=False)
+
+    def __init__(self, symbol: Symbol, result: HistoryTree, marks: TransitionAnnotation,
+                 phases: _Phases, lane: int):
+        fields = self.__dict__
+        fields["symbol"], fields["result"], fields["marks"], fields["phases"], fields["lane"] = (
+            symbol, result, marks, phases, lane)
 
     def _lane(self, packed: List[int]) -> List[int]:
         n = len(self.result.states)
@@ -368,11 +413,11 @@ class StepTrace:
 
     @cached_property
     def spawned(self) -> Dict[NodeName, int]:
-        return dict(zip(self.phases.names, self._lane(self.phases.spawned)))
+        return dict(zip(self.phases.skeleton.names, self._lane(self.phases.spawned)))
 
     @cached_property
     def deduped(self) -> Dict[NodeName, int]:
-        return dict(zip(self.phases.names, self._lane(self.phases.deduped)))
+        return dict(zip(self.phases.skeleton.names, self._lane(self.phases.deduped)))
 
     @cached_property
     def nonempty(self) -> Dict[NodeName, int]:
@@ -427,11 +472,13 @@ def _check_mode(mode: str) -> None:
 class _Graph(NamedTuple):
     """The reachable tree graph of one engine, with name-indexed marks.
     Edges come in (tree id, letter) order, each as (target tree id, mark
-    number); `marks` holds the engine's annotation of each number."""
+    number); `marks` holds the engine's annotation of each number, and
+    `shapes` each tree's skeleton."""
 
     trees: Tuple[HistoryTree, ...]
     edges: List[Tuple[int, int]]
     marks: List[TransitionAnnotation]
+    shapes: List[_Skeleton]
 
 
 class Determinizer:
@@ -439,11 +486,12 @@ class Determinizer:
     methods are pure with respect to trees.  The mode is the default
     labeling of the builds.  The engine keeps the packed phases of the
     tree it stepped last, matched by identity, so stepping one tree on
-    each letter in turn computes them once.  It also interns its values:
-    one `HistoryTree` per distinct entries tuple and one
-    `TransitionAnnotation` per distinct mark set, so a step that reaches a
-    known tree or mark set builds no new one.  A tree it did not produce
-    is checked once before its first step."""
+    each letter in turn computes them once, and one `_Skeleton` per tree
+    shape it has stepped, so trees of one shape share their label-free
+    work.  It also interns its values: one `HistoryTree` per distinct
+    entries tuple and one `TransitionAnnotation` per distinct mark set, so
+    a step that reaches a known tree or mark set builds no new one.  A
+    tree it did not produce is checked once before its first step."""
 
     def __init__(
         self,
@@ -465,6 +513,8 @@ class Determinizer:
         # Every tree known sound, by entries, and every mark set met.
         self._trees: Dict[Tuple[Tuple[NodeName, int], ...], HistoryTree] = {}
         self._marks: Dict[_MarkNames, TransitionAnnotation] = {}
+        # One skeleton per tree shape, keyed by the name tuple.
+        self._skeletons: Dict[Tuple[NodeName, ...], _Skeleton] = {}
 
     @cached_property
     def table(self) -> IdentifierTable:
@@ -491,6 +541,21 @@ class Determinizer:
     def _lanes(self) -> _Lanes:
         return _Lanes.of(self.nbw)
 
+    def _skeleton(self, names: Tuple[NodeName, ...]) -> _Skeleton:
+        """The engine's one skeleton of the trees with these names."""
+        skeleton = self._skeletons.get(names)
+        if skeleton is None:
+            skeleton = self._skeletons[names] = _Skeleton(names, self._lanes)
+        return skeleton
+
+    def _shape(self, tree: HistoryTree) -> _Skeleton:
+        """The skeleton of `tree`, read off its phases when it is the tree
+        stepped last."""
+        phases = self._last_phases
+        if phases is not None and phases.tree is tree:
+            return phases.skeleton
+        return self._skeleton(tuple(name for name, _ in tree.entries))
+
     def successor_trace(self, tree: HistoryTree, symbol: Symbol) -> StepTrace:
         """One step of `tree` on `symbol`: its letter's lane of the tree's
         phases, which are computed for every letter at once.  A tree the
@@ -506,14 +571,16 @@ class Determinizer:
                 if problems:
                     raise InputError("not a history tree of this automaton: " + "; ".join(problems))
                 self._tree(tree.entries)
-            phases = self._last_phases = _Phases(tree, self._lanes, self.strict_marks)
-        entries, names = phases.decode(lane, self.n)
+            names, labels = zip(*tree.entries) if tree.entries else ((), ())
+            phases = self._last_phases = _Phases(tree, self._skeleton(names), labels, self._lanes,
+                                                 self.strict_marks)
+        entries, marked = phases.lanes[lane]
         result = self._trees.get(entries)
         if result is None:
             result = self._tree(entries)
-        marks = self._marks.get(names)
+        marks = self._marks.get(marked)
         if marks is None:
-            marks = self._marks[names] = TransitionAnnotation(*map(frozenset, names))
+            marks = self._marks[marked] = TransitionAnnotation(*map(frozenset, marked))
         return StepTrace(symbol, result, marks, phases, lane)
 
     def successor(self, tree: HistoryTree, symbol: Symbol) -> Tuple[HistoryTree, TransitionAnnotation]:
@@ -529,44 +596,50 @@ class Determinizer:
         breadth-first once per engine.  Deterministic numbering: discovery
         order with the alphabet in declared order, for trees and marks
         alike.  The engine interns its trees and marks, so the graph
-        indexes trees by their entries and marks by identity."""
+        indexes both by identity."""
         start = self.initial_tree()
         trees = [start]
-        index = {start.entries: 0}
+        shapes: List[_Skeleton] = []
+        index = {id(start): 0}  # id of an engine tree -> its number
         edges: List[Tuple[int, int]] = []
         marks: List[TransitionAnnotation] = []
         numbers: Dict[int, int] = {}  # id of an engine annotation -> its number
-        for sid, tree in enumerate(trees):
-            for symbol in self.nbw.alphabet:
-                trace = self.successor_trace(tree, symbol)
+        step, alphabet = self.successor_trace, self.nbw.alphabet
+        for tree in trees:
+            for symbol in alphabet:
+                trace = step(tree, symbol)
                 result = trace.result
-                tid = index.get(result.entries)
+                tid = index.get(id(result))
                 if tid is None:
                     if len(trees) >= self.max_states:
                         # The census covers the trees stepped so far, this one included.
                         partial = self._stats(self.mode, len(trees), len(edges), 0,
-                                              self._census(trees[: sid + 1]))
+                                              self._census(shapes + [self._shape(tree)]))
                         raise CapacityError(f"state limit {self.max_states} exceeded", partial=partial)
-                    tid = index[result.entries] = len(trees)
+                    tid = index[id(result)] = len(trees)
                     trees.append(result)
                 mid = numbers.get(id(trace.marks))
                 if mid is None:
                     mid = numbers[id(trace.marks)] = len(marks)
                     marks.append(trace.marks)
                 edges.append((tid, mid))
-        return _Graph(tuple(trees), edges, marks)
+            shapes.append(self._shape(tree))
+        return _Graph(tuple(trees), edges, marks, shapes)
 
-    def _census(self, trees) -> Tuple[int, int]:
-        """The largest tree and the number of off-table names among
-        `trees`.  A tree's own names have height below n, so only fresh
-        children are off-table."""
-        off_table = {name for tree in trees for name in tree.fresh if height(name) >= self.n}
-        return max(tree.node_count for tree in trees), len(off_table)
+    def _census(self, shapes: Sequence[_Skeleton]) -> Tuple[int, int]:
+        """The largest tree and the number of off-table names among the
+        trees of these skeletons, one per tree.  A tree's own names have
+        height below n, so only fresh children are off-table, and trees of
+        one shape spawn the same fresh children, so each distinct skeleton
+        is read once."""
+        distinct = {id(shape): shape for shape in shapes}.values()
+        off_table = set().union(*(shape.off_table for shape in distinct))
+        return max(shape.node_count for shape in distinct), len(off_table)
 
     @cached_property
     def _graph_census(self) -> Tuple[int, int]:
         """The census of the whole tree graph, read once per engine."""
-        return self._census(self._graph.trees)
+        return self._census(self._graph.shapes)
 
     def _stats(self, mode, states, transitions, pairs, census) -> BuildStats:
         largest, off_table = census
@@ -621,7 +694,7 @@ class Determinizer:
         (tree id, then alphabet): breadth-first order, with no successor
         computed and no second walk."""
         mode, table, renumber, numbers = self._relabeled(mode)
-        trees, tree_edges, _ = self._graph
+        trees, tree_edges = self._graph.trees, self._graph.edges
         # Nodes of the initial tree count as stably present at time zero,
         # so re-entering the same tree through a quiet transition merges
         # with the start state.

@@ -210,6 +210,47 @@ def test_edge_targets_must_be_states(cls, kind, target):
         )
 
 
+@pytest.mark.parametrize("cls, kind, key, what", [
+    (DRTW, "transition", (3, "b"), "an edge"),
+    (DRTW, "transition", (0, "b"), "an edge"),  # a known state, a symbol outside the alphabet
+    (DRTW, "transition", 0, "an edge"),
+    (DRW, "state", 5, "a state"),
+    (DRW, "state", (0, "a"), "a state"),
+])
+def test_signatures_sit_on_edges_or_states(cls, kind, key, what):
+    """A signature on no edge (DRTW) or no state (DRW) of a one-state
+    automaton is refused when it is built; before, `emit_rabin` dropped it
+    and the oracle ignored it."""
+    with pytest.raises(InputError, match=f"not {what} of the automaton"):
+        cls(
+            payloads=(None,),
+            alphabet=("a",),
+            initial=0,
+            transitions={(0, "a"): (0, EMPTY_ANNOTATION)},
+            acceptance=RabinPairSet(kind, (0,), {key: 0b10}),
+        )
+    own = (0, "a") if kind == "transition" else 0
+    built = cls(payloads=(None,), alphabet=("a",), initial=0,
+                transitions={(0, "a"): (0, EMPTY_ANNOTATION)},
+                acceptance=RabinPairSet(kind, (0,), {own: 0b10}))
+    assert built.acceptance.signatures == {own: 0b10}
+
+
+@pytest.mark.parametrize("cls, kind", [(DRTW, "transition"), (DRW, "state")])
+@pytest.mark.parametrize("key", [(3, "b"), (0, "b"), (1, "a")])
+def test_transition_keys_are_exactly_the_edges(cls, kind, key):
+    """A transition map with a key outside states x alphabet is refused,
+    so a signature key that is a transition key is an edge."""
+    with pytest.raises(InputError, match="keys outside states x alphabet"):
+        cls(
+            payloads=(None,),
+            alphabet=("a",),
+            initial=0,
+            transitions={(0, "a"): (0, EMPTY_ANNOTATION), key: (0, EMPTY_ANNOTATION)},
+            acceptance=RabinPairSet(kind, (), {}),
+        )
+
+
 def test_letter_rows_mirror_transitions_and_signatures():
     for name, a in fixtures().items():
         engine = Determinizer(a)

@@ -17,6 +17,7 @@ from histree.determinize import (
 from histree.dot import emit_dot
 from histree.errors import CapacityError, InputError
 from histree.formats import emit_rabin, parse_nbw
+from histree.corpus import default_corpus
 from histree.fixtures import e1, no_finals, single_final_loop
 from histree.oracle import det_lasso_member, lassos_upto, nbw_lasso_member
 from histree.automata import LassoWord
@@ -499,11 +500,42 @@ def _named_inputs(all_fixtures, corpus_sample):
     return named
 
 
+def fresh_children(t):
+    """Each node's fresh youngest child, in entry order: the name one past
+    its last child, computed from the tree alone."""
+    degrees = {}
+    for name, _ in t.entries:
+        if name:
+            degrees[name[:-1]] = name[-1]
+    return tuple(name + (degrees.get(name, 0) + 1,) for name, _ in t.entries)
+
+
+def per_tree_census(trees, n):
+    """The census by its per-tree formula: the largest tree, and the
+    distinct fresh children of height >= n."""
+    off_table = {x for t in trees for x in fresh_children(t) if height(x) >= n}
+    return max(t.node_count for t in trees), len(off_table)
+
+
+def skeleton_fresh(engine, t):
+    skeleton = engine._skeleton(tuple(name for name, _ in t.entries))
+    return tuple(skeleton.names[p] for p in skeleton.fresh)
+
+
 def test_fresh_names_are_one_past_each_nodes_last_child(e1_nbw):
+    """A skeleton places each entry's fresh child one past its last child,
+    after the entry's subtree in preorder."""
+    engine = Determinizer(e1_nbw)
     t = tree(e1_nbw, {(): {"p", "q"}, (1,): {"q"}, (1, 1): {"q"}})
-    assert t.fresh == ((2,), (1, 2), (1, 1, 1))
-    assert Determinizer(e1_nbw).initial_tree().fresh == ((1,),)
-    assert HistoryTree(()).fresh == ()
+    assert skeleton_fresh(engine, t) == fresh_children(t) == ((2,), (1, 2), (1, 1, 1))
+    skeleton = engine._skeleton(((), (1,), (1, 1)))
+    assert skeleton.names == [(), (1,), (1, 1), (1, 1, 1), (1, 2), (2,)]
+    ones = engine._lanes.ones
+    assert [(p, q, name, index // ones) for p, q, name, index in skeleton.below] == [
+        (1, 0, (1,), 1), (2, 1, (1, 1), 1), (3, 2, (1, 1, 1), 1), (4, 1, (1, 2), 2), (5, 0, (2,), 2)]
+    assert (skeleton.slots, skeleton.fresh, skeleton.node_count) == ([0, 1, 2], [5, 4, 3], 3)
+    assert skeleton_fresh(engine, engine.initial_tree()) == ((1,),)
+    assert skeleton_fresh(engine, HistoryTree(())) == ()
 
 
 @pytest.mark.parametrize("strict", [False, True])
@@ -519,12 +551,52 @@ def test_census_matches_the_per_step_definition(strict, all_fixtures, corpus_sam
         for t in trees:
             for symbol in a.alphabet:
                 spawned = set(engine.successor_trace(t, symbol).spawned)
-                assert spawned == t.names | set(t.fresh), name
+                assert spawned == t.names | set(fresh_children(t)), name
                 off_table |= {x for x in spawned if height(x) >= len(a.states)}
         for mode in ("canonical", "baseline"):
             for d in (engine.build_drtw(mode), engine.build_drw(mode)):
                 assert d.stats.off_table_intermediate_names == len(off_table), (name, mode)
                 assert d.stats.max_tree_nodes == max(t.node_count for t in trees), (name, mode)
+
+
+def _census_inputs(all_fixtures):
+    named = list(all_fixtures.items()) + [(f"random:{i}", a) for i, a in enumerate(default_corpus())]
+    for m in (4, 5):
+        path = Path(__file__).parent / "fixtures" / f"michel{m}.hoa"
+        named.append((path.stem, parse_nbw(path.read_text(encoding="utf-8"))))
+    return named
+
+
+def test_skeleton_census_equals_the_per_tree_formula(all_fixtures):
+    """The census read off the distinct skeletons equals the per-tree
+    formula on the fixtures, the whole corpus and Michel m=4 and m=5, and
+    for the partial census of every prefix of a graph's trees."""
+    for name, a in _census_inputs(all_fixtures):
+        engine = Determinizer(a)
+        graph = engine._graph
+        n = len(a.states)
+        assert [engine._shape(t) for t in graph.trees] == graph.shapes, name
+        assert engine._graph_census == per_tree_census(graph.trees, n), name
+        for count in {1, 2, len(graph.trees) // 2, len(graph.trees)}:
+            if count:
+                assert engine._census(graph.shapes[:count]) == per_tree_census(graph.trees[:count], n), (name, count)
+
+
+def test_one_skeleton_per_shape(all_fixtures):
+    """An engine builds one skeleton per distinct name tuple it steps: 6 for
+    the 2,163 trees of Michel m=5, however many builds it makes."""
+    michel5 = parse_nbw((Path(__file__).parent / "fixtures" / "michel5.hoa").read_text(encoding="utf-8"))
+    engine = Determinizer(michel5)
+    engine.build_drtw()
+    engine.build_drw("baseline")
+    trees = engine._graph.trees
+    assert (len(trees), len(engine._skeletons), len({id(s) for s in engine._graph.shapes})) == (2163, 6, 6)
+    assert set(engine._skeletons) == {tuple(name for name, _ in t.entries) for t in trees}
+    for a in all_fixtures.values():
+        engine = Determinizer(a)
+        engine.build_drtw()
+        shapes = {tuple(name for name, _ in t.entries) for t in engine._graph.trees}
+        assert set(engine._skeletons) == shapes
 
 
 def test_one_census_walk_serves_every_build(monkeypatch, all_fixtures):

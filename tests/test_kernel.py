@@ -9,6 +9,8 @@ reachable (tree, letter)."""
 from pathlib import Path
 from typing import Dict
 
+import dataclasses
+
 import pytest
 
 from histree.automata import NBW, TransitionAnnotation, image
@@ -183,3 +185,40 @@ def test_trace_equality_needs_every_field(e1_nbw):
     assert engine.successor_trace(t0, "a") != engine.successor_trace(t1, "a")
     assert engine.successor_trace(t1, "a") == Determinizer(e1_nbw).successor_trace(t1, "a")
     assert engine.successor_trace(t1, "a") != "not a trace"
+
+
+def test_shared_skeletons_leak_no_labels(all_fixtures, corpus_sample):
+    """Trees of one shape share a skeleton but not their labels: stepping
+    two trees of one shape with different labels, then a tree of another
+    shape, then the first tree again, each on every letter, gives the
+    reference step every time."""
+    checked = 0
+    for name, a in _differential_inputs(all_fixtures, corpus_sample):
+        by_shape = {}
+        for t in Determinizer(a).build_drtw().payloads:
+            by_shape.setdefault(tuple(n for n, _ in t.entries), []).append(t)
+        engine = Determinizer(a)
+        for shape, trees in by_shape.items():
+            others = [ts[0] for other, ts in by_shape.items() if other != shape]
+            if len(trees) < 2 or not others:
+                continue
+            first, second, other = trees[0], trees[1], others[0]
+            for t in (first, second, other, first):
+                for symbol in a.alphabet:
+                    trace = engine.successor_trace(t, symbol)
+                    _assert_matches(trace, reference_step(a, t, symbol, False), (name, t, symbol))
+            shared = [engine.successor_trace(t, a.alphabet[0]).phases.skeleton for t in (first, second, other)]
+            assert shared[0] is shared[1] and shared[0] is not shared[2], name
+            checked += 1
+    assert checked >= 50
+
+
+def test_step_trace_fields_are_read_only(e1_nbw):
+    trace = Determinizer(e1_nbw).successor_trace(Determinizer(e1_nbw).initial_tree(), "a")
+    for f in ("symbol", "result", "marks", "phases", "lane"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(trace, f, None)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del trace.symbol
+    assert trace == Determinizer(e1_nbw).successor_trace(Determinizer(e1_nbw).initial_tree(), "a")
+    assert "symbol='a'" in repr(trace)
