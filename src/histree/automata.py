@@ -5,7 +5,11 @@ All values are immutable after construction and safe to share between
 threads.  Symbols and Buchi states are opaque strings; states of the
 deterministic outputs are dense integers indexing a payload table.  A set
 of Buchi states is an int mask whose bit i stands for `NBW.states[i]`; the
-NBW owns that encoding and its per-symbol successor rows.
+NBW owns that encoding and its per-symbol successor rows.  A deterministic
+Rabin automaton's transitions are int rows too: per letter, each state's
+successor, and mark numbers on its edges or states.  A build has many
+edges but few distinct marks, so each mark's annotation and acceptance
+signature is held once.
 """
 
 from __future__ import annotations
@@ -135,15 +139,14 @@ def validate_nbw(a: NBW) -> List[str]:
 @dataclass(frozen=True)
 class RabinPairSet:
     """A Rabin condition over transitions or states.  Pair i has index
-    `indices[i]`.  `signatures` maps each mark target, an edge
-    (state id, symbol) or a state id, to its acceptance sets as an int:
-    bit 2i is set when the target is in pair i's rejecting (Fin) set, bit
-    2i+1 when it is in pair i's accepting (Inf) set.  A target in no set
-    has no entry."""
+    `indices[i]`.  `signatures[m]` holds the acceptance sets of every edge
+    or state carrying mark number m, as an int: bit 2i is set when it is
+    in pair i's rejecting (Fin) set, bit 2i+1 when it is in pair i's
+    accepting (Inf) set."""
 
     kind: str  # "transition" | "state"
     indices: Tuple[PairIndex, ...]
-    signatures: Mapping[Hashable, int]
+    signatures: Tuple[int, ...]
 
     def __post_init__(self):
         if self.kind not in ("transition", "state"):
@@ -151,7 +154,7 @@ class RabinPairSet:
         if len(set(self.indices)) != len(self.indices):
             raise InputError("duplicate Rabin pair indices")
         sets = 2 * len(self.indices)
-        if any(not 0 <= signature < 1 << sets for signature in set(self.signatures.values())):
+        if any(not 0 <= signature < 1 << sets for signature in set(self.signatures)):
             raise InputError(f"acceptance set out of range for {len(self.indices)} pairs (sets below {sets})")
 
 
@@ -201,8 +204,6 @@ class TransitionAnnotation:
 
 EMPTY_ANNOTATION = TransitionAnnotation()
 
-Edge = Tuple[int, TransitionAnnotation]  # (target state, annotation)
-
 
 @dataclass(frozen=True)
 class BuildStats:
@@ -231,15 +232,22 @@ class BuildStats:
 @dataclass(frozen=True)
 class _Rabin:
     """A deterministic Rabin automaton.  States are dense integers;
-    `payloads[i]` carries the tree behind state i.  The transition map is
-    total over states x alphabet, and every edge targets a state.  Each
+    `payloads[i]` carries the tree behind state i.  `targets[j][i]` is
+    state i's successor on `alphabet[j]`, so the transition function is
+    total and every edge targets a state.  Marks are numbers:
+    `annotations[m]` holds mark m's node marks and
+    `acceptance.signatures[m]` its acceptance sets.  A DRTW has a mark row
+    per letter, `marks[j][i]` marking state i's edge on letter j; a DRW has
+    one row, `marks[0][i]` marking state i, its incoming mark.  Each
     subclass names the acceptance kind it takes, so a DRTW never equals a
     DRW."""
 
     payloads: Tuple[object, ...]
     alphabet: Tuple[Symbol, ...]
     initial: int
-    transitions: Mapping[Tuple[int, Symbol], Edge]
+    targets: Tuple[Tuple[int, ...], ...]
+    marks: Tuple[Tuple[int, ...], ...]
+    annotations: Tuple[TransitionAnnotation, ...]
     acceptance: RabinPairSet
     stats: BuildStats = field(compare=False, default=None)
     table: object = field(compare=False, default=None)  # identifiers shown in state labels
@@ -250,45 +258,14 @@ class _Rabin:
         n = len(self.payloads)
         if not 0 <= self.initial < n:
             raise InputError(f"initial state {self.initial} out of range")
-        for i in range(n):
-            for sym in self.alphabet:
-                edge = self.transitions.get((i, sym))
-                if edge is None:
-                    raise InputError(f"transition map not total: missing ({i},{sym})")
-                if not 0 <= edge[0] < n:
-                    raise InputError(
-                        f"transition ({i},{sym}) targets state {edge[0]}, out of range"
-                    )
-        # With every edge present, a key count beyond the edges is a key
-        # outside states x alphabet, so the keys are exactly the edges.
-        if len(self.transitions) != n * len(set(self.alphabet)):
-            raise InputError("transition map has keys outside states x alphabet")
         if self.acceptance.kind != self.acceptance_kind:
             raise InputError(f"{type(self).__name__} acceptance must be {self.acceptance_kind} based")
-        # Every signature sits on an edge (state, symbol) or on a state.
         on_edges = self.acceptance_kind == "transition"
-        targets = self.transitions.keys() if on_edges else range(n)
-        for key in self.acceptance.signatures:
-            if key not in targets:
-                raise InputError(f"acceptance signature on {key!r}, not "
-                                 f"{'an edge' if on_edges else 'a state'} of the automaton")
-
-    @cached_property
-    def letter_rows(self) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
-        """Per letter, in alphabet order, each state's step as (successor,
-        signature): the signature read on that step is the edge's for
-        transition acceptance and the successor's for state acceptance.
-        The same walk as `transitions` and `acceptance`, indexed by ints."""
-        on_edges = self.acceptance.kind == "transition"
-        signatures = self.acceptance.signatures
-        rows = []
-        for sym in self.alphabet:
-            row = []
-            for i in range(len(self.payloads)):
-                nxt = self.transitions[(i, sym)][0]
-                row.append((nxt, signatures.get((i, sym) if on_edges else nxt, 0)))
-            rows.append(tuple(row))
-        return tuple(rows)
+        _check_rows("target", self.targets, self.alphabet, n, n)
+        _check_rows("mark", self.marks, self.alphabet if on_edges else ("incoming",), n, len(self.annotations))
+        if len(self.acceptance.signatures) != len(self.annotations):
+            raise InputError(f"{len(self.acceptance.signatures)} acceptance signatures "
+                             f"for {len(self.annotations)} marks")
 
     def state_labels(self) -> List[str]:
         """Every state as HOA names and DOT labels show it: its payload
@@ -300,6 +277,22 @@ class _Rabin:
             payload.render(self.table, texts) if hasattr(payload, "render") else str(payload)
             for payload in self.payloads
         ]
+
+
+def _check_rows(what: str, rows, names: Sequence[str], n: int, bound: int) -> None:
+    """Refuse unless `rows` holds one row per name (a letter, or the DRW's
+    one mark row), each with one entry per state, every entry in
+    range(bound)."""
+    if len(rows) != len(names):
+        raise InputError(f"{len(rows)} {what} rows, expected {len(names)}")
+    for row, name in zip(rows, names):
+        if len(row) != n:
+            raise InputError(f"{what} row {name!r} has {len(row)} entries for {n} states")
+        low, high = min(row), max(row)
+        if low < 0 or high >= bound:
+            bad = low if low < 0 else high
+            raise InputError(f"transition on {name!r} targets state {bad}, out of range" if what == "target"
+                             else f"mark number {bad} in row {name!r}, out of range for {bound} marks")
 
 
 class DRTW(_Rabin):

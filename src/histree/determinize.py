@@ -57,8 +57,9 @@ malformed tree raises InputError instead of a wrong successor.  Past the
 step every table is keyed on ints: the exploration numbers its trees and
 marks in discovery order, a build relabels each distinct mark once and
 gives equal relabeled marks one number, a DRW state is a (tree id, mark
-number) pair, and pair assembly reads each distinct annotation once, a
-pair's sets being unions of the keys that share one.
+number) pair, and the automaton's edges are the graph's edges sliced into
+per-letter rows of target and mark numbers.  Pair assembly computes one
+acceptance signature per mark number.
 
 The marks name nodes, and one exploration of the tree graph serves every
 build.  The exploration only discovers trees and edges, noting each
@@ -78,14 +79,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import product
-from typing import Dict, FrozenSet, Hashable, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .automata import (
     DRTW,
     DRW,
     BuildStats,
-    Edge,
     NBW,
     RabinPairSet,
     Symbol,
@@ -471,13 +470,16 @@ def _check_mode(mode: str) -> None:
 
 class _Graph(NamedTuple):
     """The reachable tree graph of one engine, with name-indexed marks.
-    Edges come in (tree id, letter) order, each as (target tree id, mark
-    number); `marks` holds the engine's annotation of each number, and
-    `shapes` each tree's skeleton."""
+    Edges come in (tree id, letter) order, so tree t's edge on the j-th
+    letter is edge t * k + j of k letters: `targets[e]` is edge e's target
+    tree id and `marks[e]` its mark number.  `annotations` holds the
+    engine's annotation of each mark number, and `shapes` each tree's
+    skeleton."""
 
     trees: Tuple[HistoryTree, ...]
-    edges: List[Tuple[int, int]]
-    marks: List[TransitionAnnotation]
+    targets: List[int]
+    marks: List[int]
+    annotations: List[TransitionAnnotation]
     shapes: List[_Skeleton]
 
 
@@ -601,8 +603,9 @@ class Determinizer:
         trees = [start]
         shapes: List[_Skeleton] = []
         index = {id(start): 0}  # id of an engine tree -> its number
-        edges: List[Tuple[int, int]] = []
-        marks: List[TransitionAnnotation] = []
+        targets: List[int] = []
+        marks: List[int] = []
+        annotations: List[TransitionAnnotation] = []
         numbers: Dict[int, int] = {}  # id of an engine annotation -> its number
         step, alphabet = self.successor_trace, self.nbw.alphabet
         for tree in trees:
@@ -613,18 +616,19 @@ class Determinizer:
                 if tid is None:
                     if len(trees) >= self.max_states:
                         # The census covers the trees stepped so far, this one included.
-                        partial = self._stats(self.mode, len(trees), len(edges), 0,
+                        partial = self._stats(self.mode, len(trees), len(targets), 0,
                                               self._census(shapes + [self._shape(tree)]))
                         raise CapacityError(f"state limit {self.max_states} exceeded", partial=partial)
                     tid = index[id(result)] = len(trees)
                     trees.append(result)
                 mid = numbers.get(id(trace.marks))
                 if mid is None:
-                    mid = numbers[id(trace.marks)] = len(marks)
-                    marks.append(trace.marks)
-                edges.append((tid, mid))
+                    mid = numbers[id(trace.marks)] = len(annotations)
+                    annotations.append(trace.marks)
+                targets.append(tid)
+                marks.append(mid)
             shapes.append(self._shape(tree))
-        return _Graph(tuple(trees), edges, marks, shapes)
+        return _Graph(tuple(trees), targets, marks, annotations, shapes)
 
     def _census(self, shapes: Sequence[_Skeleton]) -> Tuple[int, int]:
         """The largest tree and the number of off-table names among the
@@ -646,111 +650,92 @@ class Determinizer:
         return BuildStats(mode, self.strict_marks, states, transitions, pairs,
                           max_tree_nodes=largest, off_table_intermediate_names=off_table)
 
-    def _automaton(self, cls, mode, table, payloads, transitions, acceptance):
+    def _automaton(self, cls, mode, table, payloads, targets, marks, annotations, acceptance):
         """The one tail of both builds: the census and the automaton."""
-        stats = self._stats(mode, len(payloads), len(transitions), len(acceptance.indices), self._graph_census)
-        return cls(
-            payloads=tuple(payloads),
-            alphabet=self.nbw.alphabet,
-            initial=0,
-            transitions=transitions,
-            acceptance=acceptance,
-            stats=stats,
-            table=table,
-        )
-
-    def _transitions(self, edges: List[Edge]) -> Dict[Tuple[int, Symbol], Edge]:
-        """The transition map whose state sid has edge edges[sid * k + j]
-        on the j-th letter."""
-        alphabet = self.nbw.alphabet
-        return dict(zip(product(range(len(edges) // max(len(alphabet), 1)), alphabet), edges))
+        stats = self._stats(mode, len(payloads), len(payloads) * len(self.nbw.alphabet), len(acceptance.indices),
+                            self._graph_census)
+        return cls(tuple(payloads), self.nbw.alphabet, 0, targets, marks, annotations, acceptance, stats, table)
 
     def _relabeled(self, mode: Optional[str]):
         """A build's mode (default: the engine's), the table that indexes
-        its pairs (None for node names), each graph mark's number among the
+        its pairs (None for node names), each graph edge's number among the
         relabeled marks, and those marks numbered in first-seen order.
         Relabeling is done once per graph mark, and relabeled marks that
         are equal get one number and one annotation."""
         mode = mode or self.mode
         table = self._table_for(mode)
         numbers: Dict[TransitionAnnotation, int] = {}
-        renumber = [numbers.setdefault(relabel(marks, table), len(numbers)) for marks in self._graph.marks]
-        return mode, table, renumber, numbers
+        renumber = [numbers.setdefault(relabel(marks, table), len(numbers)) for marks in self._graph.annotations]
+        return mode, table, list(map(renumber.__getitem__, self._graph.marks)), numbers
 
     def build_drtw(self, mode: Optional[str] = None) -> DRTW:
-        """The DRTW with pairs indexed as `mode` (default: the engine's)."""
-        mode, table, renumber, numbers = self._relabeled(mode)
-        marks = list(numbers)
-        relabeled = [marks[number] for number in renumber]
-        transitions = self._transitions([(tid, relabeled[mid]) for tid, mid in self._graph.edges])
-        acceptance = assemble_pairs(transitions, strict_marks=self.strict_marks)
-        return self._automaton(DRTW, mode, table, self._graph.trees, transitions, acceptance)
+        """The DRTW with pairs indexed as `mode` (default: the engine's):
+        the graph's edges, sliced into one target and one mark row per
+        letter."""
+        mode, table, edge_marks, numbers = self._relabeled(mode)
+        graph, k = self._graph, len(self.nbw.alphabet)
+        targets = tuple(tuple(graph.targets[j::k]) for j in range(k))
+        marks = tuple(tuple(edge_marks[j::k]) for j in range(k))
+        annotations = tuple(numbers)
+        acceptance = assemble_pairs(annotations, strict_marks=self.strict_marks)
+        return self._automaton(DRTW, mode, table, graph.trees, targets, marks, annotations, acceptance)
 
     def build_drw(self, mode: Optional[str] = None) -> DRW:
-        """Split each tree of the DRTW by the annotation of the edge that
-        entered it.  A DRW state is a (tree id, mark number) pair whose edge
-        on a symbol is its tree's edge on that symbol, so the states are
-        the start state and then the distinct edge targets in edge order
-        (tree id, then alphabet): breadth-first order, with no successor
-        computed and no second walk."""
-        mode, table, renumber, numbers = self._relabeled(mode)
-        trees, tree_edges = self._graph.trees, self._graph.edges
+        """Split each tree of the DRTW by the mark of the edge that entered
+        it.  A DRW state is a (tree id, mark number) pair whose edge on a
+        symbol is its tree's edge on that symbol, so the states are the
+        start state and then the distinct edge targets in edge order (tree
+        id, then alphabet): breadth-first order, with no successor computed
+        and no second walk.  A state's one mark is the one that entered it."""
+        mode, table, edge_marks, numbers = self._relabeled(mode)
+        graph, k = self._graph, len(self.nbw.alphabet)
+        trees = graph.trees
         # Nodes of the initial tree count as stably present at time zero,
         # so re-entering the same tree through a quiet transition merges
         # with the start state.
         start_marks = relabel(TransitionAnnotation(stable=trees[0].names), table)
         start = (0, numbers.setdefault(start_marks, len(numbers)))
-        marks = list(numbers)
-        split = [(tid, renumber[mid]) for tid, mid in tree_edges]
+        split = list(zip(graph.targets, edge_marks))
         states = list(dict.fromkeys([start, *split]))
         if len(states) > self.max_states:
             partial = self._stats(mode, self.max_states, 0, 0, self._graph_census)
             raise CapacityError(f"state limit {self.max_states} exceeded", partial=partial)
         index = {state: sid for sid, state in enumerate(states)}
-        targets = [(index[state], marks[state[1]]) for state in split]
-        k = len(self.nbw.alphabet)
-        edges: List[Edge] = []
-        for tid, _ in states:
-            edges += targets[tid * k : tid * k + k]
-        acceptance = assemble_state_pairs([marks[mid] for _, mid in states], strict_marks=self.strict_marks)
-        payloads = [EnrichedHistoryTree(trees[tid], marks[mid]) for tid, mid in states]
-        return self._automaton(DRW, mode, table, payloads, self._transitions(edges), acceptance)
+        entered = [index[state] for state in split]  # per graph edge, the DRW state it enters
+        targets = tuple(tuple([entered[tid * k + j] for tid, _ in states]) for j in range(k))
+        marks = (tuple([mid for _, mid in states]),)
+        annotations = tuple(numbers)
+        acceptance = assemble_state_pairs(annotations, strict_marks=self.strict_marks)
+        payloads = [EnrichedHistoryTree(trees[tid], annotations[mid]) for tid, mid in states]
+        return self._automaton(DRW, mode, table, payloads, targets, marks, annotations, acceptance)
 
 
 # -- pair assembly ----------------------------------------------------------
 
 
-def _assemble(kind: str, keys: Iterable[Hashable], marks: Sequence[TransitionAnnotation],
-              strict_marks: bool) -> RabinPairSet:
-    """The Rabin condition over `keys`, the i-th carrying the i-th of
-    `marks`: one pair per index that some key marks accepting; see
-    assemble_pairs for the rejecting rule.  Each distinct annotation
-    object's signature is computed once however many keys share it."""
-    distinct = {id(ann): ann for ann in marks}
-    indices = tuple(sorted({idx for ann in distinct.values() for idx in ann.accepting}))
-    signature_of: Dict[int, int] = {}
-    for ident, ann in distinct.items():
+def _assemble(kind: str, annotations: Sequence[TransitionAnnotation], strict_marks: bool) -> RabinPairSet:
+    """The Rabin condition whose mark m carries `annotations[m]`: one pair
+    per index that some mark marks accepting, and one signature per mark;
+    see assemble_pairs for the rejecting rule."""
+    indices = tuple(sorted({idx for ann in annotations for idx in ann.accepting}))
+    signatures = []
+    for ann in annotations:
         signature = 0
         for i, idx in enumerate(indices):
             if idx in ann.accepting:
                 signature |= 2 << 2 * i
             # Strict marks reject only where idx is unstable; otherwise every
-            # key but those stably carrying idx without marking it unstable.
+            # mark but those stably carrying idx without marking it unstable.
             if idx in ann.unstable or (not strict_marks and idx not in ann.stable):
                 signature |= 1 << 2 * i
-        signature_of[ident] = signature
-    signatures = {key: signature_of[id(ann)] for key, ann in zip(keys, marks) if signature_of[id(ann)]}
-    return RabinPairSet(kind, indices, signatures)
+        signatures.append(signature)
+    return RabinPairSet(kind, indices, tuple(signatures))
 
 
-def assemble_pairs(
-    transitions: Mapping[Tuple[int, Symbol], Edge],
-    *,
-    strict_marks: bool = False,
-) -> RabinPairSet:
-    """The Rabin condition over transitions: one pair per index that is
-    marked accepting on some transition, read off each transition's
-    signature.
+def assemble_pairs(annotations: Sequence[TransitionAnnotation], *, strict_marks: bool = False) -> RabinPairSet:
+    """The Rabin condition over transitions whose mark m carries
+    `annotations[m]`: one pair per index that some mark marks accepting,
+    and each mark's signature.
 
     A pair's accepting set holds the transitions marked accepting at that
     index.  Its rejecting set holds the transitions marked unstable there
@@ -758,17 +743,13 @@ def assemble_pairs(
     node carries the index: a node that vanished, or re-entered the tree
     only by renaming, cannot witness progress.
     """
-    return _assemble("transition", transitions, [ann for _, ann in transitions.values()], strict_marks)
+    return _assemble("transition", annotations, strict_marks)
 
 
-def assemble_state_pairs(
-    incoming: Sequence[TransitionAnnotation],
-    *,
-    strict_marks: bool = False,
-) -> RabinPairSet:
-    """State-based variant: marks and stable carriers are read off each
-    state's incoming annotation."""
-    return _assemble("state", range(len(incoming)), incoming, strict_marks)
+def assemble_state_pairs(annotations: Sequence[TransitionAnnotation], *, strict_marks: bool = False) -> RabinPairSet:
+    """State-based variant: mark m is the incoming annotation
+    `annotations[m]` of the states that carry it."""
+    return _assemble("state", annotations, strict_marks)
 
 
 # -- validation --------------------------------------------------------------

@@ -68,9 +68,12 @@ def _rabin_dot(d: Union[DRTW, DRW]) -> str:
         lines.append(f"  n{sid} [label={_q(label)} shape=box{style}];")
     lines.append("  init [shape=point];")
     lines.append(f"  init -> n{d.initial};")
+    # A DRTW edge shows its own mark's annotation, a DRW edge its target's.
+    on_edges = d.acceptance.kind == "transition"
     for sid in range(len(d.payloads)):
-        for sym in d.alphabet:
-            dst, ann = d.transitions[(sid, sym)]
+        for j, sym in enumerate(d.alphabet):
+            dst = d.targets[j][sid]
+            ann = d.annotations[d.marks[j][sid] if on_edges else d.marks[0][dst]]
             label = sym if ann.empty else f"{sym} {_marks(ann)}"
             lines.append(f"  n{sid} -> n{dst} [label={_q(label)}];")
     lines.append("}")

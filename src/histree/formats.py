@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .automata import (
     DRTW,
@@ -415,27 +415,29 @@ def emit_rabin(d: Union[DRTW, DRW]) -> str:
     lines = _hoa_preamble(len(d.payloads), [d.initial], d.alphabet)
     lines += [f"acc-name: Rabin {pair_count}", _rabin_acceptance_line(pair_count)]
     lines.append("properties: deterministic " + ("trans-acc" if on_transitions else "state-acc"))
-    # A target's signature has bit s set for each acceptance set s it is
-    # in; each distinct signature's text is rendered once.
-    signatures = d.acceptance.signatures
-    texts = {sig: " {" + " ".join(map(str, bits(sig))) + "}" for sig in set(signatures.values())}
-    texts[0] = ""
+    # A mark's signature has bit s set for each acceptance set s it is in;
+    # each mark's text is rendered once.
+    texts = [" {" + " ".join(map(str, bits(sig))) + "}" if sig else "" for sig in d.acceptance.signatures]
 
     lines.append("--BODY--")
-    letters = [(sym, f"[@s{k}] ") for k, sym in enumerate(d.alphabet)]
-    transitions = d.transitions
+    letters = [f"[@s{k}] " for k in range(len(d.alphabet))]
+    targets, marks = d.targets, d.marks
     for sid, label in enumerate(d.state_labels()):
-        lines.append(f"State: {sid} {_quote(label)}{'' if on_transitions else texts[signatures.get(sid, 0)]}")
-        for sym, letter in letters:
-            key = (sid, sym)
-            lines.append(f"{letter}{transitions[key][0]}{texts[signatures.get(key, 0)] if on_transitions else ''}")
+        if on_transitions:
+            lines.append(f"State: {sid} {_quote(label)}")
+            lines += [f"{letter}{row[sid]}{texts[marked[sid]]}" for letter, row, marked in zip(letters, targets, marks)]
+        else:
+            lines.append(f"State: {sid} {_quote(label)}{texts[marks[0][sid]]}")
+            lines += [f"{letter}{row[sid]}" for letter, row in zip(letters, targets)]
     lines.append("--END--")
     return "\n".join(lines) + "\n"
 
 
 def parse_rabin(text: str) -> Union[DRTW, DRW]:
     """Read back a Rabin document we emitted; payloads become the state
-    label strings.  Used to show the format carries full acceptance."""
+    label strings.  Used to show the format carries full acceptance.
+    Marks are numbered by distinct signature in first-seen order, each
+    with the empty annotation."""
     doc = _parse_hoa_document(text)
     if not doc.acc_name or doc.acc_name[0].value != "Rabin":
         raise UnsupportedAcceptanceError(f"expected Rabin acceptance, got {_acc_tokens_text(doc.acc_name)!r}")
@@ -449,35 +451,39 @@ def parse_rabin(text: str) -> Union[DRTW, DRW]:
     alphabet = _alphabet(doc)
     on_transitions = "state-acc" not in doc.properties
     payloads = _state_labels(doc)
-    transitions = {}
-    marked: List[Tuple[Hashable, Tuple[int, ...]]] = []
+    numbers: Dict[int, int] = {}  # signature -> mark number
+
+    def mark(sets: Tuple[int, ...]) -> int:
+        # RabinPairSet refuses a set number past the pairs; clamping to the
+        # first such number keeps a huge one from building a huge int.
+        return numbers.setdefault(sum({1 << min(s, 2 * pair_count) for s in sets}), len(numbers))
+
+    # One mark row per letter on a trans-acc document, one for the states
+    # on a state-acc document.
+    targets = [[-1] * len(payloads) for _ in alphabet]
+    marks = [[0] * len(payloads) for _ in range(len(alphabet) if on_transitions else 1)]
     for src, edge_list in doc.edges.items():
         for sym_index, dst, sig in edge_list:
-            sym = alphabet[sym_index]
-            if (src, sym) in transitions:
-                raise InputError(f"duplicate edge for state {src} symbol {sym!r}")
-            transitions[(src, sym)] = (dst, EMPTY_ANNOTATION)
-            if sig and not on_transitions:
+            if targets[sym_index][src] >= 0:
+                raise InputError(f"duplicate edge for state {src} symbol {alphabet[sym_index]!r}")
+            targets[sym_index][src] = dst
+            if on_transitions:
+                marks[sym_index][src] = mark(sig)
+            elif sig:
                 raise UnsupportedAcceptanceError(f"state {src}: edge acceptance in a state-acc document")
-            marked.append(((src, sym), sig))
     for num, _, sig in doc.states:
-        if sig and on_transitions:
+        if not on_transitions:
+            marks[0][num] = mark(sig)
+        elif sig:
             raise UnsupportedAcceptanceError(f"state {num}: state acceptance in a trans-acc document")
-        marked.append((num, sig))
-    # RabinPairSet refuses a set number past the pairs; clamping to the
-    # first such number keeps a huge one from building a huge int.
-    signatures: Dict[Hashable, int] = {}
-    for target, sets in marked:
-        for s in sets:
-            signatures[target] = signatures.get(target, 0) | 1 << min(s, 2 * pair_count)
     cls = DRTW if on_transitions else DRW
-    return cls(
-        payloads=tuple(payloads),
-        alphabet=alphabet,
-        initial=int(doc.start[0].value),
-        transitions=transitions,
-        acceptance=RabinPairSet(cls.acceptance_kind, tuple(range(pair_count)), signatures),
-    )
+    acceptance = RabinPairSet(cls.acceptance_kind, tuple(range(pair_count)), tuple(numbers))
+    missing = [(row.index(-1), j) for j, row in enumerate(targets) if -1 in row]
+    if missing:
+        src, j = min(missing)
+        raise InputError(f"missing edge for state {src} symbol {alphabet[j]!r}")
+    return cls(tuple(payloads), alphabet, int(doc.start[0].value), tuple(map(tuple, targets)),
+               tuple(map(tuple, marks)), (EMPTY_ANNOTATION,) * len(numbers), acceptance)
 
 
 def _check_rabin_acceptance(acceptance: Optional[List[_Token]], pair_count: int) -> None:

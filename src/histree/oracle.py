@@ -24,9 +24,9 @@ What the scan derives from one automaton alone is kept on that automaton
 object, as its cached properties are, and goes when it goes; nothing is
 kept at module level or keyed by value.  The NBW keeps each period's
 accepting states, for the longest period bound asked of it so far, so the
-three targets of one `histree verify` job compute them once.  The
-deterministic automaton keeps `letter_rows`, its steps as per-letter int
-rows, which the loop walks read in place of the (state, symbol) map.
+three targets of one `histree verify` job compute them once.  The walks
+of the deterministic automaton read its per-letter target and mark rows
+and its per-mark signatures in place.
 """
 
 from __future__ import annotations
@@ -132,22 +132,29 @@ def nbw_lasso_member(a: NBW, w: LassoWord) -> bool:
     return bool(after_prefix & _accepting_states(word_profile(a, w.period)))
 
 
-def _loop_accepts(
-    rows: Sequence[Sequence[Tuple[int, int]]], state: int, period: Sequence[int]
-) -> bool:
-    """Whether period^omega read from `state` is accepted, over a
-    deterministic automaton's `letter_rows` and a period of letter
-    indices: iterate the period until a period-boundary state repeats,
-    then evaluate the Rabin pairs on the OR of the signatures seen inside
-    the detected loop."""
+def _mark_rows(d: Union[DRTW, DRW]) -> Sequence[Sequence[int]]:
+    """Per letter, the mark a loop walk reads on each state's step: the
+    edge's on a DRTW.  A DRW marks states, and a step reads the entered
+    state's mark; but a closed loop enters the same states it leaves, so
+    the OR of a loop's signatures is the same read off the states it
+    leaves, and the DRW's one mark row serves every letter, with no copy."""
+    return d.marks if d.acceptance.kind == "transition" else d.marks * len(d.alphabet)
+
+
+def _loop_accepts(d: Union[DRTW, DRW], marks: Sequence[Sequence[int]], state: int, period: Sequence[int]) -> bool:
+    """Whether period^omega read from `state` is accepted, over d's target
+    rows, its `_mark_rows` and a period of letter indices: iterate the
+    period until a period-boundary state repeats, then evaluate the Rabin
+    pairs on the OR of the signatures seen inside the detected loop."""
+    targets, signatures = d.targets, d.acceptance.signatures
     seen: Dict[int, int] = {state: 0}
     lap_signatures: List[int] = []
     # A row has one entry per state, so a boundary state repeats within that many laps plus one.
-    for lap in range(len(rows[0]) + 1):
+    for lap in range(len(targets[0]) + 1):
         signature = 0
         for k in period:
-            state, step = rows[k][state]
-            signature |= step
+            signature |= signatures[marks[k][state]]
+            state = targets[k][state]
         lap_signatures.append(signature)
         if state in seen:
             for earlier in lap_signatures[seen[state]:]:
@@ -164,11 +171,10 @@ def det_lasso_member(d: Union[DRTW, DRW], w: LassoWord) -> bool:
     for sym in w.prefix + w.period:
         if sym not in letter:
             raise InputError(f"symbol {sym!r} not in alphabet")
-    rows = d.letter_rows
     state = d.initial
     for sym in w.prefix:
-        state = rows[letter[sym]][state][0]
-    return _loop_accepts(rows, state, [letter[sym] for sym in w.period])
+        state = d.targets[letter[sym]][state]
+    return _loop_accepts(d, _mark_rows(d), state, [letter[sym] for sym in w.period])
 
 
 @dataclass(frozen=True)
@@ -311,7 +317,7 @@ def bounded_equiv(a: NBW, d: Union[DRTW, DRW], max_u: int, max_v: int) -> EquivR
     letters = range(len(a.alphabet))
     periods = list(zip(_periods(letters, max_v), accepting))
     nbw_rows = [a.rows[sym] for sym in a.alphabet]
-    rows = d.letter_rows
+    marks, targets = _mark_rows(d), d.targets
     seen: Set[Tuple[int, int]] = set()
     evaluated = 0
     level = [((), a.mask(a.initial), d.initial)]
@@ -324,7 +330,7 @@ def bounded_equiv(a: NBW, d: Union[DRTW, DRW], max_u: int, max_v: int) -> EquivR
             for i, (period, accepts) in enumerate(periods):
                 evaluated += 1
                 expected = bool(states & accepts)
-                got = _loop_accepts(rows, state, period)
+                got = _loop_accepts(d, marks, state, period)
                 if expected != got:
                     return EquivReport(
                         _shortlex_rank(prefix, len(a.alphabet)) * len(periods) + i + 1,
@@ -339,7 +345,7 @@ def bounded_equiv(a: NBW, d: Union[DRTW, DRW], max_u: int, max_v: int) -> EquivR
                     )
             if u_len < max_u:
                 extended.extend(
-                    (prefix + (k,), image(states, nbw_rows[k]), rows[k][state][0]) for k in letters
+                    (prefix + (k,), image(states, nbw_rows[k]), targets[k][state]) for k in letters
                 )
         level = extended
     return EquivReport(total, None, time.monotonic() - start, evaluated)

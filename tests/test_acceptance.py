@@ -22,6 +22,7 @@ from histree.oracle import (
     verify_identifier_bounds,
 )
 from histree.trees import Identifier, IdentifierTable, can_co_occur, full_tree
+from rabin_edges import edge_map, signature_map
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures"
 ARTIFACT_DIR = Path(__file__).parent.parent / ".artifacts"
@@ -290,8 +291,8 @@ def test_criterion_7_micro_example_exactness():
     drtw = engine.build_drtw()
     assert len(drtw.payloads) == 2
     assert drtw.acceptance.indices == (Identifier(1, 1),)
-    assert drtw.acceptance.signatures == {(1, "a"): 0b10}
-    assert drtw.transitions[(1, "a")][1].accepting == {Identifier(1, 1)}
+    assert signature_map(drtw) == {(1, "a"): 0b10}
+    assert edge_map(drtw)[(1, "a")][1].accepting == {Identifier(1, 1)}
     drw = engine.build_drw()
     assert len(drw.payloads) == 3
 

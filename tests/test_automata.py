@@ -13,9 +13,8 @@ from histree.automata import (
     rabin_accepts,
     validate_nbw,
 )
-from histree.determinize import Determinizer
 from histree.errors import InputError
-from histree.fixtures import fixtures
+from rabin_edges import signature_map
 
 
 def test_validate_rejects_undeclared_transition_state(e1_nbw):
@@ -102,9 +101,10 @@ def _loop_signature(signatures, inf):
 
 
 def test_rabin_accepts_examples():
-    acc = RabinPairSet("state", (0,), {1: 0b10, 2: 0b01})
-    assert rabin_accepts(_loop_signature(acc.signatures, {1}))
-    assert not rabin_accepts(_loop_signature(acc.signatures, {1, 2}))
+    acc = RabinPairSet("state", (0,), (0, 0b10, 0b01))
+    signatures = dict(enumerate(acc.signatures))
+    assert rabin_accepts(_loop_signature(signatures, {1}))
+    assert not rabin_accepts(_loop_signature(signatures, {1, 2}))
     assert not rabin_accepts(0)
     # The second pair accepts where the first rejects.
     assert rabin_accepts(0b1001)
@@ -122,20 +122,29 @@ def test_rabin_accepts_equals_the_set_rule_exhaustively():
             assert rabin_accepts(signature) == _set_rule(pairs, inf), (count, signature)
 
 
+def _one_state(cls, **fields):
+    """A one-state, one-letter automaton whose one edge loops unmarked;
+    `fields` override any of its fields."""
+    kind = cls.acceptance_kind
+    given = dict(payloads=(None,), alphabet=("a",), initial=0, targets=((0,),), marks=((0,),),
+                 annotations=(EMPTY_ANNOTATION,), acceptance=RabinPairSet(kind, (), (0,)))
+    given.update(fields)
+    return cls(**given)
+
+
 def test_acceptance_kind_must_match_the_automaton():
     with pytest.raises(InputError, match="bad acceptance kind"):
-        RabinPairSet("edge", (), {})
-    state_based = RabinPairSet("state", (0,), {0: 0b10})
+        RabinPairSet("edge", (), ())
+    state_based = RabinPairSet("state", (0,), (0b10,))
     with pytest.raises(InputError, match="DRTW acceptance must be transition based"):
-        DRTW(payloads=("only",), alphabet=("a",), initial=0,
-             transitions={(0, "a"): (0, EMPTY_ANNOTATION)}, acceptance=state_based)
+        _one_state(DRTW, acceptance=state_based)
 
 
 def test_signatures_name_only_the_pairs_sets():
     for signature in (0b100, -1, 1 << 64):
         with pytest.raises(InputError, match="out of range for 1 pairs"):
-            RabinPairSet("state", ("X",), {3: signature})
-    assert RabinPairSet("state", ("X",), {3: 0b11}).signatures == {3: 0b11}
+            RabinPairSet("state", ("X",), (0, signature))
+    assert RabinPairSet("state", ("X",), (0, 0b11)).signatures == (0, 0b11)
 
 
 def test_rabin_monotone_in_accepting_antitone_in_rejecting():
@@ -172,27 +181,14 @@ def test_lasso_word_requires_period():
 
 def test_duplicate_pair_indices_rejected():
     with pytest.raises(InputError):
-        RabinPairSet("state", (0, 0), {})
+        RabinPairSet("state", (0, 0), ())
 
 
 def test_drtw_totality_enforced():
-    acc = RabinPairSet("transition", (), {})
-    with pytest.raises(InputError):
-        DRTW(
-            payloads=("only",),
-            alphabet=("a",),
-            initial=0,
-            transitions={},
-            acceptance=acc,
-        )
-    ok = DRTW(
-        payloads=("only",),
-        alphabet=("a",),
-        initial=0,
-        transitions={(0, "a"): (0, EMPTY_ANNOTATION)},
-        acceptance=acc,
-    )
-    assert ok.transitions[(0, "a")][0] == 0
+    with pytest.raises(InputError, match="0 target rows, expected 1"):
+        _one_state(DRTW, targets=())
+    ok = _one_state(DRTW)
+    assert ok.targets[0][0] == 0
 
 
 @pytest.mark.parametrize("cls, kind", [(DRTW, "transition"), (DRW, "state")])
@@ -200,67 +196,78 @@ def test_drtw_totality_enforced():
 def test_edge_targets_must_be_states(cls, kind, target):
     """An edge into no state is refused when the automaton is built, not
     met later as a KeyError or, on int rows, as a read of the last state."""
+    assert cls.acceptance_kind == kind
     with pytest.raises(InputError, match=f"targets state {target}, out of range"):
-        cls(
-            payloads=(None,),
-            alphabet=("a",),
-            initial=0,
-            transitions={(0, "a"): (target, EMPTY_ANNOTATION)},
-            acceptance=RabinPairSet(kind, (), {}),
-        )
+        _one_state(cls, targets=((target,),))
+
+
+def _rows_with(key, on_edges=True):
+    """The rows of a one-state automaton over ("a",), grown to give
+    `key`, an edge (state, symbol) or a state, a place: a row per letter,
+    the key's symbol added, and an entry per state up to the key's."""
+    state, sym = key if on_edges else (key, "a")
+    letters = ("a",) if sym == "a" else ("a", sym)
+    return tuple((0,) * (state + 1) for _ in letters)
 
 
 @pytest.mark.parametrize("cls, kind, key, what", [
     (DRTW, "transition", (3, "b"), "an edge"),
     (DRTW, "transition", (0, "b"), "an edge"),  # a known state, a symbol outside the alphabet
-    (DRTW, "transition", 0, "an edge"),
     (DRW, "state", 5, "a state"),
-    (DRW, "state", (0, "a"), "a state"),
 ])
 def test_signatures_sit_on_edges_or_states(cls, kind, key, what):
-    """A signature on no edge (DRTW) or no state (DRW) of a one-state
-    automaton is refused when it is built; before, `emit_rabin` dropped it
-    and the oracle ignored it."""
-    with pytest.raises(InputError, match=f"not {what} of the automaton"):
-        cls(
-            payloads=(None,),
-            alphabet=("a",),
-            initial=0,
-            transitions={(0, "a"): (0, EMPTY_ANNOTATION)},
-            acceptance=RabinPairSet(kind, (0,), {key: 0b10}),
-        )
+    """A signature belongs to a mark number, and a mark sits in an edge's
+    place (DRTW) or a state's (DRW) of the mark rows.  Mark rows that give
+    a place to something that is not an edge or state of a one-state
+    automaton are refused when it is built; before the rows, `emit_rabin`
+    dropped such a signature and the oracle ignored it."""
+    assert kind == cls.acceptance_kind and (what == "an edge") == (kind == "transition")
+    with pytest.raises(InputError, match=r"mark rows, expected|entries for 1 states"):
+        _one_state(cls, marks=_rows_with(key, kind == "transition"),
+                   acceptance=RabinPairSet(kind, (0,), (0b10,)))
     own = (0, "a") if kind == "transition" else 0
-    built = cls(payloads=(None,), alphabet=("a",), initial=0,
-                transitions={(0, "a"): (0, EMPTY_ANNOTATION)},
-                acceptance=RabinPairSet(kind, (0,), {own: 0b10}))
-    assert built.acceptance.signatures == {own: 0b10}
+    built = _one_state(cls, marks=_rows_with(own, kind == "transition"),
+                       acceptance=RabinPairSet(kind, (0,), (0b10,)))
+    assert signature_map(built) == {own: 0b10}
 
 
 @pytest.mark.parametrize("cls, kind", [(DRTW, "transition"), (DRW, "state")])
 @pytest.mark.parametrize("key", [(3, "b"), (0, "b"), (1, "a")])
 def test_transition_keys_are_exactly_the_edges(cls, kind, key):
-    """A transition map with a key outside states x alphabet is refused,
-    so a signature key that is a transition key is an edge."""
-    with pytest.raises(InputError, match="keys outside states x alphabet"):
-        cls(
-            payloads=(None,),
-            alphabet=("a",),
-            initial=0,
-            transitions={(0, "a"): (0, EMPTY_ANNOTATION), key: (0, EMPTY_ANNOTATION)},
-            acceptance=RabinPairSet(kind, (), {}),
-        )
+    """Target rows that give an edge outside states x alphabet a place, a
+    row for a letter outside the alphabet or an entry for a state past
+    the last, are refused: the rows hold exactly the edges."""
+    assert cls.acceptance_kind == kind
+    with pytest.raises(InputError, match=r"target rows, expected|entries for 1 states"):
+        _one_state(cls, targets=_rows_with(key))
 
 
-def test_letter_rows_mirror_transitions_and_signatures():
-    for name, a in fixtures().items():
-        engine = Determinizer(a)
-        for d in (engine.build_drtw(), engine.build_drw()):
-            on_edges = d.acceptance.kind == "transition"
-            signatures = d.acceptance.signatures
-            assert len(d.letter_rows) == len(d.alphabet)
-            for k, sym in enumerate(d.alphabet):
-                for i, (nxt, signature) in enumerate(d.letter_rows[k]):
-                    assert nxt == d.transitions[(i, sym)][0], (name, i, sym)
-                    target = (i, sym) if on_edges else nxt
-                    assert signature == signatures.get(target, 0), (name, i, sym)
-            assert d.letter_rows is d.letter_rows
+@pytest.mark.parametrize("cls", [DRTW, DRW])
+@pytest.mark.parametrize("case, fields, message", [
+    ("missing letter row", dict(alphabet=("a", "b")), "1 target rows, expected 2"),
+    ("short target row", dict(payloads=(None, None), targets=((0,),), marks=((0, 0),)),
+     "target row 'a' has 1 entries for 2 states"),
+    ("mark past annotations", dict(marks=((1,),)), "mark number 1 in row .*, out of range for 1 marks"),
+    ("negative mark", dict(marks=((-1,),)), "mark number -1 in row .*, out of range for 1 marks"),
+    ("annotations without signatures", dict(annotations=(EMPTY_ANNOTATION,) * 2),
+     "1 acceptance signatures for 2 marks"),
+    ("short mark row", dict(payloads=(None, None), targets=((0, 1),), marks=((0,),)),
+     "mark row .* has 1 entries for 2 states"),
+])
+def test_rows_are_checked_on_construction(cls, case, fields, message):
+    with pytest.raises(InputError, match=message):
+        _one_state(cls, **fields)
+
+
+def test_drw_takes_one_mark_row_whatever_the_letters():
+    """A DRW marks states: one row of one mark per state, however many
+    letters it reads.  A DRTW marks edges: one row per letter."""
+    two_letters = dict(alphabet=("a", "b"), targets=((0,), (0,)))
+    _one_state(DRW, **two_letters)
+    with pytest.raises(InputError, match="2 mark rows, expected 1"):
+        _one_state(DRW, marks=((0,), (0,)), **two_letters)
+    with pytest.raises(InputError, match="mark row 'incoming' has 2 entries for 1 states"):
+        _one_state(DRW, marks=((0, 0),), **two_letters)
+    _one_state(DRTW, marks=((0,), (0,)), **two_letters)
+    with pytest.raises(InputError, match="1 mark rows, expected 2"):
+        _one_state(DRTW, **two_letters)

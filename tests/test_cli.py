@@ -10,6 +10,7 @@ from histree.cli import main
 from histree.fixtures import e1, spawn_die_respawn
 from histree.formats import emit_nbw_hoa, emit_nbw_native, parse_rabin
 from test_formats import NON_STRING_DOCUMENTS, NON_STRING_IDS, REPEATED_HEADERS, repeated_header_document
+from rabin_edges import edge_map
 
 
 @pytest.fixture()
@@ -117,7 +118,7 @@ def test_targets_explore_once(monkeypatch):
         targets = dict(_targets(a, strict=False))
         assert list(targets) == ["canonical-drtw", "baseline-drtw", "canonical-drw"]
         drtw = targets["canonical-drtw"]
-        assert len(calls) == len(drtw.transitions)
+        assert len(calls) == len(edge_map(drtw))
         assert targets["baseline-drtw"].payloads == drtw.payloads
         assert targets["baseline-drtw"].stats.mode == "baseline"
 

@@ -22,6 +22,7 @@ from histree.fixtures import e1, no_finals, single_final_loop
 from histree.oracle import det_lasso_member, lassos_upto, nbw_lasso_member
 from histree.automata import LassoWord
 from histree.trees import Identifier, classify, full_tree, height
+from rabin_edges import edge_map, signature_map
 
 
 def tree(nbw, labels):
@@ -169,16 +170,16 @@ def test_build_drtw_e1(e1_nbw):
     assert len(d.payloads) == 2
     assert d.initial == 0
     assert d.acceptance.indices == (Identifier(1, 1),)
-    assert d.acceptance.signatures == {(1, "a"): 0b10}
-    _, loop_ann = d.transitions[(1, "a")]
+    assert signature_map(d) == {(1, "a"): 0b10}
+    _, loop_ann = edge_map(d)[(1, "a")]
     assert loop_ann.accepting == {Identifier(1, 1)}
     assert det_lasso_member(d, LassoWord((), ("a",)))
 
 
 def test_build_drtw_no_finals_has_no_pairs():
     d = build_drtw(no_finals())
-    assert all(ann.accepting == frozenset() for _, ann in d.transitions.values())
-    assert (d.acceptance.indices, d.acceptance.signatures) == ((), {})
+    assert all(ann.accepting == frozenset() for _, ann in edge_map(d).values())
+    assert (d.acceptance.indices, signature_map(d)) == ((), {})
     for w in lassos_upto(d.alphabet, 2, 2):
         assert not det_lasso_member(d, w)
 
@@ -186,7 +187,7 @@ def test_build_drtw_no_finals_has_no_pairs():
 def test_build_drtw_single_final_loop():
     d = build_drtw(single_final_loop())
     assert det_lasso_member(d, LassoWord((), ("a",)))
-    keys = [key for key, (_, ann) in d.transitions.items() if ann.accepting]
+    keys = [key for key, (_, ann) in edge_map(d).items() if ann.accepting]
     assert keys, "the self loop must carry an accepting mark"
 
 
@@ -221,14 +222,15 @@ def test_drw_is_the_edge_split_of_the_drtw(corpus_sample):
             drtw, drw = build_drtw(a, mode), build_drw(a, mode)
             tree_id = {tree: t for t, tree in enumerate(drtw.payloads)}
             split = [(tree_id[p.tree], p.incoming) for p in drw.payloads]
-            for (sid, symbol), (did, ann) in drw.transitions.items():
-                assert drtw.transitions[(split[sid][0], symbol)] == (split[did][0], ann)
+            drtw_edges = edge_map(drtw)
+            for (sid, symbol), (did, ann) in edge_map(drw).items():
+                assert drtw_edges[(split[sid][0], symbol)] == (split[did][0], ann)
                 assert split[did][1] == ann
             t0 = drtw.payloads[0]
             start = (0, TransitionAnnotation(stable=frozenset(index(table, n) for n in t0.names)))
             assert split[0] == start
             assert len(set(split)) == len(split)
-            assert set(split) == {start} | set(drtw.transitions.values())
+            assert set(split) == {start} | set(drtw_edges.values())
 
 
 def test_build_drw_after_build_drtw_makes_no_successor_calls(e1_nbw, monkeypatch):
@@ -242,14 +244,14 @@ def test_build_drw_after_build_drtw_makes_no_successor_calls(e1_nbw, monkeypatch
 
     monkeypatch.setattr(engine, "successor_trace", counting)
     drtw = engine.build_drtw()
-    assert len(calls) == len(drtw.transitions)
+    assert len(calls) == len(edge_map(drtw))
     drw = engine.build_drw()
     assert len(drw.payloads) > len(drtw.payloads)
     baseline = engine.build_drtw("baseline")
     assert baseline == build_drtw(e1_nbw, "baseline")
     assert baseline.stats == build_drtw(e1_nbw, "baseline").stats
     assert engine.build_drw("baseline") == build_drw(e1_nbw, "baseline")
-    assert len(calls) == len(drtw.transitions)
+    assert len(calls) == len(edge_map(drtw))
 
 
 def test_assemble_pairs_absence_rule():
@@ -259,24 +261,19 @@ def test_assemble_pairs_absence_rule():
     # The index survives into the target tree, but only by renaming: the
     # stable set does not carry it, so the transition must reject.
     renamed_in = TransitionAnnotation(stable=frozenset())
-    transitions = {
-        (0, "a"): (1, plus),
-        (1, "a"): (0, renamed_in),
-    }
-    acc = assemble_pairs(transitions)
+    acc = assemble_pairs([plus, renamed_in])
     assert acc.indices == (mark,)
-    assert acc.signatures == {(0, "a"): 0b10, (1, "a"): 0b01}
+    assert acc.signatures == (0b10, 0b01)
 
-    relaxed = assemble_pairs(transitions, strict_marks=True)
+    relaxed = assemble_pairs([plus, renamed_in], strict_marks=True)
     assert relaxed.indices == (mark,)
-    assert relaxed.signatures == {(0, "a"): 0b10}
+    assert relaxed.signatures == (0b10, 0)
 
 
 def test_assemble_pairs_requires_an_accepting_occurrence():
     minus_only = TransitionAnnotation(unstable=frozenset({"X"}))
-    transitions = {(0, "a"): (0, minus_only)}
-    acc = assemble_pairs(transitions)
-    assert (acc.indices, acc.signatures) == ((), {})
+    acc = assemble_pairs([minus_only])
+    assert (acc.indices, acc.signatures) == ((), (0,))
 
 
 def test_assemble_state_pairs_absence_rule():
@@ -289,7 +286,7 @@ def test_assemble_state_pairs_absence_rule():
     ]
     acc = assemble_state_pairs(incoming)
     assert acc.indices == (mark,)
-    assert acc.signatures == {0: 0b01, 1: 0b10, 2: 0b01}
+    assert acc.signatures == (0b01, 0b10, 0b01)
 
 
 def test_capacity_error_carries_partial_stats(corpus_sample):
@@ -367,7 +364,7 @@ def test_corpus_invariants_and_trace_properties(corpus_sample):
             for name in payload.names:
                 assert name in full_tree(max(n, 1))
         # Trace-level checks along every reachable transition.
-        for (sid, sym), (tid, ann) in d.transitions.items():
+        for (sid, sym), (tid, ann) in edge_map(d).items():
             trace = engine.successor_trace(d.payloads[sid], sym)
             assert trace.result == d.payloads[tid]
             assert len(trace.spawned) <= 2 * n
@@ -390,7 +387,7 @@ def test_step_trace_does_not_depend_on_the_labeling(corpus_sample):
             canonical = Determinizer(a, "canonical", strict_marks=strict)
             baseline = Determinizer(a, "baseline", strict_marks=strict)
             d = baseline.build_drtw()
-            for sid, sym in d.transitions:
+            for sid, sym in edge_map(d):
                 tree = d.payloads[sid]
                 assert canonical.successor_trace(tree, sym) == baseline.successor_trace(tree, sym)
 
@@ -412,11 +409,9 @@ def test_erasure_bijection_and_injectivity(corpus_sample):
         baseline = build_drtw(a, "baseline")
         assert len(set(canonical.payloads)) == len(canonical.payloads)
         assert canonical.payloads == baseline.payloads
-        mapping = {
-            key: (dst, ann) for key, (dst, ann) in baseline.transitions.items()
-        }
+        mapping = edge_map(baseline)
         table = Determinizer(a, "canonical").table
-        for key, (dst, ann) in canonical.transitions.items():
+        for key, (dst, ann) in edge_map(canonical).items():
             base_dst, base_ann = mapping[key]
             assert base_dst == dst
             assert frozenset(table.lookup(x) for x in base_ann.accepting) == ann.accepting
@@ -460,7 +455,7 @@ def test_rename_takeover_rejects_broken_lineage():
     assert not det_lasso_member(d, word)
     takeover = [
         (key, ann)
-        for key, (dst, ann) in d.transitions.items()
+        for key, (dst, ann) in edge_map(d).items()
         if ann.unstable
         and Identifier(1, 1) in {engine.table.lookup(x) for x in d.payloads[dst].names}
         and Identifier(1, 1) not in ann.stable
@@ -637,17 +632,20 @@ def test_equal_trees_and_marks_are_one_object(mode, strict, all_fixtures, corpus
         trees = drtw.payloads
         traces = {(sid, symbol): engine.successor_trace(t, symbol)
                   for sid, t in enumerate(trees) for symbol in a.alphabet}
+        drtw_edges = edge_map(drtw)
         for key, trace in traces.items():
-            assert trace.result is trees[drtw.transitions[key][0]], name
+            assert trace.result is trees[drtw_edges[key][0]], name
         named = [trace.marks for trace in traces.values()]
         assert len({id(m) for m in named}) == len(set(named)), name
 
-        for marks in ([ann for _, ann in drtw.transitions.values()],
-                      [p.incoming for p in drw.payloads] + [ann for _, ann in drw.transitions.values()]):
+        for marks in ([ann for _, ann in drtw_edges.values()],
+                      [p.incoming for p in drw.payloads] + [ann for _, ann in edge_map(drw).values()]):
             assert len({id(m) for m in marks}) == len(set(marks)), name
+        for d in (drtw, drw):
+            assert len(set(d.annotations)) == len(d.annotations), name
 
         start = (trees[0], relabel(TransitionAnnotation(stable=trees[0].names), table))
-        edges = [(trees[drtw.transitions[key][0]], relabel(trace.marks, table)) for key, trace in traces.items()]
+        edges = [(trees[drtw_edges[key][0]], relabel(trace.marks, table)) for key, trace in traces.items()]
         reference = list(dict.fromkeys([start, *edges]))
         assert [(p.tree, p.incoming) for p in drw.payloads] == reference, name
         assert all(p.tree is trees[trees.index(p.tree)] for p in drw.payloads), name
@@ -660,5 +658,5 @@ def test_relabeling_merges_equal_canonical_marks(corpus_sample):
     engine = Determinizer(a)
     named = {engine.successor_trace(t, symbol).marks
              for t in engine.build_drtw("baseline").payloads for symbol in a.alphabet}
-    canonical = [ann for _, ann in engine.build_drtw().transitions.values()]
+    canonical = [ann for _, ann in edge_map(engine.build_drtw()).values()]
     assert (len(named), len(set(canonical)), len({id(m) for m in canonical})) == (5, 4, 4)

@@ -5,6 +5,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from histree.automata import EMPTY_ANNOTATION
 from histree.corpus import default_corpus
 from histree.determinize import Determinizer, build_drtw, build_drw
 from histree.errors import InputError, ParseError
@@ -20,6 +21,7 @@ from histree.formats import (
     parse_rabin,
 )
 from histree.oracle import det_lasso_member, lassos_upto
+from rabin_edges import edge_map, signature_map
 
 MINIMAL_HOA = """HOA: v1
 States: 1
@@ -223,7 +225,8 @@ def test_reparsed_rabin_preserves_verdicts():
 
 def test_rabin_documents_round_trip_byte_for_byte():
     """Every build's document reads back to an automaton that writes the
-    same bytes: its condition survives as the per-target signatures."""
+    same bytes: its edges survive, and so does each edge's or state's
+    signature, though the reader numbers the marks its own way."""
     count = 0
     for a in list(fixtures().values()) + default_corpus(count=40):
         for strict in (False, True):
@@ -234,7 +237,8 @@ def test_rabin_documents_round_trip_byte_for_byte():
                     text = emit_rabin(d)
                     back = parse_rabin(text)
                     assert emit_rabin(back) == text
-                    assert back.acceptance.signatures == d.acceptance.signatures
+                    assert back.targets == d.targets
+                    assert signature_map(back) == signature_map(d)
                     count += 1
     assert count == 8 * 51
 
@@ -242,10 +246,58 @@ def test_rabin_documents_round_trip_byte_for_byte():
 def test_parse_rabin_refuses_sets_past_its_pairs():
     text = emit_rabin(build_drtw(e1()))
     assert "acc-name: Rabin 1\n" in text and "[@s0] 1 {1}\n" in text
-    assert parse_rabin(text).acceptance.signatures == {(1, "a"): 0b10}
+    assert signature_map(parse_rabin(text)) == {(1, "a"): 0b10}
     for sets in ("{2}", "{0 1 2}", "{3}", "{100000000000000000000}"):
         with pytest.raises(InputError, match="acceptance set out of range for 1 pairs"):
             parse_rabin(text.replace("[@s0] 1 {1}\n", f"[@s0] 1 {sets}\n"))
+
+
+TWO_LETTER_RABIN = """HOA: v1
+States: 2
+Start: 0
+AP: 2 "a" "b"
+Alias: @s0 0&!1
+Alias: @s1 !0&1
+acc-name: Rabin 1
+Acceptance: 2 (Fin(0)&Inf(1))
+properties: deterministic trans-acc
+--BODY--
+State: 0 "x"
+[@s0] 1 {1}
+[@s1] 0
+State: 1 "y"
+[@s1] 1 {0 1}
+[@s0] 0 {1}
+--END--
+"""
+
+
+def test_parse_rabin_numbers_marks_by_signature():
+    """Edges with equal sets share one mark, numbered by first sight with
+    the empty annotation; the edges are the document's, in any order."""
+    d = parse_rabin(TWO_LETTER_RABIN)
+    assert d.targets == ((1, 0), (0, 1))
+    assert d.marks == ((0, 0), (1, 2))
+    assert d.acceptance.signatures == (0b10, 0, 0b11)
+    assert d.annotations == (EMPTY_ANNOTATION,) * 3
+    assert signature_map(d) == {(0, "a"): 0b10, (1, "a"): 0b10, (1, "b"): 0b11}
+    assert edge_map(d) == {(0, "a"): (1, EMPTY_ANNOTATION), (0, "b"): (0, EMPTY_ANNOTATION),
+                           (1, "a"): (0, EMPTY_ANNOTATION), (1, "b"): (1, EMPTY_ANNOTATION)}
+    drw = parse_rabin(
+        "HOA: v1\nStates: 3\nStart: 0\nAP: 1 \"a\"\nAlias: @s0 0\nacc-name: Rabin 1\n"
+        "Acceptance: 2 (Fin(0)&Inf(1))\nproperties: deterministic state-acc\n--BODY--\n"
+        "State: 0 {1}\n[@s0] 1\nState: 1\n[@s0] 2\nState: 2 {1}\n[@s0] 0\n--END--\n"
+    )
+    assert (drw.targets, drw.marks, drw.acceptance.signatures) == (((1, 2, 0),), ((0, 1, 0),), (0b10, 0))
+    assert signature_map(drw) == {0: 0b10, 2: 0b10}
+
+
+def test_parse_rabin_refuses_duplicate_and_missing_edges():
+    assert "[@s1] 0\n" in TWO_LETTER_RABIN
+    with pytest.raises(InputError, match="^duplicate edge for state 0 symbol 'a'$"):
+        parse_rabin(TWO_LETTER_RABIN.replace("[@s1] 0\n", "[@s0] 0\n"))
+    with pytest.raises(InputError, match="^missing edge for state 0 symbol 'b'$"):
+        parse_rabin(TWO_LETTER_RABIN.replace("[@s1] 0\n", ""))
 
 
 def test_parse_rabin_requires_rabin():

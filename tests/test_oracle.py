@@ -32,6 +32,7 @@ from histree.oracle import (
     verify_identifier_bounds,
     word_profile,
 )
+from rabin_edges import edge_map, signature_map
 
 
 def _random_nbw(rng, max_states=4):
@@ -210,10 +211,8 @@ def test_bounded_equiv_e1_clean():
 
 
 def _signatures_kept(acc, indices, keep):
-    """acc with indices `indices`, each target's signature mapped by
-    `keep`; targets left with signature 0 lose their entry."""
-    kept = {target: keep(sig) for target, sig in acc.signatures.items()}
-    return RabinPairSet(acc.kind, indices, {target: sig for target, sig in kept.items() if sig})
+    """acc with indices `indices`, each mark's signature mapped by `keep`."""
+    return RabinPairSet(acc.kind, indices, tuple(keep(sig) for sig in acc.signatures))
 
 
 def _gutted(acc):
@@ -238,7 +237,9 @@ def test_bounded_equiv_detects_mutation():
         payloads=d.payloads,
         alphabet=d.alphabet,
         initial=d.initial,
-        transitions=d.transitions,
+        targets=d.targets,
+        marks=d.marks,
+        annotations=d.annotations,
         acceptance=gutted,
     )
     report = bounded_equiv(a, broken, 3, 3)
@@ -319,13 +320,15 @@ def _acceptance_mutants(d):
 def _one_state(alphabet, accepts_all):
     """A one-state DRTW: every prefix reaches the same state, whatever
     NBW states it reaches."""
-    signatures = {(0, sym): 0b10 for sym in alphabet} if accepts_all else {}
     return DRTW(
         payloads=(None,),
         alphabet=alphabet,
         initial=0,
-        transitions={(0, sym): (0, EMPTY_ANNOTATION) for sym in alphabet},
-        acceptance=RabinPairSet("transition", (0,) if accepts_all else (), signatures),
+        targets=((0,),) * len(alphabet),
+        marks=((0,),) * len(alphabet),
+        annotations=(EMPTY_ANNOTATION,),
+        acceptance=RabinPairSet("transition", (0,), (0b10,)) if accepts_all
+        else RabinPairSet("transition", (), (0,)),
     )
 
 
@@ -347,25 +350,27 @@ def _named_inputs(corpus_sample):
     return named
 
 
-def _dict_walk_member(d, w):
-    """Independent of `letter_rows`: walk `d.transitions` and
-    `acceptance.signatures` as given.  After as many periods as d has
-    states the period-boundary state lies on its cycle; the loop is the
-    laps from there back to that state, and some pair must have its
-    accepting bit and not its rejecting bit among their signatures."""
-    acc = d.acceptance
+def _dict_walk_member(d, edges, signatures, w):
+    """Independent of the oracle's row walk: walk d's `edge_map` and
+    `signature_map`, reading each step's signature where the condition
+    puts it, on the edge of a DRTW and on the entered state of a DRW.
+    After as many periods as d has states the period-boundary state lies
+    on its cycle; the loop is the laps from there back to that state, and
+    some pair must have its accepting bit and not its rejecting bit among
+    their signatures."""
+    on_edges = d.acceptance.kind == "transition"
 
     def lap(state):
         signature = 0
         for sym in w.period:
-            nxt = d.transitions[(state, sym)][0]
-            signature |= acc.signatures.get((state, sym) if acc.kind == "transition" else nxt, 0)
+            nxt = edges[(state, sym)][0]
+            signature |= signatures.get((state, sym) if on_edges else nxt, 0)
             state = nxt
         return state, signature
 
     state = d.initial
     for sym in w.prefix:
-        state = d.transitions[(state, sym)][0]
+        state = edges[(state, sym)][0]
     for _ in range(len(d.payloads)):
         state = lap(state)[0]
     entry, loop = state, 0
@@ -374,7 +379,7 @@ def _dict_walk_member(d, w):
         loop |= signature
         if state == entry:
             break
-    return any(loop >> 2 * i + 1 & 1 and not loop >> 2 * i & 1 for i in range(len(acc.indices)))
+    return any(loop >> 2 * i + 1 & 1 and not loop >> 2 * i & 1 for i in range(len(d.acceptance.indices)))
 
 
 def test_det_member_matches_an_independent_dict_walk(corpus_sample):
@@ -382,9 +387,10 @@ def test_det_member_matches_an_independent_dict_walk(corpus_sample):
     for name, a in _named_inputs(corpus_sample):
         words = list(lassos_upto(a.alphabet, 3, 3))
         for d in _differential_targets(a):
+            edges, signatures = edge_map(d), signature_map(d)
             for w in words:
                 got = det_lasso_member(d, w)
-                assert got == _dict_walk_member(d, w), (name, w)
+                assert got == _dict_walk_member(d, edges, signatures, w), (name, w)
                 checked += 1
                 accepted += got
     assert 0 < accepted < checked
