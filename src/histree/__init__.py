@@ -18,7 +18,6 @@ from .automata import (
 )
 from .determinize import (
     Determinizer,
-    EnrichedHistoryTree,
     HistoryTree,
     assemble_pairs,
     assemble_state_pairs,

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import repeat
 from typing import ClassVar, Dict, FrozenSet, Hashable, Iterable, List, Mapping, Sequence, Tuple
 
 from .errors import InputError
@@ -268,14 +269,21 @@ class _Rabin:
                              f"for {len(self.annotations)} marks")
 
     def state_labels(self) -> List[str]:
-        """Every state as HOA names and DOT labels show it: its payload
-        rendered with the identifier table, or as plain text.  The trees
-        share one memo of label texts, so each distinct label is rendered
-        once per call."""
+        """Every state as HOA names and DOT labels show it: a tree payload
+        rendered with the identifier table, on a DRW followed by its
+        incoming marks ` [+{accepting} -{unstable}]`, and any other payload
+        as plain text.  The trees share one memo of label texts, so each
+        distinct label is rendered once per call, and each mark's text is
+        rendered once per mark number."""
         texts: Dict[int, str] = {}
+        incoming = repeat("")
+        if self.acceptance_kind == "state":
+            suffixes = [" [+{%s} -{%s}]" % tuple(",".join(map(str, sorted(s))) for s in (ann.accepting, ann.unstable))
+                        for ann in self.annotations]
+            incoming = map(suffixes.__getitem__, self.marks[0])
         return [
-            payload.render(self.table, texts) if hasattr(payload, "render") else str(payload)
-            for payload in self.payloads
+            payload.render(self.table, texts) + marks if hasattr(payload, "render") else str(payload)
+            for payload, marks in zip(self.payloads, incoming)
         ]
 
 
@@ -302,7 +310,8 @@ class DRTW(_Rabin):
 
 
 class DRW(_Rabin):
-    """Deterministic Rabin automaton with acceptance on states; payloads
-    are trees enriched with the incoming transition's marks."""
+    """Deterministic Rabin automaton with acceptance on states.  A built
+    DRW's payloads are the engine's trees, one state per tree and incoming
+    mark, and `marks[0]` holds that mark."""
 
     acceptance_kind = "state"

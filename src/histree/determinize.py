@@ -56,10 +56,10 @@ is checked with `check_history_tree` before its first step, so a
 malformed tree raises InputError instead of a wrong successor.  Past the
 step every table is keyed on ints: the exploration numbers its trees and
 marks in discovery order, a build relabels each distinct mark once and
-gives equal relabeled marks one number, a DRW state is a (tree id, mark
-number) pair, and the automaton's edges are the graph's edges sliced into
-per-letter rows of target and mark numbers.  Pair assembly computes one
-acceptance signature per mark number.
+gives equal relabeled marks one number, a DRW state is keyed by one int
+from its tree id and mark number, and the automaton's edges are the
+graph's edges sliced into per-letter rows of target and mark numbers.
+Pair assembly computes one acceptance signature per mark number.
 
 The marks name nodes, and one exploration of the tree graph serves every
 build.  The exploration only discovers trees and edges, noting each
@@ -68,11 +68,11 @@ off-table names, which are the fresh children of height >= n) is read
 once per engine off the distinct skeletons of the reachable trees, and
 both builds end in one tail that assembles the automaton.  The DRW's
 states are the start state and then the distinct DRTW edge targets (a
-tree with its incoming marks) in edge order, with no second walk.  A
-baseline build indexes its Rabin pairs by those names.  A canonical build
-is the same build with its pair indices relabeled through the (height,
-flag) identifier table, which merges names that can never share a tree
-and so lowers the number of pairs.
+tree with its incoming mark) in edge order, with no second walk; a state's
+payload is the engine's tree.  A baseline build indexes its Rabin pairs by
+those names.  A canonical build is the same build with its pair indices
+relabeled through the (height, flag) identifier table, which merges names
+that can never share a tree and so lowers the number of pairs.
 """
 
 from __future__ import annotations
@@ -160,26 +160,6 @@ class HistoryTree:
                 text = texts[entry] = f"{name_text[0]}:{label_text}{name_text[1]}"
             parts.append(text)
         return " ".join(parts)
-
-
-@dataclass(frozen=True)
-class EnrichedHistoryTree:
-    """A tree payload plus the marks of the transition that entered it."""
-
-    tree: HistoryTree
-    incoming: TransitionAnnotation
-
-    def render(self, table: Optional[IdentifierTable] = None, texts: Optional[Dict] = None) -> str:
-        """The tree's rendering and its incoming marks; `texts` also keeps
-        each distinct annotation's text (keyed by the annotation)."""
-        if texts is None:
-            texts = {}
-        marks = texts.get(self.incoming)
-        if marks is None:
-            plus = ",".join(str(i) for i in sorted(self.incoming.accepting))
-            minus = ",".join(str(i) for i in sorted(self.incoming.unstable))
-            marks = texts[self.incoming] = f" [+{{{plus}}} -{{{minus}}}]"
-        return self.tree.render(table, texts) + marks
 
 
 @dataclass(frozen=True)
@@ -635,9 +615,9 @@ class Determinizer:
         trees of these skeletons, one per tree.  A tree's own names have
         height below n, so only fresh children are off-table, and trees of
         one shape spawn the same fresh children, so each distinct skeleton
-        is read once."""
+        is read once.  Only steps spawn names, so no letter means none."""
         distinct = {id(shape): shape for shape in shapes}.values()
-        off_table = set().union(*(shape.off_table for shape in distinct))
+        off_table = set().union(*(shape.off_table for shape in distinct)) if self.nbw.alphabet else ()
         return max(shape.node_count for shape in distinct), len(off_table)
 
     @cached_property
@@ -682,31 +662,35 @@ class Determinizer:
 
     def build_drw(self, mode: Optional[str] = None) -> DRW:
         """Split each tree of the DRTW by the mark of the edge that entered
-        it.  A DRW state is a (tree id, mark number) pair whose edge on a
-        symbol is its tree's edge on that symbol, so the states are the
-        start state and then the distinct edge targets in edge order (tree
-        id, then alphabet): breadth-first order, with no successor computed
-        and no second walk.  A state's one mark is the one that entered it."""
+        it.  A DRW state is a tree id and a mark number, keyed by the int
+        tid * count + mid over `count` marks, whose edge on a symbol is its
+        tree's edge on that symbol, so the states are the start state and
+        then the distinct edge targets in edge order (tree id, then
+        alphabet): breadth-first order, with no successor computed and no
+        second walk.  A state's payload is its tree and its one mark is the
+        one that entered it."""
         mode, table, edge_marks, numbers = self._relabeled(mode)
         graph, k = self._graph, len(self.nbw.alphabet)
         trees = graph.trees
         # Nodes of the initial tree count as stably present at time zero,
         # so re-entering the same tree through a quiet transition merges
-        # with the start state.
-        start_marks = relabel(TransitionAnnotation(stable=trees[0].names), table)
-        start = (0, numbers.setdefault(start_marks, len(numbers)))
-        split = list(zip(graph.targets, edge_marks))
-        states = list(dict.fromkeys([start, *split]))
-        if len(states) > self.max_states:
+        # with the start state.  Its key is its mark number, as its tree id is 0.
+        start = numbers.setdefault(relabel(TransitionAnnotation(stable=trees[0].names), table), len(numbers))
+        count = len(numbers)
+        split = [tid * count + mid for tid, mid in zip(graph.targets, edge_marks)]  # per graph edge, its key
+        index = dict.fromkeys([start, *split])  # key -> DRW state number
+        if len(index) > self.max_states:
             partial = self._stats(mode, self.max_states, 0, 0, self._graph_census)
             raise CapacityError(f"state limit {self.max_states} exceeded", partial=partial)
-        index = {state: sid for sid, state in enumerate(states)}
-        entered = [index[state] for state in split]  # per graph edge, the DRW state it enters
-        targets = tuple(tuple([entered[tid * k + j] for tid, _ in states]) for j in range(k))
-        marks = (tuple([mid for _, mid in states]),)
+        states = list(index)
+        index.update(zip(states, range(len(states))))
+        entered = list(map(index.__getitem__, split))  # per graph edge, the DRW state it enters
+        tids = [key // count for key in states]
+        targets = tuple(tuple(map(entered[j::k].__getitem__, tids)) for j in range(k))
+        marks = (tuple([key % count for key in states]),)
         annotations = tuple(numbers)
         acceptance = assemble_state_pairs(annotations, strict_marks=self.strict_marks)
-        payloads = [EnrichedHistoryTree(trees[tid], annotations[mid]) for tid, mid in states]
+        payloads = list(map(trees.__getitem__, tids))
         return self._automaton(DRW, mode, table, payloads, targets, marks, annotations, acceptance)
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Union
 
 from .automata import DRTW, DRW, NBW, TransitionAnnotation, bits
-from .determinize import EnrichedHistoryTree, HistoryTree
+from .determinize import HistoryTree
 from .errors import InputError
 from .trees import IdentifierTable, name_str
 
@@ -22,7 +22,7 @@ def _marks(ann: TransitionAnnotation) -> str:
 
 
 def emit_dot(
-    obj: Union[NBW, DRTW, DRW, HistoryTree, EnrichedHistoryTree],
+    obj: Union[NBW, DRTW, DRW, HistoryTree],
     table: Optional[IdentifierTable] = None,
 ) -> str:
     """DOT text for an automaton or a tree; a tree's nodes show their
@@ -31,8 +31,6 @@ def emit_dot(
         return _nbw_dot(obj)
     if isinstance(obj, (DRTW, DRW)):
         return _rabin_dot(obj)
-    if isinstance(obj, EnrichedHistoryTree):
-        return _tree_dot(obj.tree, table)
     if isinstance(obj, HistoryTree):
         return _tree_dot(obj, table)
     raise InputError(f"cannot render {type(obj).__name__} as DOT")
@@ -62,8 +60,7 @@ def _nbw_dot(a: NBW) -> str:
 def _rabin_dot(d: Union[DRTW, DRW]) -> str:
     lines = ["digraph rabin {", "  rankdir=LR;"]
     for sid, (payload, label) in enumerate(zip(d.payloads, d.state_labels())):
-        tree = payload.tree if isinstance(payload, EnrichedHistoryTree) else payload
-        sinkish = isinstance(tree, HistoryTree) and tree.is_sink
+        sinkish = isinstance(payload, HistoryTree) and payload.is_sink
         style = " style=dashed" if sinkish else ""
         lines.append(f"  n{sid} [label={_q(label)} shape=box{style}];")
     lines.append("  init [shape=point];")

@@ -409,28 +409,30 @@ def _rabin_acceptance_line(pair_count: int) -> str:
 def emit_rabin(d: Union[DRTW, DRW]) -> str:
     """HOA text for a deterministic Rabin automaton; pair i owns the
     acceptance sets 2i (Fin, rejecting) and 2i+1 (Inf, accepting).  Output
-    is a pure function of the automaton, so emission is byte stable."""
+    is a pure function of the automaton, so emission is byte stable.  It
+    builds one string per state and joins them once."""
     on_transitions = d.acceptance.kind == "transition"
     pair_count = len(d.acceptance.indices)
-    lines = _hoa_preamble(len(d.payloads), [d.initial], d.alphabet)
-    lines += [f"acc-name: Rabin {pair_count}", _rabin_acceptance_line(pair_count)]
-    lines.append("properties: deterministic " + ("trans-acc" if on_transitions else "state-acc"))
+    head = _hoa_preamble(len(d.payloads), [d.initial], d.alphabet)
+    head += [f"acc-name: Rabin {pair_count}", _rabin_acceptance_line(pair_count)]
+    head += ["properties: deterministic " + ("trans-acc" if on_transitions else "state-acc"), "--BODY--"]
     # A mark's signature has bit s set for each acceptance set s it is in;
     # each mark's text is rendered once.
     texts = [" {" + " ".join(map(str, bits(sig))) + "}" if sig else "" for sig in d.acceptance.signatures]
 
-    lines.append("--BODY--")
+    parts = ["\n".join(head) + "\n"]
     letters = [f"[@s{k}] " for k in range(len(d.alphabet))]
     targets, marks = d.targets, d.marks
     for sid, label in enumerate(d.state_labels()):
         if on_transitions:
-            lines.append(f"State: {sid} {_quote(label)}")
-            lines += [f"{letter}{row[sid]}{texts[marked[sid]]}" for letter, row, marked in zip(letters, targets, marks)]
+            edges = "".join([f"{letter}{row[sid]}{texts[marked[sid]]}\n"
+                             for letter, row, marked in zip(letters, targets, marks)])
+            parts.append(f"State: {sid} {_quote(label)}\n{edges}")
         else:
-            lines.append(f"State: {sid} {_quote(label)}{texts[marks[0][sid]]}")
-            lines += [f"{letter}{row[sid]}" for letter, row in zip(letters, targets)]
-    lines.append("--END--")
-    return "\n".join(lines) + "\n"
+            edges = "".join([f"{letter}{row[sid]}\n" for letter, row in zip(letters, targets)])
+            parts.append(f"State: {sid} {_quote(label)}{texts[marks[0][sid]]}\n{edges}")
+    parts.append("--END--\n")
+    return "".join(parts)
 
 
 def parse_rabin(text: str) -> Union[DRTW, DRW]:

@@ -28,3 +28,8 @@ def signature_map(d):
                 for i in range(len(d.payloads)) for j, sym in enumerate(d.alphabet)
                 if signatures[d.marks[j][i]]}
     return {i: signatures[mark] for i, mark in enumerate(d.marks[0]) if signatures[mark]}
+
+
+def incoming(drw):
+    """Each DRW state's incoming annotation, the one its mark row gives it."""
+    return [drw.annotations[m] for m in drw.marks[0]]

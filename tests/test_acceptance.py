@@ -124,7 +124,7 @@ def test_criterion_5_structural_invariants(builds):
     for name, (a, canonical, baseline, drw) in builds.items():
         n = len(a.states)
         table = IdentifierTable(max(n, 1))
-        payloads = list(canonical.payloads) + [p.tree for p in drw.payloads]
+        payloads = list(canonical.payloads) + list(drw.payloads)
         for payload in payloads:
             from histree.determinize import check_history_tree
 

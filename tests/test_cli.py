@@ -129,7 +129,7 @@ def test_stats_lists_all_targets(e1_file, capsys):
     assert "target=canonical-drtw" in out
     assert "target=baseline-drtw" in out
     assert "pairs=1" in out
-    assert "states=3" in out  # the enriched build
+    assert "states=3" in out  # the DRW build
 
 
 def test_render_writes_dot(e1_file, tmp_path, capsys):

@@ -5,7 +5,6 @@ import pytest
 from histree.automata import NBW, TransitionAnnotation
 from histree.determinize import (
     Determinizer,
-    EnrichedHistoryTree,
     HistoryTree,
     assemble_pairs,
     assemble_state_pairs,
@@ -22,7 +21,7 @@ from histree.fixtures import e1, no_finals, single_final_loop
 from histree.oracle import det_lasso_member, lassos_upto, nbw_lasso_member
 from histree.automata import LassoWord
 from histree.trees import Identifier, classify, full_tree, height
-from rabin_edges import edge_map, signature_map
+from rabin_edges import edge_map, incoming, signature_map
 
 
 def tree(nbw, labels):
@@ -196,7 +195,7 @@ def test_build_drw_e1(e1_nbw):
     assert len(d.payloads) == 3
     assert d.acceptance.kind == "state"
     annotations = sorted(
-        (sorted(p.incoming.accepting), sorted(p.incoming.unstable)) for p in d.payloads
+        (sorted(ann.accepting), sorted(ann.unstable)) for ann in incoming(d)
     )
     assert annotations == [([], []), ([], []), ([Identifier(1, 1)], [])]
     assert det_lasso_member(d, LassoWord((), ("a",)))
@@ -221,7 +220,7 @@ def test_drw_is_the_edge_split_of_the_drtw(corpus_sample):
             table = Determinizer(a).table if mode == "canonical" else None
             drtw, drw = build_drtw(a, mode), build_drw(a, mode)
             tree_id = {tree: t for t, tree in enumerate(drtw.payloads)}
-            split = [(tree_id[p.tree], p.incoming) for p in drw.payloads]
+            split = [(tree_id[p], ann) for p, ann in zip(drw.payloads, incoming(drw))]
             drtw_edges = edge_map(drtw)
             for (sid, symbol), (did, ann) in edge_map(drw).items():
                 assert drtw_edges[(split[sid][0], symbol)] == (split[did][0], ann)
@@ -231,6 +230,25 @@ def test_drw_is_the_edge_split_of_the_drtw(corpus_sample):
             assert split[0] == start
             assert len(set(split)) == len(split)
             assert set(split) == {start} | set(drtw_edges.values())
+
+
+@pytest.mark.parametrize("mode", ["canonical", "baseline"])
+def test_drw_payloads_are_the_engines_trees(mode, all_fixtures, corpus_sample):
+    """Every DRW payload is the very tree object the DRTW of the same
+    engine holds for that state's tree id.  The tree ids are read off the
+    edges: the start state is tree 0, and a DRW edge enters a state of the
+    tree its DRTW edge enters."""
+    for name, a in _named_inputs(all_fixtures, corpus_sample):
+        engine = Determinizer(a)
+        drtw, drw = engine.build_drtw(mode), engine.build_drw(mode)
+        tree_id = {0: 0}
+        for sid in range(len(drw.payloads)):
+            for j in range(len(a.alphabet)):
+                target = drtw.targets[j][tree_id[sid]]
+                assert tree_id.setdefault(drw.targets[j][sid], target) == target, name
+        assert sorted(tree_id) == list(range(len(drw.payloads))), name
+        for sid, payload in enumerate(drw.payloads):
+            assert payload is drtw.payloads[tree_id[sid]], (name, sid)
 
 
 def test_build_drw_after_build_drtw_makes_no_successor_calls(e1_nbw, monkeypatch):
@@ -433,10 +451,16 @@ def test_build_drw_modes_agree_on_language(e1_nbw):
             assert det_lasso_member(d, w) == nbw_lasso_member(e1_nbw, w)
 
 
-def test_enriched_tree_renders_marks(e1_nbw):
-    d = build_drw(e1_nbw)
-    rendered = [p.render() for p in d.payloads]
-    assert any("(1,1)" in r for r in rendered)
+def test_drw_state_labels_render_incoming_marks(e1_nbw):
+    """A DRW state's label is its tree's rendering followed by its
+    incoming mark's pair indices, and a DRTW's is the tree's alone."""
+    assert build_drw(e1_nbw).state_labels() == [
+        "ε:{p}(0,1) [+{} -{}]",
+        "ε:{p,q}(0,1) 1:{q}(1,1) [+{} -{}]",
+        "ε:{p,q}(0,1) 1:{q}(1,1) [+{(1,1)} -{}]",
+    ]
+    assert build_drw(e1_nbw, "baseline").state_labels()[2] == "ε:{p,q} 1:{q} [+{(1,)} -{}]"
+    assert build_drtw(e1_nbw).state_labels() == ["ε:{p}(0,1)", "ε:{p,q}(0,1) 1:{q}(1,1)"]
 
 
 def test_rename_takeover_rejects_broken_lineage():
@@ -538,8 +562,10 @@ def test_census_matches_the_per_step_definition(strict, all_fixtures, corpus_sam
     """The census read off the trees equals its per-step definition: the
     distinct spawned names of height >= n over every (tree, symbol), and the
     largest tree.  Every step spawns exactly the tree's names and its fresh
-    children."""
-    for name, a in _named_inputs(all_fixtures, corpus_sample):
+    children.  A zero-letter input steps no tree, so it spawns no name."""
+    no_letters = parse_nbw("HOA: v1\nStates: 1\nStart: 0\nAP: 0\nacc-name: Buchi\n"
+                           "Acceptance: 1 Inf(0)\n--BODY--\nState: 0 {0}\n--END--\n")
+    for name, a in _named_inputs(all_fixtures, corpus_sample) + [("no_letters", no_letters)]:
         engine = Determinizer(a, "canonical", strict_marks=strict)
         trees = engine.build_drtw().payloads
         off_table = set()
@@ -639,7 +665,7 @@ def test_equal_trees_and_marks_are_one_object(mode, strict, all_fixtures, corpus
         assert len({id(m) for m in named}) == len(set(named)), name
 
         for marks in ([ann for _, ann in drtw_edges.values()],
-                      [p.incoming for p in drw.payloads] + [ann for _, ann in edge_map(drw).values()]):
+                      incoming(drw) + [ann for _, ann in edge_map(drw).values()]):
             assert len({id(m) for m in marks}) == len(set(marks)), name
         for d in (drtw, drw):
             assert len(set(d.annotations)) == len(d.annotations), name
@@ -647,8 +673,8 @@ def test_equal_trees_and_marks_are_one_object(mode, strict, all_fixtures, corpus
         start = (trees[0], relabel(TransitionAnnotation(stable=trees[0].names), table))
         edges = [(trees[drtw_edges[key][0]], relabel(trace.marks, table)) for key, trace in traces.items()]
         reference = list(dict.fromkeys([start, *edges]))
-        assert [(p.tree, p.incoming) for p in drw.payloads] == reference, name
-        assert all(p.tree is trees[trees.index(p.tree)] for p in drw.payloads), name
+        assert list(zip(drw.payloads, incoming(drw))) == reference, name
+        assert all(p is trees[trees.index(p)] for p in drw.payloads), name
 
 
 def test_relabeling_merges_equal_canonical_marks(corpus_sample):
