@@ -97,12 +97,10 @@ def image(mask: int, rows: Sequence[int]) -> int:
     """The union of the rows of the set bits of `mask`: with an NBW's rows
     for a symbol, the successors of a set of states."""
     out = 0
-    i = 0
     while mask:
-        if mask & 1:
-            out |= rows[i]
-        mask >>= 1
-        i += 1
+        low = mask & -mask  # the lowest set bit
+        out |= rows[low.bit_length() - 1]
+        mask ^= low
     return out
 
 

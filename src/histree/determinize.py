@@ -30,16 +30,17 @@ emptiness at once, and "children's union equals the label" is that test
 on their XOR.  Node sets are guard-bit masks: lane j's guard bit is set
 when the node is in the set on letter j.
 
-Spawn is one `image` per node over per-state successor rows packed across
-the letters; dedup, the nonempty test, collapse and prune are bitwise
-passes over the skeleton's positions (a parent precedes its subtree, and
-older siblings precede younger ones), run once per tree.  So are the new
+Spawn reads one packed `image` per node, over per-state successor rows
+packed across the letters, from the engine's memo keyed by label mask;
+dedup, the nonempty test, collapse and prune are bitwise passes over
+the skeleton's positions (a parent precedes its subtree, and older
+siblings precede younger ones), run once per tree.  So are the new
 sibling indices of compression, as a per-lane count of surviving older
 siblings, and stability: a survivor is stable when its count gives back
 its own index and its parent is stable.  The phases end by decoding
 every lane: its survivors renamed and split into stable and unstable,
 which gives the result tree and the marks.  `Determinizer` keeps the
-phases of the tree it stepped last, and each `successor_trace` reads its
+phases of the tree it stepped last, and each `successor_trace` picks its
 letter's lane.  The other phases of a `StepTrace` are views of that
 lane, decoded only when read.  `classify`, the gap-rule definition of
 stability, and `compress` stay the references that `check_history_tree`,
@@ -51,9 +52,11 @@ Most steps reach a tree or a mark set the engine has seen before, so the
 engine interns both: it keeps one `HistoryTree` per distinct entries
 tuple and one `TransitionAnnotation` per distinct (accepting, unstable,
 stable) name tuple, and a step that reaches a known value builds no new
-dataclass or frozenset.  Interned trees are known sound; any other tree
-is checked with `check_history_tree` before its first step, so a
-malformed tree raises InputError instead of a wrong successor.  Past the
+dataclass or frozenset.  The decode pass interns every lane's result and
+marks as it decodes them, so a lane holds the engine's values and
+`successor_trace` only picks one.  Interned trees are known sound; any
+other tree is checked with `check_history_tree` before its first step,
+so a malformed tree raises InputError instead of a wrong successor.  Past the
 step every table is keyed on ints: the exploration numbers its trees and
 marks in discovery order, a build relabels each distinct mark once and
 gives equal relabeled marks one number, a DRW state is keyed by one int
@@ -263,23 +266,28 @@ class _Phases:
     `survivors` holds, in preorder, every node that survives on some
     letter: (position, pruned, stable, accepting, unstable mark, name,
     packed label, parent position, packed new sibling index).  `lanes`
-    holds per letter the result tree's entries and the name-indexed marks
-    as sorted name tuples (accepting, unstable, stable)."""
+    holds per letter the result tree and the name-indexed marks, both the
+    engine's interned values."""
 
     __slots__ = ("tree", "skeleton", "spawned", "deduped", "survivors", "lanes")
 
-    def __init__(self, tree: HistoryTree, skeleton: _Skeleton, labels: Sequence[int],
-                 lanes: _Lanes, strict_marks: bool):
+    def __init__(self, tree: HistoryTree, skeleton: _Skeleton, labels: Sequence[int], engine: "Determinizer"):
         self.tree = tree
         self.skeleton = skeleton
+        lanes, strict_marks = engine._lanes, engine.strict_marks
         rows, final, fill, guards, n = lanes.rows, lanes.final, lanes.fill, lanes.guards, lanes.n
         names = skeleton.names
         size = len(names)
         # Spawn: every node advances its label on every letter, and its
         # fresh youngest child holds the final states among the successors.
+        # The engine keeps each label's packed image.
+        images = engine._images
         self.spawned = spawned = [0] * size
         for label, slot, child in zip(labels, skeleton.slots, skeleton.fresh):
-            advanced = spawned[slot] = image(label, rows)
+            advanced = images.get(label)
+            if advanced is None:
+                advanced = images[label] = image(label, rows)
+            spawned[slot] = advanced
             spawned[child] = advanced & final
 
         # Dedup: a state an older sibling held before dedup leaves every
@@ -327,7 +335,9 @@ class _Phases:
             survivors.append((p, live, kept, cover, minus, name, label, q, rank))
 
         # Decode each lane: rename its survivors and split them into stable
-        # and unstable, which gives the result tree and the marks.
+        # and unstable, which gives the result tree and the marks, each
+        # looked up in the engine's interned values and added when new.
+        trees, annotations, states = engine._trees, engine._marks, engine.nbw.states
         self.lanes = decoded = []
         mask = (1 << n) - 1  # a lane's label; also fits its sibling counts, at most n
         for shift in range(0, len(lanes.index) * (n + 1), n + 1):
@@ -350,7 +360,15 @@ class _Phases:
                     # The root is always stable, so an unstable node has a parent.
                     name = renamed[p] = renamed.get(q, names[q]) + (rank >> shift & mask,)
                 entries.append((name, label >> shift & mask))
-            decoded.append((tuple(entries), (tuple(plus), tuple(minus_names), tuple(stable_names))))
+            entries = tuple(entries)
+            result = trees.get(entries)
+            if result is None:
+                result = trees[entries] = HistoryTree(entries, states)
+            marked = (tuple(plus), tuple(minus_names), tuple(stable_names))
+            marks = annotations.get(marked)
+            if marks is None:
+                marks = annotations[marked] = TransitionAnnotation(*map(frozenset, marked))
+            decoded.append((result, marks))
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -470,10 +488,11 @@ class Determinizer:
     tree it stepped last, matched by identity, so stepping one tree on
     each letter in turn computes them once, and one `_Skeleton` per tree
     shape it has stepped, so trees of one shape share their label-free
-    work.  It also interns its values: one `HistoryTree` per distinct
-    entries tuple and one `TransitionAnnotation` per distinct mark set, so
-    a step that reaches a known tree or mark set builds no new one.  A
-    tree it did not produce is checked once before its first step."""
+    work, and each label's packed image, keyed by mask.  It also interns
+    its values: one `HistoryTree` per distinct entries tuple and one
+    `TransitionAnnotation` per distinct mark set, so a step that reaches a
+    known tree or mark set builds no new one.  A tree it did not produce
+    is checked once before its first step."""
 
     def __init__(
         self,
@@ -497,6 +516,8 @@ class Determinizer:
         self._marks: Dict[_MarkNames, TransitionAnnotation] = {}
         # One skeleton per tree shape, keyed by the name tuple.
         self._skeletons: Dict[Tuple[NodeName, ...], _Skeleton] = {}
+        # Each label stepped, by mask, and its successors packed across the letters.
+        self._images: Dict[int, int] = {}
 
     @cached_property
     def table(self) -> IdentifierTable:
@@ -554,15 +575,8 @@ class Determinizer:
                     raise InputError("not a history tree of this automaton: " + "; ".join(problems))
                 self._tree(tree.entries)
             names, labels = zip(*tree.entries) if tree.entries else ((), ())
-            phases = self._last_phases = _Phases(tree, self._skeleton(names), labels, self._lanes,
-                                                 self.strict_marks)
-        entries, marked = phases.lanes[lane]
-        result = self._trees.get(entries)
-        if result is None:
-            result = self._tree(entries)
-        marks = self._marks.get(marked)
-        if marks is None:
-            marks = self._marks[marked] = TransitionAnnotation(*map(frozenset, marked))
+            phases = self._last_phases = _Phases(tree, self._skeleton(names), labels, self)
+        result, marks = phases.lanes[lane]
         return StepTrace(symbol, result, marks, phases, lane)
 
     def successor(self, tree: HistoryTree, symbol: Symbol) -> Tuple[HistoryTree, TransitionAnnotation]:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from itertools import islice
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .automata import (
@@ -32,48 +33,42 @@ class UnsupportedAcceptanceError(InputError):
 
 # -- tokenizer ---------------------------------------------------------------
 
+# A token is a (kind, value, offset) tuple: the name of the group below that
+# matched, the matched text and the offset of its first character.  Line
+# and column are computed from the offset only for an error.  Whitespace
+# separates tokens and is not one.  A character that starts no token
+# starts a `bad` token that runs to the end of the text, so only the last
+# token can be bad.
+_Token = Tuple[str, str, int]
+
 _TOKEN_RE = re.compile(
     r"""
-      (?P<ws>\s+)
-    | (?P<string>"(?:[^"\\]|\\.)*")
+      (?P<string>"(?:[^"\\]|\\.)*")
     | (?P<marker>--BODY--|--END--)
     | (?P<header>[a-zA-Z_][0-9a-zA-Z_-]*:)
     | (?P<alias>@[0-9a-zA-Z_-]+)
     | (?P<int>[0-9]+)
     | (?P<ident>[a-zA-Z_][0-9a-zA-Z_-]*)
     | (?P<punct>[\[\]{}()&|!])
+    | (?P<bad>\S[\s\S]*)
     """,
     re.VERBOSE,
 )
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    value: str
-    line: int
-    col: int
-
-
 def _tokenize(text: str) -> List[_Token]:
-    tokens: List[_Token] = []
-    line = 1
-    line_start = 0
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, pos - line_start + 1)
-        kind = m.lastgroup
-        value = m.group()
-        if kind != "ws":
-            tokens.append(_Token(kind, value, line, pos - line_start + 1))
-        newlines = value.count("\n")
-        if newlines:
-            line += newlines
-            line_start = pos + value.rindex("\n") + 1
-        pos = m.end()
+    """The tokens of `text`, in one scan; a character that starts no token
+    raises ParseError."""
+    tokens = [(m.lastgroup, m[0], m.start()) for m in _TOKEN_RE.finditer(text)]
+    if tokens and tokens[-1][0] == "bad":
+        offset = tokens[-1][2]
+        raise ParseError(f"unexpected character {text[offset]!r}", *_position(text, offset))
     return tokens
+
+
+def _position(text: str, offset: int) -> Tuple[int, int]:
+    """The line and column, both from 1, of the character at `offset`."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
 def _unquote(raw: str) -> str:
@@ -84,29 +79,43 @@ def _quote(text: str) -> str:
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-class _TokenStream:
-    def __init__(self, tokens: List[_Token]):
-        self.tokens = tokens
-        self.pos = 0
+class _Reader:
+    """One document's tokens, read by index.  An `end` token closes the
+    list, at the last token's offset (0 in a document without tokens), so
+    reading past the last token finds a kind that no rule takes, and an
+    error there is reported at the last token."""
 
-    def peek(self) -> Optional[_Token]:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+    __slots__ = ("text", "tokens")
 
-    def next(self, expect_kind: Optional[str] = None, what: str = "token") -> _Token:
-        tok = self.peek()
-        if tok is None:
-            last = self.tokens[-1] if self.tokens else _Token("", "", 1, 1)
-            raise ParseError(f"unexpected end of input, expected {what}", last.line, last.col)
-        if expect_kind is not None and tok.kind != expect_kind:
-            raise ParseError(f"expected {what}, found {tok.value!r}", tok.line, tok.col)
-        self.pos += 1
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = tokens = _tokenize(text)
+        tokens.append(("end", "", tokens[-1][2] if tokens else 0))
+
+    def error(self, message: str, offset: int) -> ParseError:
+        return ParseError(message, *_position(self.text, offset))
+
+    def unexpected(self, i: int, what: str) -> ParseError:
+        """The error for token i where `what` was expected."""
+        kind, value, offset = self.tokens[i]
+        if kind == "end":
+            return self.error(f"unexpected end of input, expected {what}", offset)
+        return self.error(f"expected {what}, found {value!r}", offset)
+
+    def take(self, i: int, kind: str, what: str) -> _Token:
+        """Token i, which must be of `kind`."""
+        tok = self.tokens[i]
+        if tok[0] != kind:
+            raise self.unexpected(i, what)
         return tok
 
 
 # -- HOA parsing --------------------------------------------------------------
 
-_IGNORED_HEADERS = {"name:", "tool:"}
 _ONCE_HEADERS = {"States:", "AP:", "acc-name:", "Acceptance:"}  # a repeat would override the first
+# Headers whose arguments run to the next header or marker; name: and tool: are ignored.
+_ARGS_HEADERS = {"acc-name:", "Acceptance:", "properties:", "name:", "tool:"}
+_ARGS_END = ("header", "marker", "end")
 
 
 @dataclass
@@ -114,7 +123,7 @@ class _HoaDocument:
     state_count: int
     start: List[_Token]
     aps: List[str]
-    aliases: Dict[str, int]  # alias name (without @) -> symbol index
+    aliases: Dict[str, int]  # alias token (with its @) -> symbol index
     acc_name: Optional[List[_Token]]
     acceptance: Optional[List[_Token]]
     properties: List[str]
@@ -122,187 +131,179 @@ class _HoaDocument:
     edges: Dict[int, List[Tuple[int, int, Tuple[int, ...]]]]  # src -> (sym, dst, sig)
 
 
-def _parse_alias_expr(stream: _TokenStream, ap_count: int) -> int:
-    """One-hot conjunction over all APs; returns the positive AP index."""
+def _parse_alias_expr(reader: _Reader, i: int, ap_count: int) -> Tuple[int, int]:
+    """The one-hot conjunction over all APs that starts at token i: its
+    positive AP index and the index of the token after it."""
+    tokens = reader.tokens
+    first = tokens[i]
     positive: List[int] = []
     seen: set = set()
-    first = stream.peek()
     while True:
-        tok = stream.peek()
-        negated = False
-        if tok is not None and tok.value == "!":
-            stream.next()
-            negated = True
-            tok = stream.peek()
-        if tok is None or tok.kind != "int":
-            where = tok or first
-            raise ParseError(
-                "alias expressions must be conjunctions of AP literals",
-                where.line if where else 1,
-                where.col if where else 1,
-            )
-        stream.next()
-        ap = int(tok.value)
+        kind, value, offset = tokens[i]
+        negated = value == "!"
+        if negated:
+            i += 1
+            kind, value, offset = tokens[i]
+        if kind != "int":
+            where = first if kind == "end" else tokens[i]
+            raise reader.error("alias expressions must be conjunctions of AP literals",
+                               0 if where[0] == "end" else where[2])
+        i += 1
+        ap = int(value)
         if ap >= ap_count:
-            raise ParseError(f"AP {ap} out of range", tok.line, tok.col)
+            raise reader.error(f"AP {ap} out of range", offset)
         seen.add(ap)
         if not negated:
             positive.append(ap)
-        nxt = stream.peek()
-        if nxt is not None and nxt.value == "&":
-            stream.next()
-            continue
-        break
+        if tokens[i][1] != "&":
+            break
+        i += 1
     if len(positive) != 1 or len(seen) != ap_count:
-        where = first
-        raise ParseError(
-            "alias must name exactly one symbol: one positive AP, all others negated",
-            where.line,
-            where.col,
-        )
-    return positive[0]
+        raise reader.error("alias must name exactly one symbol: one positive AP, all others negated", first[2])
+    return positive[0], i
 
 
 def _parse_hoa_document(text: str) -> _HoaDocument:
-    stream = _TokenStream(_tokenize(text))
-    head = stream.next("header", "HOA: header")
-    if head.value != "HOA:":
-        raise ParseError("document must start with HOA: v1", head.line, head.col)
-    version = stream.next("ident", "format version")
-    if version.value != "v1":
-        raise ParseError(f"unsupported HOA version {version.value!r}", version.line, version.col)
+    reader = _Reader(text)
+    tokens, take, error = reader.tokens, reader.take, reader.error
+    head = take(0, "header", "HOA: header")
+    if head[1] != "HOA:":
+        raise error("document must start with HOA: v1", head[2])
+    version = take(1, "ident", "format version")
+    if version[1] != "v1":
+        raise error(f"unsupported HOA version {version[1]!r}", version[2])
 
     doc = _HoaDocument(-1, [], [], {}, None, None, [], [], {})
     seen = set()
+    i = 2
     while True:
-        tok = stream.peek()
-        if tok is None:
+        kind, name, offset = tokens[i]
+        if kind == "end":
             raise ParseError("missing --BODY--", 1, 1)
-        if tok.kind == "marker":
+        if kind == "marker":
             break
-        tok = stream.next("header", "header or --BODY--")
-        name = tok.value
+        if kind != "header":
+            raise reader.unexpected(i, "header or --BODY--")
+        i += 1
         if name in _ONCE_HEADERS:
             if name in seen:
-                raise ParseError(f"repeated {name} header", tok.line, tok.col)
+                raise error(f"repeated {name} header", offset)
             seen.add(name)
         if name == "States:":
-            doc.state_count = int(stream.next("int", "state count").value)
+            doc.state_count = int(take(i, "int", "state count")[1])
+            i += 1
         elif name == "Start:":
-            doc.start.append(stream.next("int", "start state"))
-            trailing = stream.peek()
-            if trailing is not None and trailing.value in ("&", "|"):
-                raise ParseError(
-                    "start conjunctions are not supported", trailing.line, trailing.col
-                )
+            doc.start.append(take(i, "int", "start state"))
+            i += 1
+            if tokens[i][1] in ("&", "|"):
+                raise error("start conjunctions are not supported", tokens[i][2])
         elif name == "AP:":
-            count = int(stream.next("int", "AP count").value)
-            doc.aps = [_unquote(stream.next("string", "AP name").value) for _ in range(count)]
+            count = int(take(i, "int", "AP count")[1])
+            doc.aps = [_unquote(take(i + 1 + j, "string", "AP name")[1]) for j in range(count)]
+            i += 1 + count
         elif name == "Alias:":
-            alias_tok = stream.next("alias", "alias name")
-            doc.aliases[alias_tok.value[1:]] = _parse_alias_expr(stream, len(doc.aps))
-        elif name == "acc-name:":
-            doc.acc_name = _collect_args(stream)
-        elif name == "Acceptance:":
-            doc.acceptance = _collect_args(stream)
-        elif name == "properties:":
-            doc.properties.extend(t.value for t in _collect_args(stream))
-        elif name in _IGNORED_HEADERS:
-            _collect_args(stream)
+            alias = take(i, "alias", "alias name")[1]
+            doc.aliases[alias], i = _parse_alias_expr(reader, i + 1, len(doc.aps))
+        elif name in _ARGS_HEADERS:
+            start = i
+            while tokens[i][0] not in _ARGS_END:
+                i += 1
+            if name == "acc-name:":
+                doc.acc_name = tokens[start:i]
+            elif name == "Acceptance:":
+                doc.acceptance = tokens[start:i]
+            elif name == "properties:":
+                doc.properties.extend(value for _, value, _ in tokens[start:i])
         else:
-            raise ParseError(f"unsupported header {name!r}", tok.line, tok.col)
+            raise error(f"unsupported header {name!r}", offset)
 
-    marker = stream.next("marker", "--BODY--")
-    if marker.value != "--BODY--":
-        raise ParseError("expected --BODY--", marker.line, marker.col)
+    marker = tokens[i]
+    i += 1
+    if marker[1] != "--BODY--":
+        raise error("expected --BODY--", marker[2])
     if doc.state_count < 0:
-        raise ParseError("missing States: header", marker.line, marker.col)
+        raise error("missing States: header", marker[2])
     for tok in doc.start:
-        if int(tok.value) >= doc.state_count:
-            raise ParseError(f"start state {tok.value} not declared", tok.line, tok.col)
+        if int(tok[1]) >= doc.state_count:
+            raise error(f"start state {tok[1]} not declared", tok[2])
 
-    current: Optional[int] = None
+    aliases, state_count, edges = doc.aliases, doc.state_count, doc.edges
+    out: Optional[List[Tuple[int, int, Tuple[int, ...]]]] = None  # the current state's edges
     while True:
-        tok = stream.peek()
-        if tok is None:
-            raise ParseError("missing --END--", marker.line, marker.col)
-        if tok.kind == "marker":
-            stream.next()
-            if tok.value != "--END--":
-                raise ParseError("unexpected --BODY--", tok.line, tok.col)
-            break
-        if tok.kind == "header" and tok.value == "State:":
-            stream.next()
-            num_tok = stream.next("int", "state number")
-            num = int(num_tok.value)
-            if num >= doc.state_count:
-                raise ParseError(f"state {num} not declared", num_tok.line, num_tok.col)
-            if num in doc.edges:
-                raise ParseError(f"state {num} declared twice", num_tok.line, num_tok.col)
-            label: Optional[str] = None
-            if stream.peek() is not None and stream.peek().kind == "string":
-                label = _unquote(stream.next().value)
-            sig = _parse_signature(stream)
-            doc.states.append((num, label, sig))
-            doc.edges.setdefault(num, [])
-            current = num
-        elif tok.value == "[":
-            if current is None:
-                raise ParseError("edge before any State:", tok.line, tok.col)
-            stream.next()
-            label_tok = stream.peek()
-            if label_tok is None or label_tok.kind != "alias":
-                where = label_tok or tok
-                raise ParseError(
-                    "propositional label expressions are not supported; "
-                    "edges must carry a single @alias",
-                    where.line,
-                    where.col,
+        kind, value, offset = tokens[i]
+        if value == "[":
+            if out is None:
+                raise error("edge before any State:", offset)
+            # An error at the end lands on the last token: here the "[".
+            kind, alias, where = tokens[i + 1]
+            if kind != "alias":
+                raise error(
+                    "propositional label expressions are not supported; edges must carry a single @alias",
+                    where,
                 )
-            stream.next()
-            alias = label_tok.value[1:]
-            if alias not in doc.aliases:
-                raise ParseError(f"unknown alias @{alias}", label_tok.line, label_tok.col)
-            closing = stream.next("punct", "]")
-            if closing.value != "]":
-                raise ParseError("expected ]", closing.line, closing.col)
-            dst_tok = stream.next("int", "edge target")
-            dst = int(dst_tok.value)
-            if dst >= doc.state_count:
-                raise ParseError(f"state {dst} not declared", dst_tok.line, dst_tok.col)
-            sig = _parse_signature(stream)
-            doc.edges[current].append((doc.aliases[alias], dst, sig))
+            symbol = aliases.get(alias)
+            if symbol is None:
+                raise error(f"unknown alias {alias}", where)
+            if tokens[i + 2][1] != "]":  # other punctuation, or else the error `take` raises
+                raise error("expected ]", take(i + 2, "punct", "]")[2])
+            kind, value, offset = tokens[i + 3]
+            if kind != "int":
+                raise reader.unexpected(i + 3, "edge target")
+            dst = int(value)
+            if dst >= state_count:
+                raise error(f"state {dst} not declared", offset)
+            i += 4
+            sig: Tuple[int, ...] = ()
+            if tokens[i][1] == "{":
+                sig, i = _parse_signature(reader, i)
+            out.append((symbol, dst, sig))
+        elif kind == "header" and value == "State:":
+            kind, value, offset = take(i + 1, "int", "state number")
+            num = int(value)
+            if num >= state_count:
+                raise error(f"state {num} not declared", offset)
+            if num in edges:
+                raise error(f"state {num} declared twice", offset)
+            i += 2
+            label: Optional[str] = None
+            if tokens[i][0] == "string":
+                label = _unquote(tokens[i][1])
+                i += 1
+            sig = ()
+            if tokens[i][1] == "{":
+                sig, i = _parse_signature(reader, i)
+            doc.states.append((num, label, sig))
+            out = edges[num] = []
+        elif kind == "marker":
+            if value != "--END--":
+                raise error("unexpected --BODY--", offset)
+            break
+        elif kind == "end":
+            raise error("missing --END--", marker[2])
         else:
-            raise ParseError(f"unexpected token {tok.value!r} in body", tok.line, tok.col)
+            raise error(f"unexpected token {value!r} in body", offset)
     return doc
 
 
-def _collect_args(stream: _TokenStream) -> List[_Token]:
-    args: List[_Token] = []
-    while True:
-        tok = stream.peek()
-        if tok is None or tok.kind in ("header", "marker"):
-            return args
-        args.append(stream.next())
-
-
-def _parse_signature(stream: _TokenStream) -> Tuple[int, ...]:
-    tok = stream.peek()
-    if tok is None or tok.value != "{":
-        return ()
-    stream.next()
+def _parse_signature(reader: _Reader, i: int) -> Tuple[Tuple[int, ...], int]:
+    """The set numbers in the braces that open at token i, and the index of
+    the token after the closing brace."""
+    tokens = reader.tokens
     sets: List[int] = []
     while True:
-        tok = stream.next(what="acceptance set or }")
-        if tok.value == "}":
-            return tuple(sets)
-        if tok.kind != "int":
-            raise ParseError("acceptance signature must list set numbers", tok.line, tok.col)
-        sets.append(int(tok.value))
+        i += 1
+        kind, value, offset = tokens[i]
+        if value == "}":
+            return tuple(sets), i + 1
+        if kind != "int":
+            if kind == "end":
+                raise reader.unexpected(i, "acceptance set or }")
+            raise reader.error("acceptance signature must list set numbers", offset)
+        sets.append(int(value))
 
 
 def _acc_tokens_text(tokens: Optional[List[_Token]]) -> str:
-    return " ".join(t.value for t in tokens) if tokens else ""
+    return " ".join(value for _, value, _ in tokens) if tokens else ""
 
 
 # -- NBW (Buchi) parse / emit -------------------------------------------------
@@ -345,7 +346,7 @@ def parse_nbw_hoa(text: str) -> NBW:
         states=names,
         alphabet=alphabet,
         transitions=transitions,
-        initial=tuple(names[i] for i in sorted({int(tok.value) for tok in doc.start})),
+        initial=tuple(names[i] for i in sorted({int(value) for _, value, _ in doc.start})),
         finals=finals,
     )
 
@@ -409,30 +410,42 @@ def _rabin_acceptance_line(pair_count: int) -> str:
 def emit_rabin(d: Union[DRTW, DRW]) -> str:
     """HOA text for a deterministic Rabin automaton; pair i owns the
     acceptance sets 2i (Fin, rejecting) and 2i+1 (Inf, accepting).  Output
-    is a pure function of the automaton, so emission is byte stable.  It
-    builds one string per state and joins them once."""
+    is a pure function of the automaton, so emission is byte stable."""
     on_transitions = d.acceptance.kind == "transition"
     pair_count = len(d.acceptance.indices)
-    head = _hoa_preamble(len(d.payloads), [d.initial], d.alphabet)
-    head += [f"acc-name: Rabin {pair_count}", _rabin_acceptance_line(pair_count)]
-    head += ["properties: deterministic " + ("trans-acc" if on_transitions else "state-acc"), "--BODY--"]
-    # A mark's signature has bit s set for each acceptance set s it is in;
-    # each mark's text is rendered once.
-    texts = [" {" + " ".join(map(str, bits(sig))) + "}" if sig else "" for sig in d.acceptance.signatures]
+    preamble = _hoa_preamble(len(d.payloads), [d.initial], d.alphabet)
+    preamble += [f"acc-name: Rabin {pair_count}", _rabin_acceptance_line(pair_count)]
+    preamble += ["properties: deterministic " + ("trans-acc" if on_transitions else "state-acc"), "--BODY--"]
+    return "".join(["\n".join(preamble) + "\n", *_rabin_body(d), "--END--\n"])
 
-    parts = ["\n".join(head) + "\n"]
-    letters = [f"[@s{k}] " for k in range(len(d.alphabet))]
-    targets, marks = d.targets, d.marks
-    for sid, label in enumerate(d.state_labels()):
-        if on_transitions:
-            edges = "".join([f"{letter}{row[sid]}{texts[marked[sid]]}\n"
-                             for letter, row, marked in zip(letters, targets, marks)])
-            parts.append(f"State: {sid} {_quote(label)}\n{edges}")
-        else:
-            edges = "".join([f"{letter}{row[sid]}\n" for letter, row in zip(letters, targets)])
-            parts.append(f"State: {sid} {_quote(label)}{texts[marks[0][sid]]}\n{edges}")
-    parts.append("--END--\n")
-    return "".join(parts)
+
+# States per string of `_rabin_body`.
+_BODY_BLOCK = 1024
+
+
+def _rabin_body(d: Union[DRTW, DRW]) -> List[str]:
+    """The HOA body, as strings of `_BODY_BLOCK` states each.  One `%`
+    format of a per-state template interleaves the letters' columns: each
+    letter's row of target numbers, formatted in C, and on a DRTW a C-level
+    map of its mark row to the marks' texts.  A block's state strings are
+    joined and freed before the next block is formatted, and the labels
+    are freed when this returns, before the caller joins the text."""
+    # A mark's signature has bit s set for each acceptance set s it is in;
+    # each mark's text, with its line end, is rendered once.
+    ends = [" {" + " ".join(map(str, bits(sig))) + "}\n" if sig else "\n" for sig in d.acceptance.signatures]
+    labels = map(_quote, d.state_labels())
+    letters = range(len(d.alphabet))
+    if d.acceptance.kind == "transition":
+        template = "State: %d %s\n" + "".join(f"[@s{k}] %d%s" for k in letters)
+        columns = []
+        for row, marked in zip(d.targets, d.marks):
+            columns += [row, map(ends.__getitem__, marked)]
+        states = zip(range(len(d.payloads)), labels, *columns)
+    else:
+        template = "State: %d %s%s" + "".join(f"[@s{k}] %d\n" for k in letters)
+        states = zip(range(len(d.payloads)), labels, map(ends.__getitem__, d.marks[0]), *d.targets)
+    texts = map(template.__mod__, states)
+    return list(iter(lambda: "".join(islice(texts, _BODY_BLOCK)), ""))
 
 
 def parse_rabin(text: str) -> Union[DRTW, DRW]:
@@ -441,12 +454,11 @@ def parse_rabin(text: str) -> Union[DRTW, DRW]:
     Marks are numbered by distinct signature in first-seen order, each
     with the empty annotation."""
     doc = _parse_hoa_document(text)
-    if not doc.acc_name or doc.acc_name[0].value != "Rabin":
+    if not doc.acc_name or doc.acc_name[0][1] != "Rabin":
         raise UnsupportedAcceptanceError(f"expected Rabin acceptance, got {_acc_tokens_text(doc.acc_name)!r}")
-    if len(doc.acc_name) != 2 or doc.acc_name[1].kind != "int":
-        where = doc.acc_name[0]
-        raise ParseError("acc-name: Rabin needs one pair count", where.line, where.col)
-    pair_count = int(doc.acc_name[1].value)
+    if len(doc.acc_name) != 2 or doc.acc_name[1][0] != "int":
+        raise ParseError("acc-name: Rabin needs one pair count", *_position(text, doc.acc_name[0][2]))
+    pair_count = int(doc.acc_name[1][1])
     _check_rabin_acceptance(doc.acceptance, pair_count)
     if len(doc.start) != 1:
         raise InputError("deterministic automata need exactly one start state")
@@ -484,7 +496,7 @@ def parse_rabin(text: str) -> Union[DRTW, DRW]:
     if missing:
         src, j = min(missing)
         raise InputError(f"missing edge for state {src} symbol {alphabet[j]!r}")
-    return cls(tuple(payloads), alphabet, int(doc.start[0].value), tuple(map(tuple, targets)),
+    return cls(tuple(payloads), alphabet, int(doc.start[0][1]), tuple(map(tuple, targets)),
                tuple(map(tuple, marks)), (EMPTY_ANNOTATION,) * len(numbers), acceptance)
 
 
@@ -492,10 +504,10 @@ def _check_rabin_acceptance(acceptance: Optional[List[_Token]], pair_count: int)
     """Refuse any Acceptance: line but the one emit_rabin writes for
     `pair_count` pairs.  A pair takes several tokens, so a count above the
     line's token count is refused before anything is sized by it."""
-    found = [t.value for t in acceptance or ()]
+    found = [value for _, value, _ in acceptance or ()]
     if pair_count <= len(found):
         expected = _tokenize(_rabin_acceptance_line(pair_count))[1:]
-        if found == [t.value for t in expected]:
+        if found == [value for _, value, _ in expected]:
             return
     raise UnsupportedAcceptanceError(f"acceptance {' '.join(found)!r} is not the Rabin condition on {pair_count} pairs")
 

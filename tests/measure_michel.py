@@ -5,8 +5,9 @@
 The input is the benchmark's Michel family (`perfbench/inputs.py`, m + 1
 states over m + 1 letters), read through its HOA text.  The build allows
 2,000,000 states.  The script prints the DRTW's states and pairs, then the
-seconds spent exploring the tree graph, assembling the automaton and
-emitting it as HOA, and the peak resident set size of the process
+seconds spent parsing the HOA text, exploring the tree graph, assembling
+the automaton and emitting it as HOA, and the peak resident set size of
+the process
 (`resource.getrusage`, so it includes the interpreter).  Run one m per
 process, so that each peak is its own.
 
@@ -31,7 +32,10 @@ def main(argv=None) -> None:
     parser.add_argument("--m", type=int, required=True, help="Michel parameter (m + 1 states)")
     args = parser.parse_args(argv)
     inputs = _bench_inputs()
-    nbw = parse_nbw(inputs.to_hoa(inputs.michel(args.m)))
+    text = inputs.to_hoa(inputs.michel(args.m))
+    read = perf_counter()
+    nbw = parse_nbw(text)
+    parsed = perf_counter()
     engine = Determinizer(nbw, "canonical", max_states=MAX_STATES)
     started = perf_counter()
     engine._graph
@@ -42,7 +46,7 @@ def main(argv=None) -> None:
     emitted = perf_counter()
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # ru_maxrss is in KB on Linux
     print(f"michel m={args.m} n={len(nbw.states)} states={len(drtw.payloads)} pairs={len(drtw.acceptance.indices)}")
-    print(f"explore_s={explored - started:.3f} build_s={built - explored:.3f} "
+    print(f"parse_s={parsed - read:.4f} explore_s={explored - started:.3f} build_s={built - explored:.3f} "
           f"emit_s={emitted - built:.3f} peak_rss_mb={peak_mb:.0f}")
 
 

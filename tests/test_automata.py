@@ -9,6 +9,7 @@ from histree.automata import (
     LassoWord,
     NBW,
     RabinPairSet,
+    bits,
     image,
     rabin_accepts,
     validate_nbw,
@@ -74,6 +75,20 @@ def test_image_monotone_and_distributes_over_union():
             assert image(a.mask(small), rows) == a.mask(post)
             assert image(a.mask(small), rows) & ~image(a.mask(big), rows) == 0
             assert image(a.mask(small | big), rows) == image(a.mask(small), rows) | image(a.mask(big), rows)
+
+
+def test_image_is_the_union_of_the_rows_of_the_set_bits():
+    """Random masks of up to 70 bits, rows of up to 70 bits (so past a
+    machine word), the empty mask and the all-ones mask."""
+    rng = random.Random(19)
+    for _ in range(500):
+        width = rng.randint(1, 70)
+        rows = [rng.getrandbits(rng.randint(0, 70)) for _ in range(width)]
+        for mask in (rng.getrandbits(width), 0, (1 << width) - 1, 1 << (width - 1)):
+            expected = 0
+            for i in bits(mask):
+                expected |= rows[i]
+            assert image(mask, rows) == expected
 
 
 def _set_rule(pairs, inf):

@@ -1,6 +1,8 @@
 import json
+import re
 import time
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -12,6 +14,8 @@ from histree.errors import InputError, ParseError
 from histree.fixtures import e1, fixtures
 from histree.formats import (
     UnsupportedAcceptanceError,
+    _position,
+    _tokenize,
     emit_nbw_hoa,
     emit_nbw_native,
     emit_rabin,
@@ -442,3 +446,96 @@ def test_specific_parsers_reject_other_format():
         parse_nbw_hoa('{"format": "nbw"}')
     with pytest.raises(ParseError):
         parse_nbw_native(MINIMAL_HOA)
+
+
+# -- the tokenizer against its reference -----------------------------------
+
+_REFERENCE_TOKEN_RE = re.compile(
+    r"""
+      (?P<ws>\s+)
+    | (?P<string>"(?:[^"\\]|\\.)*")
+    | (?P<marker>--BODY--|--END--)
+    | (?P<header>[a-zA-Z_][0-9a-zA-Z_-]*:)
+    | (?P<alias>@[0-9a-zA-Z_-]+)
+    | (?P<int>[0-9]+)
+    | (?P<ident>[a-zA-Z_][0-9a-zA-Z_-]*)
+    | (?P<punct>[\[\]{}()&|!])
+    """,
+    re.VERBOSE,
+)
+
+
+def reference_tokenize(text):
+    """The tokenizer as one anchored match per token, tracking the line and
+    column as it goes: the specification of `_tokenize`."""
+    tokens = []
+    line = 1
+    line_start = 0
+    pos = 0
+    while pos < len(text):
+        m = _REFERENCE_TOKEN_RE.match(text, pos)
+        if m is None:
+            raise ParseError(f"unexpected character {text[pos]!r}", line, pos - line_start + 1)
+        kind = m.lastgroup
+        value = m.group()
+        if kind != "ws":
+            tokens.append((kind, value, line, pos - line_start + 1))
+        newlines = value.count("\n")
+        if newlines:
+            line += newlines
+            line_start = pos + value.rindex("\n") + 1
+        pos = m.end()
+    return tokens
+
+
+def _tokens_or_error(tokenize, text):
+    try:
+        return tokenize(text)
+    except ParseError as err:
+        return ("error", str(err), err.line, err.column)
+
+
+def assert_tokenizers_agree(text):
+    got = _tokens_or_error(lambda t: [(kind, value, *_position(t, offset)) for kind, value, offset in _tokenize(t)], text)
+    assert got == _tokens_or_error(reference_tokenize, text), text[:200]
+
+
+TOKENIZER_HAND_CASES = [
+    "",
+    " \t\r\n ",
+    MINIMAL_HOA.replace("\n", "\r\n"),
+    MINIMAL_HOA.replace(" ", "\t"),
+    MINIMAL_HOA.replace('AP: 1 "a"', 'AP: 1 "a\r\nb\n c"'),
+    MINIMAL_HOA.replace('AP: 1 "a"', 'AP: 1 "a\\"\nb"'),
+    MINIMAL_HOA + "$",
+    MINIMAL_HOA.rstrip("\n") + "\r\n\t~",
+    MINIMAL_HOA.replace('"a"', '"a'),
+    "HOA: v1\n\n\tStates: 2 $ 3",
+    "--BODY-- --END-- --X",
+]
+
+
+def test_tokenizer_matches_the_reference_on_documents_and_hand_cases():
+    texts = [path.read_text(encoding="utf-8") for path in sorted((Path(__file__).parent / "fixtures").iterdir())]
+    builds = [build(a, mode) for a in fixtures().values() for build in (build_drtw, build_drw)
+              for mode in ("canonical", "baseline")]
+    texts += [emit_nbw_hoa(a) for a in list(fixtures().values()) + default_corpus()]
+    texts += [emit_rabin(d) for d in builds]
+    for text in texts + TOKENIZER_HAND_CASES:
+        assert_tokenizers_agree(text)
+    # A bad last character, an unclosed string, and a bad character after a
+    # tab are each reported where they stand.
+    errors = [_tokens_or_error(_tokenize, text) for text in TOKENIZER_HAND_CASES]
+    assert [e[1:] for e in errors if isinstance(e, tuple)] == [
+        ("12:1: unexpected character '$'", 12, 1),
+        ("12:2: unexpected character '~'", 12, 2),
+        ("4:7: unexpected character '\"'", 4, 7),
+        ("3:12: unexpected character '$'", 3, 12),
+        ("1:18: unexpected character '-'", 1, 18),
+    ]
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(mutated_documents())
+def test_tokenizer_matches_the_reference_on_mutated_documents(text):
+    assert_tokenizers_agree(text)

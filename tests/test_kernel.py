@@ -222,3 +222,83 @@ def test_step_trace_fields_are_read_only(e1_nbw):
         del trace.symbol
     assert trace == Determinizer(e1_nbw).successor_trace(Determinizer(e1_nbw).initial_tree(), "a")
     assert "symbol='a'" in repr(trace)
+
+
+def test_label_images_stay_with_their_engine():
+    """Two engines over NBWs with one state set but other rows (the second
+    moves each letter's transitions to the next letter), stepped in turn,
+    each give the reference step: each label's image is read from its own
+    engine's memo."""
+    first = wide_nbw()
+    rotate = dict(zip(first.alphabet, first.alphabet[1:] + first.alphabet[:1]))
+    second = NBW.make(first.states, first.alphabet, [(p, rotate[x], q) for p, x, q in first.transitions],
+                      first.initial, first.finals)
+    engines = [Determinizer(a, "baseline") for a in (first, second)]
+    queues = [[engine.initial_tree()] for engine in engines]
+    seen = [set(queue) for queue in queues]
+    while any(queues):
+        for a, engine, queue, known in zip((first, second), engines, queues, seen):
+            if not queue:
+                continue
+            tree = queue.pop(0)
+            for symbol in a.alphabet:
+                expected = reference_step(a, tree, symbol, False)
+                _assert_matches(engine.successor_trace(tree, symbol), expected, (tree, symbol))
+                if expected["result"] not in known:
+                    known.add(expected["result"])
+                    queue.append(expected["result"])
+    images = [engine._images for engine in engines]
+    shared = images[0].keys() & images[1].keys()
+    assert sum(images[0][mask] != images[1][mask] for mask in shared) >= 10
+
+
+def test_one_step_interns_every_lane(all_fixtures, corpus_sample):
+    """One `successor_trace` call decodes every letter: each lane's result
+    is the engine's interned tree for its entries and its marks the
+    interned annotation, and stepping the other letters then builds no
+    tree."""
+    for name, a in _differential_inputs(all_fixtures, corpus_sample):
+        if not a.alphabet:
+            continue
+        engine = Determinizer(a)
+        for tree in Determinizer(a).build_drtw().payloads[:5]:
+            trace = engine.successor_trace(tree, a.alphabet[-1])
+            assert len(trace.phases.lanes) == len(a.alphabet)
+            for result, marks in trace.phases.lanes:
+                assert engine._trees[result.entries] is result, name
+                key = tuple(tuple(sorted(names)) for names in (marks.accepting, marks.unstable, marks.stable))
+                assert engine._marks[key] is marks, name
+            known = len(engine._trees)
+            for symbol, (result, marks) in zip(a.alphabet, trace.phases.lanes):
+                step = engine.successor_trace(tree, symbol)
+                assert step.result is result and step.marks is marks, name
+            assert len(engine._trees) == known, name
+
+
+def test_other_lanes_make_their_trees_known(monkeypatch):
+    """A sound foreign tree is checked once, before its first step; a tree
+    that some lane of a step reached, read or not, is the engine's own and
+    is not checked."""
+    import histree.determinize as determinize
+
+    checked = []
+    check = determinize.check_history_tree
+
+    def counting(tree, nbw, table=None):
+        checked.append(tree.entries)
+        return check(tree, nbw, table)
+
+    monkeypatch.setattr(determinize, "check_history_tree", counting)
+    a = parse_nbw((FIXTURE_DIR / "michel4.hoa").read_text(encoding="utf-8"))
+    trees = Determinizer(a).build_drtw().payloads
+    engine = Determinizer(a)
+    foreign = trees[-1]
+    for symbol in a.alphabet * 2:
+        _assert_matches(engine.successor_trace(foreign, symbol), reference_step(a, foreign, symbol, False), symbol)
+    assert checked == [foreign.entries]
+    lanes = engine.successor_trace(foreign, a.alphabet[0]).phases.lanes
+    for result, _ in lanes:
+        twin = HistoryTree(result.entries, a.states)
+        for symbol in a.alphabet:
+            _assert_matches(engine.successor_trace(twin, symbol), reference_step(a, twin, symbol, False), symbol)
+    assert checked == [foreign.entries]
