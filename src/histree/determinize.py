@@ -16,8 +16,9 @@ unstable.  Only the labels depend on the letter: the spawned names (each
 node and its fresh youngest child, one past its last child), their
 preorder and their parents depend on the tree's shape, its name tuple,
 alone.  The kernel therefore steps a tree on every letter at once, and
-the engine keeps one `_Skeleton` per shape: the spawned names in
-preorder, their parents and packed sibling indices, each entry's own
+the engine keeps one `_Skeleton` per shape: the spawned names sorted,
+which is preorder because a fresh child sorts right after its parent's
+subtree, their parents and packed sibling indices, each entry's own
 position and its fresh child's, the fresh names of height >= n and the
 node count.  Reachable trees share few shapes (Michel m=5 has 2,163
 trees of 6 shapes), so that work is done once per shape and a tree's
@@ -28,7 +29,9 @@ Adding a fill of n ones per lane carries into exactly the guard bits of
 the nonempty lanes, so `(x + fill) & guards` tests every lane of x for
 emptiness at once, and "children's union equals the label" is that test
 on their XOR.  Node sets are guard-bit masks: lane j's guard bit is set
-when the node is in the set on letter j.
+when the node is in the set on letter j.  The engine packs the lanes
+once: the letter index, each state's successor rows packed across the
+letters, and the final, ones, fill and guard masks.
 
 Spawn reads one packed `image` per node, over per-state successor rows
 packed across the letters, from the engine's memo keyed by label mask;
@@ -65,11 +68,11 @@ graph's edges sliced into per-letter rows of target and mark numbers.
 Pair assembly computes one acceptance signature per mark number.
 
 The marks name nodes, and one exploration of the tree graph serves every
-build.  The exploration only discovers trees and edges, noting each
-tree's skeleton: the census (the largest tree, and the transient
-off-table names, which are the fresh children of height >= n) is read
-once per engine off the distinct skeletons of the reachable trees, and
-both builds end in one tail that assembles the automaton.  The DRW's
+build.  The exploration only discovers trees and edges, and keeps each
+distinct skeleton once, read off each tree's step: the census (the
+largest tree, and the transient off-table names, which are the fresh
+children of height >= n) is read once per engine off those skeletons,
+and both builds end in one tail that assembles the automaton.  The DRW's
 states are the start state and then the distinct DRTW edge targets (a
 tree with its incoming mark) in edge order, with no second walk; a state's
 payload is the engine's tree.  A baseline build indexes its Rabin pairs by
@@ -82,7 +85,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, FrozenSet, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Collection, Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
 from .automata import (
     DRTW,
@@ -165,41 +168,6 @@ class HistoryTree:
         return " ".join(parts)
 
 
-@dataclass(frozen=True)
-class _Lanes:
-    """An engine's packing of letters into lanes: letter j owns bits
-    j*(n+1) .. j*(n+1) + n - 1 of a packed label, and bit j*(n+1) + n is
-    its guard bit, always clear in a label.  Adding `fill` (each lane's n
-    low bits set) carries into a lane's guard bit exactly when the lane is
-    nonzero, so `(x + fill) & guards` marks the nonempty lanes of x."""
-
-    n: int
-    index: Mapping[Symbol, int]  # letter -> lane
-    rows: Tuple[int, ...]  # per state, its successor rows packed across letters
-    final: int  # the final states in every lane
-    ones: int  # bit 0 of every lane
-    fill: int
-    guards: int
-
-    @classmethod
-    def of(cls, nbw: NBW) -> "_Lanes":
-        n = len(nbw.states)
-        shifts = [j * (n + 1) for j in range(len(nbw.alphabet))]
-        ones = sum(1 << shift for shift in shifts)
-        return cls(
-            n=n,
-            index={sym: j for j, sym in enumerate(nbw.alphabet)},
-            rows=tuple(
-                sum(nbw.rows[sym][i] << shift for sym, shift in zip(nbw.alphabet, shifts))
-                for i in range(n)
-            ),
-            final=nbw.final_mask * ones,
-            ones=ones,
-            fill=((1 << n) - 1) * ones,
-            guards=ones << n,
-        )
-
-
 # A step's name-indexed marks as sorted name tuples: (accepting, unstable,
 # stable).  Survivors are decoded in preorder, which is sorted name order,
 # so equal mark sets give equal tuples.
@@ -209,10 +177,12 @@ _MarkNames = Tuple[Tuple[NodeName, ...], Tuple[NodeName, ...], Tuple[NodeName, .
 class _Skeleton:
     """What a step of a tree depends on by the tree's shape (its name
     tuple) alone, whatever its labels and the letter.  Position p is the
-    p-th spawned name in preorder, `names[p]`: the tree's own names, each
-    followed after its subtree by its fresh youngest child, one past its
-    last child.  Entry i of the tree sits at position `slots[i]` and its
-    fresh child at `fresh[i]`.  `below` holds every position but the
+    p-th spawned name, `names[p]`: the tree's own names and each one's
+    fresh youngest child, one past its last child, in sorted order.  Sorted
+    names are preorder (a parent precedes its subtree, older siblings
+    precede younger ones), and a fresh child sorts right after its
+    parent's subtree.  Entry i of the tree sits at position `slots[i]` and
+    its fresh child at `fresh[i]`.  `below` holds every position but the
     root's, in preorder, as (position, parent position, name, sibling
     index packed into every lane); in a sound tree a spawned name's index
     is at most n, so it fits a lane.  `off_table` holds the fresh names of
@@ -221,39 +191,19 @@ class _Skeleton:
 
     __slots__ = ("names", "slots", "fresh", "below", "off_table", "node_count")
 
-    def __init__(self, names: Tuple[NodeName, ...], lanes: _Lanes):
+    def __init__(self, names: Tuple[NodeName, ...], engine: "Determinizer"):
         degrees: Dict[NodeName, int] = {}
         for name in names:
             if name:
-                degrees[name[:-1]] = name[-1]
-        # Sorted names are preorder, so the last child seen is the youngest,
-        # and a fresh child is placed when the walk leaves its parent's
-        # subtree; `path` holds each open ancestor's position, fresh child
-        # and entry number.
-        self.names = spawned = []
-        self.slots = slots = []
-        self.fresh = fresh = [0] * len(names)
-        self.below = below = []
-        path: List[Tuple[int, NodeName, int]] = []
-
-        def place(name: NodeName) -> int:
-            if path:
-                below.append((len(spawned), path[-1][0], name, name[-1] * lanes.ones))
-            spawned.append(name)
-            return len(spawned) - 1
-
-        def close(depth: int) -> None:
-            while len(path) > depth:
-                _, child, i = path[-1]
-                fresh[i] = place(child)  # while its parent is still path[-1]
-                path.pop()
-
-        for i, name in enumerate(names):
-            close(len(name))
-            slots.append(len(spawned))
-            path.append((place(name), name + (degrees.get(name, 0) + 1,), i))
-        close(0)
-        self.off_table = frozenset(spawned[p] for p in fresh if height(spawned[p]) >= lanes.n)
+                degrees[name[:-1]] = name[-1]  # sorted names: the last child seen is the youngest
+        children = [name + (degrees.get(name, 0) + 1,) for name in names]
+        self.names = spawned = sorted(names + tuple(children))
+        position = {name: p for p, name in enumerate(spawned)}
+        self.slots = [position[name] for name in names]
+        self.fresh = [position[child] for child in children]
+        ones = engine._ones
+        self.below = [(p, position[name[:-1]], name, name[-1] * ones) for p, name in enumerate(spawned) if name]
+        self.off_table = frozenset(child for child in children if height(child) >= engine.n)
         self.node_count = len(names)
 
 
@@ -261,8 +211,9 @@ class _Phases:
     """One tree's spawn, dedup, collapse and prune phases for every letter
     at once, over its shape's skeleton, and each letter's decoded step.
     Position p of each list is the skeleton's p-th spawned name; labels
-    are packed across lanes, and node sets are guard-bit masks (the guard
-    bit of lane j set when the node is in the set on letter j).
+    are packed across the engine's lanes, and node sets are guard-bit
+    masks (the guard bit of lane j set when the node is in the set on
+    letter j).
     `survivors` holds, in preorder, every node that survives on some
     letter: (position, pruned, stable, accepting, unstable mark, name,
     packed label, parent position, packed new sibling index).  `lanes`
@@ -274,8 +225,8 @@ class _Phases:
     def __init__(self, tree: HistoryTree, skeleton: _Skeleton, labels: Sequence[int], engine: "Determinizer"):
         self.tree = tree
         self.skeleton = skeleton
-        lanes, strict_marks = engine._lanes, engine.strict_marks
-        rows, final, fill, guards, n = lanes.rows, lanes.final, lanes.fill, lanes.guards, lanes.n
+        strict_marks, rows, final, fill, guards, n = (
+            engine.strict_marks, engine._rows, engine._final, engine._fill, engine._guards, engine.n)
         names = skeleton.names
         size = len(names)
         # Spawn: every node advances its label on every letter, and its
@@ -340,7 +291,7 @@ class _Phases:
         trees, annotations, states = engine._trees, engine._marks, engine.nbw.states
         self.lanes = decoded = []
         mask = (1 << n) - 1  # a lane's label; also fits its sibling counts, at most n
-        for shift in range(0, len(lanes.index) * (n + 1), n + 1):
+        for shift in range(0, len(engine._index) * (n + 1), n + 1):
             guard = 1 << (shift + n)
             entries = []
             stable_names: List[NodeName] = []
@@ -471,20 +422,21 @@ class _Graph(NamedTuple):
     Edges come in (tree id, letter) order, so tree t's edge on the j-th
     letter is edge t * k + j of k letters: `targets[e]` is edge e's target
     tree id and `marks[e]` its mark number.  `annotations` holds the
-    engine's annotation of each mark number, and `shapes` each tree's
-    skeleton."""
+    engine's annotation of each mark number, and `shapes` each distinct
+    skeleton of the trees once."""
 
     trees: Tuple[HistoryTree, ...]
     targets: List[int]
     marks: List[int]
     annotations: List[TransitionAnnotation]
-    shapes: List[_Skeleton]
+    shapes: Tuple[_Skeleton, ...]
 
 
 class Determinizer:
     """Bundles one input automaton with a mode and mark semantics; all
     methods are pure with respect to trees.  The mode is the default
-    labeling of the builds.  The engine keeps the packed phases of the
+    labeling of the builds.  The engine packs the letters into lanes once,
+    beside its one state count `n`.  It keeps the packed phases of the
     tree it stepped last, matched by identity, so stepping one tree on
     each letter in turn computes them once, and one `_Skeleton` per tree
     shape it has stepped, so trees of one shape share their label-free
@@ -509,7 +461,19 @@ class Determinizer:
         self.mode = mode
         self.strict_marks = strict_marks
         self.max_states = max_states
-        self.n = len(nbw.states)
+        self.n = n = len(nbw.states)
+        # The lanes: letter j owns bits j*(n+1) .. j*(n+1) + n - 1 of a packed
+        # label, and bit j*(n+1) + n is its guard bit, always clear in a label,
+        # so `(x + _fill) & _guards` marks the nonempty lanes of x.
+        shifts = [j * (n + 1) for j in range(len(nbw.alphabet))]
+        self._index = {symbol: j for j, symbol in enumerate(nbw.alphabet)}  # letter -> lane
+        # Per state, its successor rows packed across the letters.
+        self._rows = tuple(sum(nbw.rows[symbol][i] << shift for symbol, shift in zip(nbw.alphabet, shifts))
+                           for i in range(n))
+        self._ones = ones = sum(1 << shift for shift in shifts)  # bit 0 of every lane
+        self._final = nbw.final_mask * ones  # the final states in every lane
+        self._fill = ((1 << n) - 1) * ones  # each lane's n low bits
+        self._guards = ones << n
         self._last_phases: Optional[_Phases] = None
         # Every tree known sound, by entries, and every mark set met.
         self._trees: Dict[Tuple[Tuple[NodeName, int], ...], HistoryTree] = {}
@@ -540,31 +504,19 @@ class Determinizer:
         start = self.nbw.mask(self.nbw.initial)
         return self._tree(((ROOT, start),) if start else ())
 
-    @cached_property
-    def _lanes(self) -> _Lanes:
-        return _Lanes.of(self.nbw)
-
     def _skeleton(self, names: Tuple[NodeName, ...]) -> _Skeleton:
         """The engine's one skeleton of the trees with these names."""
         skeleton = self._skeletons.get(names)
         if skeleton is None:
-            skeleton = self._skeletons[names] = _Skeleton(names, self._lanes)
+            skeleton = self._skeletons[names] = _Skeleton(names, self)
         return skeleton
-
-    def _shape(self, tree: HistoryTree) -> _Skeleton:
-        """The skeleton of `tree`, read off its phases when it is the tree
-        stepped last."""
-        phases = self._last_phases
-        if phases is not None and phases.tree is tree:
-            return phases.skeleton
-        return self._skeleton(tuple(name for name, _ in tree.entries))
 
     def successor_trace(self, tree: HistoryTree, symbol: Symbol) -> StepTrace:
         """One step of `tree` on `symbol`: its letter's lane of the tree's
         phases, which are computed for every letter at once.  A tree the
         engine has not met is checked first; an unsound one raises
         InputError listing its problems."""
-        lane = self._lanes.index.get(symbol)
+        lane = self._index.get(symbol)
         if lane is None:
             raise InputError(f"symbol {symbol!r} not in alphabet")
         phases = self._last_phases
@@ -592,10 +544,11 @@ class Determinizer:
         breadth-first once per engine.  Deterministic numbering: discovery
         order with the alphabet in declared order, for trees and marks
         alike.  The engine interns its trees and marks, so the graph
-        indexes both by identity."""
+        indexes both by identity.  Each tree's skeleton is read off its
+        step, and each distinct skeleton is kept once."""
         start = self.initial_tree()
         trees = [start]
-        shapes: List[_Skeleton] = []
+        shapes: Dict[_Skeleton, None] = {}  # each skeleton met, in first-met order
         index = {id(start): 0}  # id of an engine tree -> its number
         targets: List[int] = []
         marks: List[int] = []
@@ -610,8 +563,8 @@ class Determinizer:
                 if tid is None:
                     if len(trees) >= self.max_states:
                         # The census covers the trees stepped so far, this one included.
-                        partial = self._stats(self.mode, len(trees), len(targets), 0,
-                                              self._census(shapes + [self._shape(tree)]))
+                        shapes[trace.phases.skeleton] = None
+                        partial = self._stats(self.mode, len(trees), len(targets), 0, self._census(shapes))
                         raise CapacityError(f"state limit {self.max_states} exceeded", partial=partial)
                     tid = index[id(result)] = len(trees)
                     trees.append(result)
@@ -621,18 +574,19 @@ class Determinizer:
                     annotations.append(trace.marks)
                 targets.append(tid)
                 marks.append(mid)
-            shapes.append(self._shape(tree))
-        return _Graph(tuple(trees), targets, marks, annotations, shapes)
+            # With no letter nothing steps the start tree, the only tree.
+            skeleton = trace.phases.skeleton if alphabet else self._skeleton(tuple(name for name, _ in tree.entries))
+            shapes[skeleton] = None
+        return _Graph(tuple(trees), targets, marks, annotations, tuple(shapes))
 
-    def _census(self, shapes: Sequence[_Skeleton]) -> Tuple[int, int]:
+    def _census(self, shapes: Collection[_Skeleton]) -> Tuple[int, int]:
         """The largest tree and the number of off-table names among the
-        trees of these skeletons, one per tree.  A tree's own names have
-        height below n, so only fresh children are off-table, and trees of
-        one shape spawn the same fresh children, so each distinct skeleton
-        is read once.  Only steps spawn names, so no letter means none."""
-        distinct = {id(shape): shape for shape in shapes}.values()
-        off_table = set().union(*(shape.off_table for shape in distinct)) if self.nbw.alphabet else ()
-        return max(shape.node_count for shape in distinct), len(off_table)
+        trees of these distinct skeletons.  A tree's own names have height
+        below n, so only fresh children are off-table, and trees of one
+        shape spawn the same fresh children.  Only steps spawn names, so no
+        letter means none."""
+        off_table = set().union(*(shape.off_table for shape in shapes)) if self.nbw.alphabet else ()
+        return max(shape.node_count for shape in shapes), len(off_table)
 
     @cached_property
     def _graph_census(self) -> Tuple[int, int]:

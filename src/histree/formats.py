@@ -146,8 +146,7 @@ def _parse_alias_expr(reader: _Reader, i: int, ap_count: int) -> Tuple[int, int]
             kind, value, offset = tokens[i]
         if kind != "int":
             where = first if kind == "end" else tokens[i]
-            raise reader.error("alias expressions must be conjunctions of AP literals",
-                               0 if where[0] == "end" else where[2])
+            raise reader.error("alias expressions must be conjunctions of AP literals", where[2])
         i += 1
         ap = int(value)
         if ap >= ap_count:
@@ -179,7 +178,7 @@ def _parse_hoa_document(text: str) -> _HoaDocument:
     while True:
         kind, name, offset = tokens[i]
         if kind == "end":
-            raise ParseError("missing --BODY--", 1, 1)
+            raise error("missing --BODY--", offset)
         if kind == "marker":
             break
         if kind != "header":
@@ -306,7 +305,15 @@ def _acc_tokens_text(tokens: Optional[List[_Token]]) -> str:
     return " ".join(value for _, value, _ in tokens) if tokens else ""
 
 
+def _acceptance_is(tokens: Optional[List[_Token]], line: str) -> bool:
+    """Whether an Acceptance: header's argument tokens have the values of
+    the tokens of `line`, an Acceptance: line as the writers emit it."""
+    return [value for _, value, _ in tokens or ()] == [value for _, value, _ in _tokenize(line)[1:]]
+
+
 # -- NBW (Buchi) parse / emit -------------------------------------------------
+
+_BUCHI_ACCEPTANCE = "Acceptance: 1 Inf(0)"
 
 
 def parse_nbw_hoa(text: str) -> NBW:
@@ -317,7 +324,7 @@ def parse_nbw_hoa(text: str) -> NBW:
         raise UnsupportedAcceptanceError(
             f"unsupported acceptance {acc_name!r}: this reader takes Buchi input only"
         )
-    if acceptance and acceptance.replace(" ", "") != "1Inf(0)":
+    if acceptance and not _acceptance_is(doc.acceptance, _BUCHI_ACCEPTANCE):
         raise UnsupportedAcceptanceError(
             f"unsupported acceptance condition {acceptance!r}: expected 1 Inf(0)"
         )
@@ -387,7 +394,7 @@ def _hoa_preamble(state_count: int, starts: Iterable[int], alphabet: Sequence[st
 def emit_nbw_hoa(a: NBW) -> str:
     a.require_valid()
     lines = _hoa_preamble(len(a.states), bits(a.mask(a.initial)), a.alphabet)
-    lines += ["acc-name: Buchi", "Acceptance: 1 Inf(0)", "--BODY--"]
+    lines += ["acc-name: Buchi", _BUCHI_ACCEPTANCE, "--BODY--"]
     for i, q in enumerate(a.states):
         sig = " {0}" if a.final_mask >> i & 1 else ""
         lines.append(f"State: {i} {_quote(q)}{sig}")
@@ -505,10 +512,8 @@ def _check_rabin_acceptance(acceptance: Optional[List[_Token]], pair_count: int)
     `pair_count` pairs.  A pair takes several tokens, so a count above the
     line's token count is refused before anything is sized by it."""
     found = [value for _, value, _ in acceptance or ()]
-    if pair_count <= len(found):
-        expected = _tokenize(_rabin_acceptance_line(pair_count))[1:]
-        if found == [value for _, value, _ in expected]:
-            return
+    if pair_count <= len(found) and _acceptance_is(acceptance, _rabin_acceptance_line(pair_count)):
+        return
     raise UnsupportedAcceptanceError(f"acceptance {' '.join(found)!r} is not the Rabin condition on {pair_count} pairs")
 
 

@@ -4,7 +4,8 @@
 
 The input is the benchmark's Michel family (`perfbench/inputs.py`, m + 1
 states over m + 1 letters), read through its HOA text.  The build allows
-2,000,000 states.  The script prints the DRTW's states and pairs, then the
+2,000,000 states.  The script prints the DRTW's states, the distinct tree
+shapes among them (the engine's skeletons) and its pairs, then the
 seconds spent parsing the HOA text, exploring the tree graph, assembling
 the automaton and emitting it as HOA, and the peak resident set size of
 the process
@@ -45,7 +46,8 @@ def main(argv=None) -> None:
     emit_rabin(drtw)
     emitted = perf_counter()
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # ru_maxrss is in KB on Linux
-    print(f"michel m={args.m} n={len(nbw.states)} states={len(drtw.payloads)} pairs={len(drtw.acceptance.indices)}")
+    print(f"michel m={args.m} n={len(nbw.states)} states={len(drtw.payloads)} "
+          f"shapes={len(engine._graph.shapes)} pairs={len(drtw.acceptance.indices)}")
     print(f"parse_s={parsed - read:.4f} explore_s={explored - started:.3f} build_s={built - explored:.3f} "
           f"emit_s={emitted - built:.3f} peak_rss_mb={peak_mb:.0f}")
 

@@ -9,7 +9,13 @@ import pytest
 from histree.cli import main
 from histree.fixtures import e1, spawn_die_respawn
 from histree.formats import emit_nbw_hoa, emit_nbw_native, parse_rabin
-from test_formats import NON_STRING_DOCUMENTS, NON_STRING_IDS, REPEATED_HEADERS, repeated_header_document
+from test_formats import (
+    MANGLED_BUCHI_ACCEPTANCE,
+    NON_STRING_DOCUMENTS,
+    NON_STRING_IDS,
+    REPEATED_HEADERS,
+    repeated_header_document,
+)
 from rabin_edges import edge_map
 
 
@@ -168,6 +174,17 @@ def test_unsupported_acceptance_is_input_error(tmp_path, capsys):
     assert main(["determinize", "--in", str(path)]) == 2
     err = capsys.readouterr().err
     assert "acceptance" in err
+
+
+@pytest.mark.parametrize("mangled", MANGLED_BUCHI_ACCEPTANCE)
+def test_mangled_buchi_acceptance_exits_2(mangled, tmp_path, capsys):
+    path = tmp_path / "mangled.hoa"
+    text = emit_nbw_hoa(e1()).replace("Acceptance: 1 Inf(0)", "Acceptance: " + mangled)
+    path.write_text(text, encoding="utf-8")
+    assert main(["determinize", "--in", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "expected 1 Inf(0)" in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_misspelled_acceptance_name_exits_2(tmp_path, capsys):

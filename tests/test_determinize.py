@@ -549,7 +549,7 @@ def test_fresh_names_are_one_past_each_nodes_last_child(e1_nbw):
     assert skeleton_fresh(engine, t) == fresh_children(t) == ((2,), (1, 2), (1, 1, 1))
     skeleton = engine._skeleton(((), (1,), (1, 1)))
     assert skeleton.names == [(), (1,), (1, 1), (1, 1, 1), (1, 2), (2,)]
-    ones = engine._lanes.ones
+    ones = engine._ones
     assert [(p, q, name, index // ones) for p, q, name, index in skeleton.below] == [
         (1, 0, (1,), 1), (2, 1, (1, 1), 1), (3, 2, (1, 1, 1), 1), (4, 1, (1, 2), 2), (5, 0, (2,), 2)]
     assert (skeleton.slots, skeleton.fresh, skeleton.node_count) == ([0, 1, 2], [5, 4, 3], 3)
@@ -590,17 +590,29 @@ def _census_inputs(all_fixtures):
 
 def test_skeleton_census_equals_the_per_tree_formula(all_fixtures):
     """The census read off the distinct skeletons equals the per-tree
-    formula on the fixtures, the whole corpus and Michel m=4 and m=5, and
-    for the partial census of every prefix of a graph's trees."""
+    formula on the fixtures, the whole corpus and Michel m=4 and m=5.  The
+    graph keeps each distinct name tuple of its trees' skeletons once.  At
+    a state limit of 1, 2 or half the trees, the partial census covers the
+    trees stepped until tree number `limit` is reached: every tree up to
+    the source of the first edge, in (tree id, letter) order, that targets
+    it."""
     for name, a in _census_inputs(all_fixtures):
         engine = Determinizer(a)
         graph = engine._graph
-        n = len(a.states)
-        assert [engine._shape(t) for t in graph.trees] == graph.shapes, name
+        n, k = len(a.states), len(a.alphabet)
+        shapes = {tuple(node for node, _ in t.entries) for t in graph.trees}
+        assert sorted(tuple(s.names[p] for p in s.slots) for s in graph.shapes) == sorted(shapes), name
+        assert {id(s) for s in graph.shapes} == {id(engine._skeleton(names)) for names in shapes}, name
         assert engine._graph_census == per_tree_census(graph.trees, n), name
-        for count in {1, 2, len(graph.trees) // 2, len(graph.trees)}:
-            if count:
-                assert engine._census(graph.shapes[:count]) == per_tree_census(graph.trees[:count], n), (name, count)
+        for limit in {1, 2, len(graph.trees) // 2}:
+            if not 0 < limit < len(graph.trees):
+                continue
+            with pytest.raises(CapacityError) as err:
+                Determinizer(a, max_states=limit).build_drtw()
+            partial = err.value.partial
+            i = graph.targets.index(limit) // k
+            census = (partial.max_tree_nodes, partial.off_table_intermediate_names)
+            assert census == per_tree_census(graph.trees[:i + 1], n), (name, limit)
 
 
 def test_one_skeleton_per_shape(all_fixtures):
@@ -611,7 +623,7 @@ def test_one_skeleton_per_shape(all_fixtures):
     engine.build_drtw()
     engine.build_drw("baseline")
     trees = engine._graph.trees
-    assert (len(trees), len(engine._skeletons), len({id(s) for s in engine._graph.shapes})) == (2163, 6, 6)
+    assert (len(trees), len(engine._skeletons), len(engine._graph.shapes)) == (2163, 6, 6)
     assert set(engine._skeletons) == {tuple(name for name, _ in t.entries) for t in trees}
     for a in all_fixtures.values():
         engine = Determinizer(a)
@@ -639,7 +651,7 @@ def test_one_census_walk_serves_every_build(monkeypatch, all_fixtures):
     engine = Determinizer(a)
     for (mode, build), text in expected.items():
         assert getattr(engine, build)(mode).stats.to_text() == text
-    assert walks == [len(engine._graph[0])]
+    assert walks == [len(engine._graph.shapes)]
 
 
 @pytest.mark.parametrize("strict", [False, True])

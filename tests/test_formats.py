@@ -63,6 +63,33 @@ def test_missing_acceptance_rejected():
         parse_nbw(doc)
 
 
+MANGLED_BUCHI_ACCEPTANCE = ("1 In f(0)", "1 I n f ( 0 )")
+
+
+def test_buchi_acceptance_is_compared_token_by_token():
+    """The Acceptance: line must have the tokens of the one emit_nbw_hoa
+    writes, spaced in any way; a line that splits a token is refused."""
+    for spaced in ("1 Inf ( 0 )", "1 Inf(0)", "1Inf(0)"):
+        assert parse_nbw_hoa(MINIMAL_HOA.replace("1 Inf(0)", spaced)).finals == {"0"}
+    for mangled in MANGLED_BUCHI_ACCEPTANCE:
+        found = " ".join(t[1] for t in _tokenize(mangled))
+        with pytest.raises(UnsupportedAcceptanceError,
+                           match=re.escape(f"unsupported acceptance condition {found!r}: expected 1 Inf(0)")):
+            parse_nbw_hoa(MINIMAL_HOA.replace("1 Inf(0)", mangled))
+
+
+def test_end_of_input_errors_are_reported_at_the_last_token():
+    """An error at the end of the document is reported where it stops, at
+    its last token, and an alias error inside an expression at its start."""
+    with pytest.raises(ParseError, match=r"^3:7: missing --BODY--$"):
+        parse_nbw('HOA: v1\nStates: 1\nAP: 1 "a"\n')
+    alias_error = "alias expressions must be conjunctions of AP literals"
+    with pytest.raises(ParseError, match=f"^4:8: {alias_error}$"):
+        parse_nbw('HOA: v1\nStates: 1\nAP: 1 "a"\nAlias: @a\n')
+    with pytest.raises(ParseError, match=f"^4:11: {alias_error}$"):
+        parse_nbw('HOA: v1\nStates: 1\nAP: 1 "a"\nAlias: @a 0 &\n')
+
+
 def test_hoa_round_trip_fixtures():
     for name, a in fixtures().items():
         assert parse_nbw(emit_nbw_hoa(a)) == a, name
