@@ -20,7 +20,6 @@ from .determinize import (
     Determinizer,
     HistoryTree,
     assemble_pairs,
-    assemble_state_pairs,
     build_drtw,
     build_drw,
     check_history_tree,

@@ -9,7 +9,9 @@ NBW owns that encoding and its per-symbol successor rows.  A deterministic
 Rabin automaton's transitions are int rows too: per letter, each state's
 successor, and mark numbers on its edges or states.  A build has many
 edges but few distinct marks, so each mark's annotation and acceptance
-signature is held once.
+signature is held once.  A Rabin condition is the same value wherever its
+marks sit; the automaton's class says where: on edges for a DRTW, on
+states for a DRW.
 """
 
 from __future__ import annotations
@@ -137,19 +139,18 @@ def validate_nbw(a: NBW) -> List[str]:
 
 @dataclass(frozen=True)
 class RabinPairSet:
-    """A Rabin condition over transitions or states.  Pair i has index
-    `indices[i]`.  `signatures[m]` holds the acceptance sets of every edge
-    or state carrying mark number m, as an int: bit 2i is set when it is
-    in pair i's rejecting (Fin) set, bit 2i+1 when it is in pair i's
-    accepting (Inf) set."""
+    """A Rabin condition.  Pair i has index `indices[i]`.
+    `signatures[m]` holds the acceptance sets of whatever carries mark
+    number m, as an int: bit 2i is set when it is in pair i's rejecting
+    (Fin) set, bit 2i+1 when it is in pair i's accepting (Inf) set.  The
+    condition does not say what carries a mark; the automaton holding it
+    does (`_Rabin.acceptance_kind`), so one value serves a DRTW and a DRW
+    alike."""
 
-    kind: str  # "transition" | "state"
     indices: Tuple[PairIndex, ...]
     signatures: Tuple[int, ...]
 
     def __post_init__(self):
-        if self.kind not in ("transition", "state"):
-            raise InputError(f"bad acceptance kind {self.kind!r}")
         if len(set(self.indices)) != len(self.indices):
             raise InputError("duplicate Rabin pair indices")
         sets = 2 * len(self.indices)
@@ -238,8 +239,10 @@ class _Rabin:
     `acceptance.signatures[m]` its acceptance sets.  A DRTW has a mark row
     per letter, `marks[j][i]` marking state i's edge on letter j; a DRW has
     one row, `marks[0][i]` marking state i, its incoming mark.  Each
-    subclass names the acceptance kind it takes, so a DRTW never equals a
-    DRW."""
+    subclass names where its marks sit in `acceptance_kind`, the one
+    owner of that fact: the writers, the oracle and the DOT view ask the
+    automaton, not its pair set.  A DRTW never equals a DRW because
+    dataclass equality compares classes."""
 
     payloads: Tuple[object, ...]
     alphabet: Tuple[Symbol, ...]
@@ -257,8 +260,6 @@ class _Rabin:
         n = len(self.payloads)
         if not 0 <= self.initial < n:
             raise InputError(f"initial state {self.initial} out of range")
-        if self.acceptance.kind != self.acceptance_kind:
-            raise InputError(f"{type(self).__name__} acceptance must be {self.acceptance_kind} based")
         on_edges = self.acceptance_kind == "transition"
         _check_rows("target", self.targets, self.alphabet, n, n)
         _check_rows("mark", self.marks, self.alphabet if on_edges else ("incoming",), n, len(self.annotations))

@@ -487,12 +487,6 @@ class Determinizer:
     def table(self) -> IdentifierTable:
         return IdentifierTable(max(self.n, 1))
 
-    def _table_for(self, mode: str) -> Optional[IdentifierTable]:
-        """The table that indexes pairs in `mode`; None when node names
-        are the indices."""
-        _check_mode(mode)
-        return self.table if mode == "canonical" else None
-
     def _tree(self, entries: Tuple[Tuple[NodeName, int], ...]) -> HistoryTree:
         """The engine's one tree with these entries."""
         tree = self._trees.get(entries)
@@ -531,11 +525,6 @@ class Determinizer:
         result, marks = phases.lanes[lane]
         return StepTrace(symbol, result, marks, phases, lane)
 
-    def successor(self, tree: HistoryTree, symbol: Symbol) -> Tuple[HistoryTree, TransitionAnnotation]:
-        """One step with its marks indexed as the engine's Rabin pairs."""
-        trace = self.successor_trace(tree, symbol)
-        return trace.result, relabel(trace.marks, self._table_for(self.mode))
-
     # -- automaton construction --------------------------------------------
 
     @cached_property
@@ -563,8 +552,9 @@ class Determinizer:
                 if tid is None:
                     if len(trees) >= self.max_states:
                         # The census covers the trees stepped so far, this one included.
+                        # The build that asked for the graph makes its statistics of these.
                         shapes[trace.phases.skeleton] = None
-                        partial = self._stats(self.mode, len(trees), len(targets), 0, self._census(shapes))
+                        partial = (len(trees), len(targets), 0, self._census(shapes))
                         raise CapacityError(f"state limit {self.max_states} exceeded", partial=partial)
                     tid = index[id(result)] = len(trees)
                     trees.append(result)
@@ -606,15 +596,23 @@ class Determinizer:
 
     def _relabeled(self, mode: Optional[str]):
         """A build's mode (default: the engine's), the table that indexes
-        its pairs (None for node names), each graph edge's number among the
-        relabeled marks, and those marks numbered in first-seen order.
-        Relabeling is done once per graph mark, and relabeled marks that
-        are equal get one number and one annotation."""
+        its pairs (the identifier table when canonical, None for node
+        names), each graph edge's number among the relabeled marks, and
+        those marks numbered in first-seen order.  Relabeling is done once
+        per graph mark, and relabeled marks that are equal get one number
+        and one annotation.  A graph past the state limit raises
+        CapacityError with this build's partial statistics."""
         mode = mode or self.mode
-        table = self._table_for(mode)
+        _check_mode(mode)
+        table = self.table if mode == "canonical" else None
+        try:
+            graph = self._graph
+        except CapacityError as error:
+            error.partial = self._stats(mode, *error.partial)
+            raise
         numbers: Dict[TransitionAnnotation, int] = {}
-        renumber = [numbers.setdefault(relabel(marks, table), len(numbers)) for marks in self._graph.annotations]
-        return mode, table, list(map(renumber.__getitem__, self._graph.marks)), numbers
+        renumber = [numbers.setdefault(relabel(marks, table), len(numbers)) for marks in graph.annotations]
+        return mode, table, list(map(renumber.__getitem__, graph.marks)), numbers
 
     def build_drtw(self, mode: Optional[str] = None) -> DRTW:
         """The DRTW with pairs indexed as `mode` (default: the engine's):
@@ -657,7 +655,7 @@ class Determinizer:
         targets = tuple(tuple(map(entered[j::k].__getitem__, tids)) for j in range(k))
         marks = (tuple([key % count for key in states]),)
         annotations = tuple(numbers)
-        acceptance = assemble_state_pairs(annotations, strict_marks=self.strict_marks)
+        acceptance = assemble_pairs(annotations, strict_marks=self.strict_marks)
         payloads = list(map(trees.__getitem__, tids))
         return self._automaton(DRW, mode, table, payloads, targets, marks, annotations, acceptance)
 
@@ -665,10 +663,19 @@ class Determinizer:
 # -- pair assembly ----------------------------------------------------------
 
 
-def _assemble(kind: str, annotations: Sequence[TransitionAnnotation], strict_marks: bool) -> RabinPairSet:
+def assemble_pairs(annotations: Sequence[TransitionAnnotation], *, strict_marks: bool = False) -> RabinPairSet:
     """The Rabin condition whose mark m carries `annotations[m]`: one pair
-    per index that some mark marks accepting, and one signature per mark;
-    see assemble_pairs for the rejecting rule."""
+    per index that some mark marks accepting, and each mark's signature.
+    A mark is an edge's own annotation on a DRTW and a state's incoming
+    annotation on a DRW; the rule is the same, and the automaton that
+    holds the condition says which.
+
+    A pair's accepting set holds the marks that are accepting at that
+    index.  Its rejecting set holds the marks that are unstable there
+    and, unless strict_marks, every mark through which no stable node
+    carries the index: a node that vanished, or re-entered the tree only
+    by renaming, cannot witness progress.
+    """
     indices = tuple(sorted({idx for ann in annotations for idx in ann.accepting}))
     signatures = []
     for ann in annotations:
@@ -681,27 +688,12 @@ def _assemble(kind: str, annotations: Sequence[TransitionAnnotation], strict_mar
             if idx in ann.unstable or (not strict_marks and idx not in ann.stable):
                 signature |= 1 << 2 * i
         signatures.append(signature)
-    return RabinPairSet(kind, indices, tuple(signatures))
+    return RabinPairSet(indices, tuple(signatures))
 
 
-def assemble_pairs(annotations: Sequence[TransitionAnnotation], *, strict_marks: bool = False) -> RabinPairSet:
-    """The Rabin condition over transitions whose mark m carries
-    `annotations[m]`: one pair per index that some mark marks accepting,
-    and each mark's signature.
-
-    A pair's accepting set holds the transitions marked accepting at that
-    index.  Its rejecting set holds the transitions marked unstable there
-    and, unless strict_marks, every transition through which no stable
-    node carries the index: a node that vanished, or re-entered the tree
-    only by renaming, cannot witness progress.
-    """
-    return _assemble("transition", annotations, strict_marks)
-
-
-def assemble_state_pairs(annotations: Sequence[TransitionAnnotation], *, strict_marks: bool = False) -> RabinPairSet:
-    """State-based variant: mark m is the incoming annotation
-    `annotations[m]` of the states that carry it."""
-    return _assemble("state", annotations, strict_marks)
+# A second name for the same function, kept because the benchmark's traced
+# run wraps it by this name.
+assemble_state_pairs = assemble_pairs
 
 
 # -- validation --------------------------------------------------------------

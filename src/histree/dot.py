@@ -66,7 +66,7 @@ def _rabin_dot(d: Union[DRTW, DRW]) -> str:
     lines.append("  init [shape=point];")
     lines.append(f"  init -> n{d.initial};")
     # A DRTW edge shows its own mark's annotation, a DRW edge its target's.
-    on_edges = d.acceptance.kind == "transition"
+    on_edges = d.acceptance_kind == "transition"
     for sid in range(len(d.payloads)):
         for j, sym in enumerate(d.alphabet):
             dst = d.targets[j][sid]

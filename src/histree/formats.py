@@ -418,7 +418,7 @@ def emit_rabin(d: Union[DRTW, DRW]) -> str:
     """HOA text for a deterministic Rabin automaton; pair i owns the
     acceptance sets 2i (Fin, rejecting) and 2i+1 (Inf, accepting).  Output
     is a pure function of the automaton, so emission is byte stable."""
-    on_transitions = d.acceptance.kind == "transition"
+    on_transitions = d.acceptance_kind == "transition"
     pair_count = len(d.acceptance.indices)
     preamble = _hoa_preamble(len(d.payloads), [d.initial], d.alphabet)
     preamble += [f"acc-name: Rabin {pair_count}", _rabin_acceptance_line(pair_count)]
@@ -442,7 +442,7 @@ def _rabin_body(d: Union[DRTW, DRW]) -> List[str]:
     ends = [" {" + " ".join(map(str, bits(sig))) + "}\n" if sig else "\n" for sig in d.acceptance.signatures]
     labels = map(_quote, d.state_labels())
     letters = range(len(d.alphabet))
-    if d.acceptance.kind == "transition":
+    if d.acceptance_kind == "transition":
         template = "State: %d %s\n" + "".join(f"[@s{k}] %d%s" for k in letters)
         columns = []
         for row, marked in zip(d.targets, d.marks):
@@ -498,7 +498,7 @@ def parse_rabin(text: str) -> Union[DRTW, DRW]:
         elif sig:
             raise UnsupportedAcceptanceError(f"state {num}: state acceptance in a trans-acc document")
     cls = DRTW if on_transitions else DRW
-    acceptance = RabinPairSet(cls.acceptance_kind, tuple(range(pair_count)), tuple(numbers))
+    acceptance = RabinPairSet(tuple(range(pair_count)), tuple(numbers))
     missing = [(row.index(-1), j) for j, row in enumerate(targets) if -1 in row]
     if missing:
         src, j = min(missing)

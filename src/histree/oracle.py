@@ -138,7 +138,7 @@ def _mark_rows(d: Union[DRTW, DRW]) -> Sequence[Sequence[int]]:
     state's mark; but a closed loop enters the same states it leaves, so
     the OR of a loop's signatures is the same read off the states it
     leaves, and the DRW's one mark row serves every letter, with no copy."""
-    return d.marks if d.acceptance.kind == "transition" else d.marks * len(d.alphabet)
+    return d.marks if d.acceptance_kind == "transition" else d.marks * len(d.alphabet)
 
 
 def _loop_accepts(d: Union[DRTW, DRW], marks: Sequence[Sequence[int]], state: int, period: Sequence[int]) -> bool:

@@ -10,7 +10,7 @@ def edge_map(d):
     """{(state, symbol): (target, annotation)} for every edge of `d`: a
     DRTW edge carries its own mark's annotation, a DRW edge the mark of
     the state it enters."""
-    on_edges = d.acceptance.kind == "transition"
+    on_edges = d.acceptance_kind == "transition"
     edges = {}
     for i in range(len(d.payloads)):
         for j, sym in enumerate(d.alphabet):
@@ -23,7 +23,7 @@ def signature_map(d):
     """The nonzero acceptance signatures by what carries them: an edge
     (state, symbol) of a DRTW, a state of a DRW."""
     signatures = d.acceptance.signatures
-    if d.acceptance.kind == "transition":
+    if d.acceptance_kind == "transition":
         return {(i, sym): signatures[d.marks[j][i]]
                 for i in range(len(d.payloads)) for j, sym in enumerate(d.alphabet)
                 if signatures[d.marks[j][i]]}

@@ -2,9 +2,11 @@
 `fixtures/build_digests.txt`.
 
 The inputs are the golden inputs of `record_build_digests.py` (the
-hand-written fixtures, the default corpus and Michel m=4), Michel m=5 and
-every member of the benchmark's candidate pools (`perfbench/pools.json`),
-each generated by `perfbench/inputs.py` and read through its HOA text.
+hand-written fixtures, the default corpus and Michel m=4), Michel m=5,
+Michel m=6 (18,731 DRTW states, where the engine's memos and interning
+carry real load) and every member of the benchmark's candidate pools
+(`perfbench/pools.json`), each generated by `perfbench/inputs.py` and
+read through its HOA text.
 Each line is `name sha256`, where the digest is `build_digest`: eight
 builds (canonical/baseline x drtw/drw x default/strict marks), each
 contributing `emit_rabin`, `stats.to_text()` and `emit_dot`.  The
@@ -46,7 +48,8 @@ def _bench_inputs():
 def sweep_inputs() -> Iterator[Tuple[str, NBW]]:
     yield from golden_inputs()
     inputs = _bench_inputs()
-    yield "michel5", parse_nbw(inputs.to_hoa(inputs.michel(5)))
+    for m in (5, 6):
+        yield f"michel{m}", parse_nbw(inputs.to_hoa(inputs.michel(m)))
     pools = json.loads((PERFBENCH / "pools.json").read_text(encoding="utf-8"))
     for family, members in pools.items():
         for i in members:

@@ -9,7 +9,7 @@ import pytest
 
 from histree.automata import LassoWord
 from histree.corpus import default_corpus
-from histree.determinize import Determinizer, HistoryTree, build_drtw, build_drw
+from histree.determinize import Determinizer, HistoryTree, build_drtw, build_drw, relabel
 from histree.dot import emit_dot
 from histree.fixtures import e1, fixtures
 from histree.formats import emit_nbw_hoa, emit_nbw_native, emit_rabin, parse_nbw
@@ -280,11 +280,13 @@ def test_criterion_7_micro_example_exactness():
     t0 = engine.initial_tree()
     assert t0 == HistoryTree((((), a.mask("p")),), a.states)
     assert t0.render(engine.table) == "ε:{p}(0,1)"
-    t1, ann1 = engine.successor(t0, "a")
+    step = engine.successor_trace(t0, "a")
+    t1, ann1 = step.result, relabel(step.marks, engine.table)
     assert t1 == HistoryTree((((), a.mask("pq")), ((1,), a.mask("q"))), a.states)
     assert t1.render(engine.table) == "ε:{p,q}(0,1) 1:{q}(1,1)"
     assert ann1.empty
-    t2, ann2 = engine.successor(t1, "a")
+    step = engine.successor_trace(t1, "a")
+    t2, ann2 = step.result, relabel(step.marks, engine.table)
     assert t2 == t1
     assert set(ann2.accepting) == {Identifier(1, 1)} and not ann2.unstable
 

@@ -15,6 +15,7 @@ from histree.automata import (
     validate_nbw,
 )
 from histree.errors import InputError
+from histree.formats import emit_rabin, parse_rabin
 from rabin_edges import signature_map
 
 
@@ -116,7 +117,7 @@ def _loop_signature(signatures, inf):
 
 
 def test_rabin_accepts_examples():
-    acc = RabinPairSet("state", (0,), (0, 0b10, 0b01))
+    acc = RabinPairSet((0,), (0, 0b10, 0b01))
     signatures = dict(enumerate(acc.signatures))
     assert rabin_accepts(_loop_signature(signatures, {1}))
     assert not rabin_accepts(_loop_signature(signatures, {1, 2}))
@@ -140,26 +141,33 @@ def test_rabin_accepts_equals_the_set_rule_exhaustively():
 def _one_state(cls, **fields):
     """A one-state, one-letter automaton whose one edge loops unmarked;
     `fields` override any of its fields."""
-    kind = cls.acceptance_kind
     given = dict(payloads=(None,), alphabet=("a",), initial=0, targets=((0,),), marks=((0,),),
-                 annotations=(EMPTY_ANNOTATION,), acceptance=RabinPairSet(kind, (), (0,)))
+                 annotations=(EMPTY_ANNOTATION,), acceptance=RabinPairSet((), (0,)))
     given.update(fields)
     return cls(**given)
 
 
-def test_acceptance_kind_must_match_the_automaton():
-    with pytest.raises(InputError, match="bad acceptance kind"):
-        RabinPairSet("edge", (), ())
-    state_based = RabinPairSet("state", (0,), (0b10,))
-    with pytest.raises(InputError, match="DRTW acceptance must be transition based"):
-        _one_state(DRTW, acceptance=state_based)
+def test_one_pair_set_serves_both_kinds():
+    """A Rabin condition does not say where its marks sit; the automaton
+    holding it does.  One pair set builds a one-state DRTW and a one-state
+    DRW, which differ as classes; each is written with its own kind and
+    read back as its own class."""
+    acceptance = RabinPairSet((0,), (0b10,))
+    drtw, drw = _one_state(DRTW, acceptance=acceptance), _one_state(DRW, acceptance=acceptance)
+    assert drtw.acceptance is drw.acceptance and drtw != drw
+    for d, kind in ((drtw, "trans-acc"), (drw, "state-acc")):
+        text = emit_rabin(d)
+        assert f"properties: deterministic {kind}\n" in text
+        back = parse_rabin(text)
+        assert type(back) is type(d)
+        assert (back.targets, back.marks, back.acceptance) == (d.targets, d.marks, acceptance)
 
 
 def test_signatures_name_only_the_pairs_sets():
     for signature in (0b100, -1, 1 << 64):
         with pytest.raises(InputError, match="out of range for 1 pairs"):
-            RabinPairSet("state", ("X",), (0, signature))
-    assert RabinPairSet("state", ("X",), (0, 0b11)).signatures == (0, 0b11)
+            RabinPairSet(("X",), (0, signature))
+    assert RabinPairSet(("X",), (0, 0b11)).signatures == (0, 0b11)
 
 
 def test_rabin_monotone_in_accepting_antitone_in_rejecting():
@@ -196,7 +204,7 @@ def test_lasso_word_requires_period():
 
 def test_duplicate_pair_indices_rejected():
     with pytest.raises(InputError):
-        RabinPairSet("state", (0, 0), ())
+        RabinPairSet((0, 0), ())
 
 
 def test_drtw_totality_enforced():
@@ -239,10 +247,10 @@ def test_signatures_sit_on_edges_or_states(cls, kind, key, what):
     assert kind == cls.acceptance_kind and (what == "an edge") == (kind == "transition")
     with pytest.raises(InputError, match=r"mark rows, expected|entries for 1 states"):
         _one_state(cls, marks=_rows_with(key, kind == "transition"),
-                   acceptance=RabinPairSet(kind, (0,), (0b10,)))
+                   acceptance=RabinPairSet((0,), (0b10,)))
     own = (0, "a") if kind == "transition" else 0
     built = _one_state(cls, marks=_rows_with(own, kind == "transition"),
-                       acceptance=RabinPairSet(kind, (0,), (0b10,)))
+                       acceptance=RabinPairSet((0,), (0b10,)))
     assert signature_map(built) == {own: 0b10}
 
 

@@ -7,7 +7,6 @@ from histree.determinize import (
     Determinizer,
     HistoryTree,
     assemble_pairs,
-    assemble_state_pairs,
     build_drtw,
     build_drw,
     check_history_tree,
@@ -17,7 +16,7 @@ from histree.dot import emit_dot
 from histree.errors import CapacityError, InputError
 from histree.formats import emit_rabin, parse_nbw
 from histree.corpus import default_corpus
-from histree.fixtures import e1, no_finals, single_final_loop
+from histree.fixtures import e1, no_finals, pair_shrink, single_final_loop
 from histree.oracle import det_lasso_member, lassos_upto, nbw_lasso_member
 from histree.automata import LassoWord
 from histree.trees import Identifier, classify, full_tree, height
@@ -27,6 +26,12 @@ from rabin_edges import edge_map, incoming, signature_map
 def tree(nbw, labels):
     """A tree written with state names, encoded through the automaton."""
     return HistoryTree(tuple(sorted((k, nbw.mask(v)) for k, v in labels.items())), nbw.states)
+
+
+def canonical_step(engine, t, symbol):
+    """One step of `t` with its marks indexed as a canonical build's pairs."""
+    trace = engine.successor_trace(t, symbol)
+    return trace.result, relabel(trace.marks, engine.table)
 
 
 def index(table, name):
@@ -71,12 +76,12 @@ def test_e1_successor_chain(e1_nbw):
     engine = Determinizer(e1_nbw, "canonical")
     t0 = engine.initial_tree()
     both = frozenset({Identifier(0, 1), Identifier(1, 1)})
-    t1, ann1 = engine.successor(t0, "a")
+    t1, ann1 = canonical_step(engine, t0, "a")
     assert t1 == tree(e1_nbw, {(): {"p", "q"}, (1,): {"q"}})
     assert t1.render(engine.table) == "ε:{p,q}(0,1) 1:{q}(1,1)"
     assert ann1 == TransitionAnnotation(stable=both)
 
-    t2, ann2 = engine.successor(t1, "a")
+    t2, ann2 = canonical_step(engine, t1, "a")
     assert t2 == t1
     assert ann2 == TransitionAnnotation(
         accepting=frozenset({Identifier(1, 1)}), stable=both
@@ -85,7 +90,7 @@ def test_e1_successor_chain(e1_nbw):
 
 def test_e1_successor_trace_details(e1_nbw):
     engine = Determinizer(e1_nbw, "canonical")
-    t1, _ = engine.successor(engine.initial_tree(), "a")
+    t1 = engine.successor_trace(engine.initial_tree(), "a").result
     trace = engine.successor_trace(t1, "a")
     # Spawn doubles the node count; the younger root child loses q to its
     # older sibling, empties, and is dropped; node (1,) is covered by its
@@ -104,7 +109,7 @@ def test_e1_successor_trace_details(e1_nbw):
 def test_successor_of_sink_is_sink(e1_nbw):
     engine = Determinizer(e1_nbw)
     sink = HistoryTree(())
-    out, ann = engine.successor(sink, "a")
+    out, ann = canonical_step(engine, sink, "a")
     assert out.is_sink
     assert ann == TransitionAnnotation()
 
@@ -112,7 +117,7 @@ def test_successor_of_sink_is_sink(e1_nbw):
 def test_successor_rejects_unknown_symbol(e1_nbw):
     engine = Determinizer(e1_nbw)
     with pytest.raises(InputError):
-        engine.successor(engine.initial_tree(), "z")
+        engine.successor_trace(engine.initial_tree(), "z")
 
 
 @pytest.mark.parametrize(
@@ -130,9 +135,8 @@ def test_successor_rejects_unsound_trees(e1_nbw, entries, problem):
     IndexError or a meaningless successor."""
     engine = Determinizer(e1_nbw)
     bad = HistoryTree(entries, e1_nbw.states)
-    for step in (engine.successor_trace, engine.successor):
-        with pytest.raises(InputError, match=problem):
-            step(bad, "a")
+    with pytest.raises(InputError, match=problem):
+        engine.successor_trace(bad, "a")
     assert engine.build_drtw() == build_drtw(e1_nbw)
 
 
@@ -193,7 +197,7 @@ def test_build_drtw_single_final_loop():
 def test_build_drw_e1(e1_nbw):
     d = build_drw(e1_nbw)
     assert len(d.payloads) == 3
-    assert d.acceptance.kind == "state"
+    assert d.acceptance_kind == "state"
     annotations = sorted(
         (sorted(ann.accepting), sorted(ann.unstable)) for ann in incoming(d)
     )
@@ -302,18 +306,25 @@ def test_assemble_state_pairs_absence_rule():
         TransitionAnnotation(accepting=kept, stable=kept),
         TransitionAnnotation(unstable=kept, stable=frozenset()),
     ]
-    acc = assemble_state_pairs(incoming)
+    acc = assemble_pairs(incoming)
     assert acc.indices == (mark,)
     assert acc.signatures == (0b01, 0b10, 0b01)
 
 
 def test_capacity_error_carries_partial_stats(corpus_sample):
+    """The partial statistics are the requesting build's, its mode
+    included: a build in another mode than the engine's reports its own,
+    though the exploration it ran out of room in is the engine's."""
     target = next(a for a in corpus_sample if len(a.states) >= 3)
-    for build in (build_drtw, build_drw):
-        with pytest.raises(CapacityError) as err:
-            build(target, max_states=1)
-        assert err.value.partial is not None
-        assert err.value.partial.states >= 1
+    engines = [(Determinizer(target, max_states=1), None),
+               (Determinizer(pair_shrink(), "canonical", max_states=2), "baseline")]
+    for engine, mode in engines:
+        for build in (engine.build_drtw, engine.build_drw):
+            with pytest.raises(CapacityError) as err:
+                build(mode)
+            assert err.value.partial is not None
+            assert err.value.partial.states >= 1
+            assert err.value.partial.mode == (mode or engine.mode)
 
 
 def test_overflow_census_counts_the_overflowing_trees_fresh_names(corpus_sample):
@@ -391,7 +402,7 @@ def test_corpus_invariants_and_trace_properties(corpus_sample):
             assert renamed == trace.unstable
             parts = classify(trace.pruned)
             assert parts.unstable == trace.unstable
-            assert ann == engine.successor(d.payloads[sid], sym)[1]
+            assert ann == relabel(trace.marks, engine.table)
             assert trace.marks.unstable == trace.unstable
             assert ann.unstable == frozenset(engine.table.lookup(x) for x in trace.unstable)
             assert ann.stable == frozenset(engine.table.lookup(x) for x in parts.stable)
@@ -416,7 +427,7 @@ def test_check_history_tree_reports_colliding_identifiers(e1_nbw):
             return Identifier(0, 1)
 
     engine = Determinizer(e1_nbw)
-    t1, _ = engine.successor(engine.initial_tree(), "a")
+    t1 = engine.successor_trace(engine.initial_tree(), "a").result
     assert check_history_tree(t1, e1_nbw, engine.table) == []
     assert check_history_tree(t1, e1_nbw, Flat()) == ["identifiers not injective"]
 
@@ -506,7 +517,7 @@ def test_two_same_height_nodes_can_accept_in_one_step():
     trace = engine.successor_trace(start, "s")
     assert trace.accepting == {(1, 1), (2,)}
     assert trace.marks.accepting == trace.accepting
-    assert engine.successor(start, "s")[1].accepting == {Identifier(2, 1), Identifier(2, 2)}
+    assert relabel(trace.marks, engine.table).accepting == {Identifier(2, 1), Identifier(2, 2)}
     heights = {height(name) for name in trace.accepting}
     assert heights == {2}
 

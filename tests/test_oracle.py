@@ -212,7 +212,7 @@ def test_bounded_equiv_e1_clean():
 
 def _signatures_kept(acc, indices, keep):
     """acc with indices `indices`, each mark's signature mapped by `keep`."""
-    return RabinPairSet(acc.kind, indices, tuple(keep(sig) for sig in acc.signatures))
+    return RabinPairSet(indices, tuple(keep(sig) for sig in acc.signatures))
 
 
 def _gutted(acc):
@@ -327,8 +327,7 @@ def _one_state(alphabet, accepts_all):
         targets=((0,),) * len(alphabet),
         marks=((0,),) * len(alphabet),
         annotations=(EMPTY_ANNOTATION,),
-        acceptance=RabinPairSet("transition", (0,), (0b10,)) if accepts_all
-        else RabinPairSet("transition", (), (0,)),
+        acceptance=RabinPairSet((0,), (0b10,)) if accepts_all else RabinPairSet((), (0,)),
     )
 
 
@@ -352,13 +351,13 @@ def _named_inputs(corpus_sample):
 
 def _dict_walk_member(d, edges, signatures, w):
     """Independent of the oracle's row walk: walk d's `edge_map` and
-    `signature_map`, reading each step's signature where the condition
+    `signature_map`, reading each step's signature where the automaton
     puts it, on the edge of a DRTW and on the entered state of a DRW.
     After as many periods as d has states the period-boundary state lies
     on its cycle; the loop is the laps from there back to that state, and
     some pair must have its accepting bit and not its rejecting bit among
     their signatures."""
-    on_edges = d.acceptance.kind == "transition"
+    on_edges = d.acceptance_kind == "transition"
 
     def lap(state):
         signature = 0
