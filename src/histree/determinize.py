@@ -44,12 +44,11 @@ its own index and its parent is stable.  The phases end by decoding
 every lane: its survivors renamed and split into stable and unstable,
 which gives the result tree and the marks.  `Determinizer` keeps the
 phases of the tree it stepped last, and each `successor_trace` picks its
-letter's lane.  The other phases of a `StepTrace` are views of that
-lane, decoded only when read.  `classify`, the gap-rule definition of
-stability, and `compress` stay the references that `check_history_tree`,
-the trace's `renaming` and the tests apply; `tests/test_kernel.py` holds
-the five-phase step, one letter at a time on dicts, as the
-specification.
+letter's lane: a `StepTrace` is the step's outputs, its letter, result
+tree and marks.  `classify`, the gap-rule definition of stability, stays
+the reference that `check_history_tree` applies; `tests/test_kernel.py`
+holds the five-phase step, one letter at a time on dicts, as the
+specification, and decodes the intermediate phases there.
 
 Most steps reach a tree or a mark set the engine has seen before, so the
 engine interns both: it keeps one `HistoryTree` per distinct entries
@@ -103,11 +102,14 @@ from .trees import (
     NodeName,
     ROOT,
     classify,
-    compress,
     height,
     is_prefix_closed,
     name_str,
 )
+
+# Imported but not called here, kept because the benchmark's traced run
+# wraps it by this module's name.
+from .trees import compress
 
 MODES = ("baseline", "canonical")
 
@@ -208,19 +210,16 @@ class _Skeleton:
 
 
 class _Phases:
-    """One tree's spawn, dedup, collapse and prune phases for every letter
-    at once, over its shape's skeleton, and each letter's decoded step.
-    Position p of each list is the skeleton's p-th spawned name; labels
-    are packed across the engine's lanes, and node sets are guard-bit
-    masks (the guard bit of lane j set when the node is in the set on
-    letter j).
-    `survivors` holds, in preorder, every node that survives on some
-    letter: (position, pruned, stable, accepting, unstable mark, name,
-    packed label, parent position, packed new sibling index).  `lanes`
-    holds per letter the result tree and the name-indexed marks, both the
-    engine's interned values."""
+    """One tree's step on every letter at once, over its shape's skeleton:
+    spawn, dedup, collapse and prune as bitwise passes over packed labels,
+    then each letter's lane decoded.  Position p of each pass's list is the
+    skeleton's p-th spawned name; labels are packed across the engine's
+    lanes, and node sets are guard-bit masks (the guard bit of lane j set
+    when the node is in the set on letter j).  Only the outputs are kept:
+    `lanes` holds per letter the result tree and the name-indexed marks,
+    both the engine's interned values."""
 
-    __slots__ = ("tree", "skeleton", "spawned", "deduped", "survivors", "lanes")
+    __slots__ = ("tree", "skeleton", "lanes")
 
     def __init__(self, tree: HistoryTree, skeleton: _Skeleton, labels: Sequence[int], engine: "Determinizer"):
         self.tree = tree
@@ -233,18 +232,19 @@ class _Phases:
         # fresh youngest child holds the final states among the successors.
         # The engine keeps each label's packed image.
         images = engine._images
-        self.spawned = spawned = [0] * size
+        deduped = [0] * size
         for label, slot, child in zip(labels, skeleton.slots, skeleton.fresh):
             advanced = images.get(label)
             if advanced is None:
                 advanced = images[label] = image(label, rows)
-            spawned[slot] = advanced
-            spawned[child] = advanced & final
+            deduped[slot] = advanced
+            deduped[child] = advanced & final
 
-        # Dedup: a state an older sibling held before dedup leaves every
-        # younger sibling's subtree, lane by lane.  The root keeps its label.
+        # Dedup, in place: a state an older sibling held before dedup leaves
+        # every younger sibling's subtree, lane by lane.  Preorder reads each
+        # position's spawned label before overwriting it.  The root keeps its
+        # label.
         poison = [0] * size
-        self.deduped = deduped = spawned[:]
         kids = [0] * size  # union of the children's deduped labels
         for p, q, _, _ in skeleton.below:
             inherited = poison[p] = poison[q]
@@ -258,11 +258,14 @@ class _Phases:
         # up to their own.  Compression gives a survivor the sibling index
         # one past its surviving older siblings; it is stable when that
         # index is its own and its parent is stable.  The root survives
-        # stably on its nonempty lanes.
+        # stably on its nonempty lanes.  `survivors` holds, in preorder,
+        # every node that survives on some letter: (position, pruned,
+        # stable, accepting, unstable mark, name, packed label, parent
+        # position, packed new sibling index).
         through = [0] * size  # lanes where the node survives uncovered
         stable = [0] * size
         count = [0] * size  # per parent: its surviving children so far
-        self.survivors = survivors = []
+        survivors = []
         if size:
             label = deduped[0]
             live = stable[0] = (label + fill) & guards
@@ -322,81 +325,14 @@ class _Phases:
             decoded.append((result, marks))
 
 
-@dataclass(frozen=True, eq=False, init=False)
-class StepTrace:
-    """One successor step of a tree on a letter.  `result` and `marks` are
-    decoded when the step is taken; the phase dicts are views of the
-    letter's lane of the tree's packed phases, decoded when first read.
-    `spawned` holds the tree's own names and each node's fresh youngest
-    child; labels are state masks and names come in sorted order.  Two
-    traces are equal when every field is.  The fields are read-only;
-    construction fills the instance dict directly, without the frozen
-    `__setattr__` per field."""
+class StepTrace(NamedTuple):
+    """One successor step of a tree on a letter: the letter, the result
+    tree and the marks, indexed by node name, all the step's outputs.  Two
+    traces are equal when their fields are."""
 
     symbol: Symbol
     result: HistoryTree
-    marks: TransitionAnnotation  # indexed by node name
-    phases: _Phases = field(repr=False)
-    lane: int = field(repr=False)
-
-    def __init__(self, symbol: Symbol, result: HistoryTree, marks: TransitionAnnotation,
-                 phases: _Phases, lane: int):
-        fields = self.__dict__
-        fields["symbol"], fields["result"], fields["marks"], fields["phases"], fields["lane"] = (
-            symbol, result, marks, phases, lane)
-
-    def _lane(self, packed: List[int]) -> List[int]:
-        n = len(self.result.states)
-        shift = self.lane * (n + 1)
-        mask = (1 << n) - 1
-        return [label >> shift & mask for label in packed]
-
-    def _survivors(self, member) -> List[NodeName]:
-        """The names of the lane's survivors for which `member(pruned,
-        stable, accepting)` has the lane's guard bit."""
-        n = len(self.result.states)
-        guard = 1 << (self.lane * (n + 1) + n)
-        return [name for _, live, kept, accepting, _, name, *_ in self.phases.survivors
-                if member(live, kept, accepting) & guard]
-
-    @cached_property
-    def spawned(self) -> Dict[NodeName, int]:
-        return dict(zip(self.phases.skeleton.names, self._lane(self.phases.spawned)))
-
-    @cached_property
-    def deduped(self) -> Dict[NodeName, int]:
-        return dict(zip(self.phases.skeleton.names, self._lane(self.phases.deduped)))
-
-    @cached_property
-    def nonempty(self) -> Dict[NodeName, int]:
-        return {name: label for name, label in self.deduped.items() if label}
-
-    @cached_property
-    def pruned(self) -> Dict[NodeName, int]:
-        return {name: self.deduped[name] for name in self._survivors(lambda live, kept, accepting: live)}
-
-    @cached_property
-    def accepting(self) -> FrozenSet[NodeName]:
-        return frozenset(self._survivors(lambda live, kept, accepting: accepting))
-
-    @cached_property
-    def unstable(self) -> FrozenSet[NodeName]:
-        return frozenset(self._survivors(lambda live, kept, accepting: live & ~kept))
-
-    @cached_property
-    def renaming(self) -> Dict[NodeName, NodeName]:
-        return compress(self.pruned)
-
-    def __eq__(self, other):
-        if not isinstance(other, StepTrace):
-            return NotImplemented
-        return all(
-            getattr(self, f) == getattr(other, f)
-            for f in ("symbol", "spawned", "deduped", "nonempty", "pruned", "accepting",
-                      "unstable", "renaming", "result", "marks")
-        )
-
-    __hash__ = None
+    marks: TransitionAnnotation
 
 
 def relabel(marks: TransitionAnnotation, table: Optional[IdentifierTable]) -> TransitionAnnotation:
@@ -506,8 +442,9 @@ class Determinizer:
         return skeleton
 
     def successor_trace(self, tree: HistoryTree, symbol: Symbol) -> StepTrace:
-        """One step of `tree` on `symbol`: its letter's lane of the tree's
-        phases, which are computed for every letter at once.  A tree the
+        """One step of `tree` on `symbol`: the result and marks of its
+        letter's lane of the tree's phases, which are computed for every
+        letter at once and kept as the engine's `_last_phases`.  A tree the
         engine has not met is checked first; an unsound one raises
         InputError listing its problems."""
         lane = self._index.get(symbol)
@@ -522,8 +459,7 @@ class Determinizer:
                 self._tree(tree.entries)
             names, labels = zip(*tree.entries) if tree.entries else ((), ())
             phases = self._last_phases = _Phases(tree, self._skeleton(names), labels, self)
-        result, marks = phases.lanes[lane]
-        return StepTrace(symbol, result, marks, phases, lane)
+        return StepTrace(symbol, *phases.lanes[lane])
 
     # -- automaton construction --------------------------------------------
 
@@ -533,8 +469,9 @@ class Determinizer:
         breadth-first once per engine.  Deterministic numbering: discovery
         order with the alphabet in declared order, for trees and marks
         alike.  The engine interns its trees and marks, so the graph
-        indexes both by identity.  Each tree's skeleton is read off its
-        step, and each distinct skeleton is kept once."""
+        indexes both by identity.  Each tree's skeleton is read off the
+        phases its step left in `_last_phases`, and each distinct skeleton
+        is kept once."""
         start = self.initial_tree()
         trees = [start]
         shapes: Dict[_Skeleton, None] = {}  # each skeleton met, in first-met order
@@ -553,7 +490,7 @@ class Determinizer:
                     if len(trees) >= self.max_states:
                         # The census covers the trees stepped so far, this one included.
                         # The build that asked for the graph makes its statistics of these.
-                        shapes[trace.phases.skeleton] = None
+                        shapes[self._last_phases.skeleton] = None
                         partial = (len(trees), len(targets), 0, self._census(shapes))
                         raise CapacityError(f"state limit {self.max_states} exceeded", partial=partial)
                     tid = index[id(result)] = len(trees)
@@ -565,7 +502,7 @@ class Determinizer:
                 targets.append(tid)
                 marks.append(mid)
             # With no letter nothing steps the start tree, the only tree.
-            skeleton = trace.phases.skeleton if alphabet else self._skeleton(tuple(name for name, _ in tree.entries))
+            skeleton = self._last_phases.skeleton if alphabet else self._skeleton(tuple(name for name, _ in tree.entries))
             shapes[skeleton] = None
         return _Graph(tuple(trees), targets, marks, annotations, tuple(shapes))
 

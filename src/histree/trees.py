@@ -138,8 +138,8 @@ def compress(names: Iterable[NodeName]) -> Dict[NodeName, NodeName]:
     keeping a running child count per parent.  The renaming preserves
     lexicographic order, and the renamed names (those mapped to a different
     name) are exactly the unstable nodes of `classify`.  The packed
-    successor kernel renames survivors itself; this function serves
-    `StepTrace.renaming` and the tests that check the kernel against it.
+    successor kernel renames survivors itself; this function serves the
+    tests' reference step, which checks the kernel against it.
     """
     out: Dict[NodeName, NodeName] = {}
     kids: Dict[NodeName, int] = {}

@@ -21,6 +21,7 @@ from histree.oracle import det_lasso_member, lassos_upto, nbw_lasso_member
 from histree.automata import LassoWord
 from histree.trees import Identifier, classify, full_tree, height
 from rabin_edges import edge_map, incoming, signature_map
+from test_kernel import reference_step
 
 
 def tree(nbw, labels):
@@ -92,18 +93,21 @@ def test_e1_successor_trace_details(e1_nbw):
     engine = Determinizer(e1_nbw, "canonical")
     t1 = engine.successor_trace(engine.initial_tree(), "a").result
     trace = engine.successor_trace(t1, "a")
+    step = reference_step(e1_nbw, t1, "a", False)
     # Spawn doubles the node count; the younger root child loses q to its
     # older sibling, empties, and is dropped; node (1,) is covered by its
     # fresh child and accepts.
-    assert set(trace.spawned) == {(), (1,), (1, 1), (2,)}
-    assert trace.spawned[(2,)] == e1_nbw.mask({"q"})
-    assert trace.deduped[(2,)] == 0
-    assert set(trace.nonempty) == {(), (1,), (1, 1)}
-    assert set(trace.pruned) == {(), (1,)}
-    assert trace.accepting == {(1,)}
+    assert set(step["spawned"]) == {(), (1,), (1, 1), (2,)}
+    assert engine._last_phases.skeleton.names == list(step["spawned"])
+    assert step["spawned"][(2,)] == e1_nbw.mask({"q"})
+    assert step["deduped"][(2,)] == 0
+    assert set(step["nonempty"]) == {(), (1,), (1, 1)}
+    assert set(step["pruned"]) == {(), (1,)}
+    assert step["accepting"] == {(1,)}
     assert trace.marks.accepting == {(1,)}
-    assert trace.unstable == frozenset()
-    assert trace.renaming == {(): (), (1,): (1,)}
+    assert step["unstable"] == frozenset()
+    assert step["renaming"] == {(): (), (1,): (1,)}
+    assert (trace.result, trace.marks) == (step["result"], step["marks"])
 
 
 def test_successor_of_sink_is_sink(e1_nbw):
@@ -395,16 +399,18 @@ def test_corpus_invariants_and_trace_properties(corpus_sample):
         # Trace-level checks along every reachable transition.
         for (sid, sym), (tid, ann) in edge_map(d).items():
             trace = engine.successor_trace(d.payloads[sid], sym)
-            assert trace.result == d.payloads[tid]
-            assert len(trace.spawned) <= 2 * n
-            assert _local_tree_properties(trace.pruned) == []
-            renamed = {x for x, y in trace.renaming.items() if x != y}
-            assert renamed == trace.unstable
-            parts = classify(trace.pruned)
-            assert parts.unstable == trace.unstable
+            step = reference_step(a, d.payloads[sid], sym, False)
+            assert trace.result == step["result"] == d.payloads[tid]
+            assert trace.marks == step["marks"]
+            assert len(step["spawned"]) <= 2 * n
+            assert _local_tree_properties(step["pruned"]) == []
+            renamed = {x for x, y in step["renaming"].items() if x != y}
+            assert renamed == step["unstable"]
+            parts = classify(step["pruned"])
+            assert parts.unstable == step["unstable"]
             assert ann == relabel(trace.marks, engine.table)
-            assert trace.marks.unstable == trace.unstable
-            assert ann.unstable == frozenset(engine.table.lookup(x) for x in trace.unstable)
+            assert trace.marks.unstable == step["unstable"]
+            assert ann.unstable == frozenset(engine.table.lookup(x) for x in step["unstable"])
             assert ann.stable == frozenset(engine.table.lookup(x) for x in parts.stable)
 
 
@@ -515,10 +521,12 @@ def test_two_same_height_nodes_can_accept_in_one_step():
     start = tree(a, {(): "abce", (1,): "ab", (1, 1): "a", (2,): "c"})
     assert check_history_tree(start, a, engine.table) == []
     trace = engine.successor_trace(start, "s")
-    assert trace.accepting == {(1, 1), (2,)}
-    assert trace.marks.accepting == trace.accepting
+    step = reference_step(a, start, "s", False)
+    assert (trace.result, trace.marks) == (step["result"], step["marks"])
+    assert step["accepting"] == {(1, 1), (2,)}
+    assert trace.marks.accepting == step["accepting"]
     assert relabel(trace.marks, engine.table).accepting == {Identifier(2, 1), Identifier(2, 2)}
-    heights = {height(name) for name in trace.accepting}
+    heights = {height(name) for name in step["accepting"]}
     assert heights == {2}
 
 
@@ -582,7 +590,10 @@ def test_census_matches_the_per_step_definition(strict, all_fixtures, corpus_sam
         off_table = set()
         for t in trees:
             for symbol in a.alphabet:
-                spawned = set(engine.successor_trace(t, symbol).spawned)
+                trace = engine.successor_trace(t, symbol)
+                step = reference_step(a, t, symbol, strict)
+                assert (trace.result, trace.marks) == (step["result"], step["marks"]), name
+                spawned = set(step["spawned"])
                 assert spawned == t.names | set(fresh_children(t)), name
                 off_table |= {x for x in spawned if height(x) >= len(a.states)}
         for mode in ("canonical", "baseline"):
