@@ -29,26 +29,19 @@ def _read_automaton(path: str):
     return parse_nbw(text)
 
 
-def _engine(nbw, mode: str, strict: bool, max_states=None) -> Determinizer:
-    """The build engine; without `max_states` the library's default limit
-    applies."""
-    limit = {} if max_states is None else {"max_states": max_states}
-    return Determinizer(nbw, mode, strict, **limit)
-
-
 def _cmd_determinize(args) -> int:
     nbw = _read_automaton(args.infile)
-    engine = _engine(nbw, args.mode, args.strict_paper_marks, args.max_states)
+    engine = Determinizer(nbw, args.mode, args.strict_paper_marks, args.max_states)
     automaton = engine.build_drw() if args.out == "drw" else engine.build_drtw()
     sys.stdout.write(emit_rabin(automaton))
     return 0
 
 
-def _targets(nbw, strict: bool, max_states=None):
+def _targets(nbw, strict: bool, max_states: int = DEFAULT_MAX_STATES):
     """The builds that verify and stats report on, all from one engine and
     one exploration; the canonical builds relabel the baseline build's
     pair indices."""
-    engine = _engine(nbw, "canonical", strict, max_states)
+    engine = Determinizer(nbw, "canonical", strict, max_states)
     return [
         ("canonical-drtw", engine.build_drtw()),
         ("baseline-drtw", engine.build_drtw("baseline")),
@@ -87,7 +80,7 @@ def _cmd_render(args) -> int:
 
 
 def _max_states_option(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--max-states", type=int, metavar="N",
+    parser.add_argument("--max-states", type=int, default=DEFAULT_MAX_STATES, metavar="N",
                         help=f"state limit of each build (default {DEFAULT_MAX_STATES}); "
                              "exceeding it exits 2 with partial statistics")
 

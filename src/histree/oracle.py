@@ -10,7 +10,8 @@ so single-symbol profiles mark final targets and composition never double
 counts endpoints.  Profile rows are state masks in the NBW's encoding:
 a single-symbol profile is the NBW's successor rows for that symbol, and
 composition takes `image`s of rows, the same union the successor kernel
-uses to advance a tree label.
+uses to advance a tree label.  A period's accepting states come from one
+reflexive-transitive closure of its profile's rows (Warshall's loop).
 
 `bounded_equiv` scans every lasso up to the bounds, but a lasso's two
 verdicts depend only on the NBW states and the deterministic state its
@@ -36,7 +37,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
 from math import comb
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
 
 from .automata import DRTW, DRW, LassoWord, NBW, Symbol, image, rabin_accepts
 from .errors import CapacityError, HistreeError, InputError
@@ -50,13 +51,11 @@ LASSO_CAP = 1_000_000  # most lassos one bounded_equiv call may enumerate
 LASSO_LENGTH_CAP = 100  # longest prefix or period one bounded_equiv call may enumerate
 
 
-@dataclass(frozen=True)
-class TransitionProfile:
+class TransitionProfile(NamedTuple):
     """Reachability matrix for one finite word, encoded as bitmask rows:
     bit q of reach[p] means some path p -> q, of final[p] that some such
     path passes a final state (counted at path targets)."""
 
-    size: int
     reach: Tuple[int, ...]
     final: Tuple[int, ...]
 
@@ -69,29 +68,21 @@ class TransitionProfile:
 
     @staticmethod
     def identity(size: int) -> "TransitionProfile":
-        return TransitionProfile(size, tuple(1 << p for p in range(size)), (0,) * size)
+        return TransitionProfile(tuple(1 << p for p in range(size)), (0,) * size)
 
     def compose(self, other: "TransitionProfile") -> "TransitionProfile":
         # final[p] is a subset of reach[p], so image(final[p], other.reach)
         # adds exactly the paths that passed a final state before `other`.
         reach, final = other.reach, other.final
         return TransitionProfile(
-            self.size,
             tuple([image(r, reach) for r in self.reach]),
             tuple([image(r, final) | image(f, reach) for r, f in zip(self.reach, self.final)]),
-        )
-
-    def union(self, other: "TransitionProfile") -> "TransitionProfile":
-        return TransitionProfile(
-            self.size,
-            tuple(a | b for a, b in zip(self.reach, other.reach)),
-            tuple(a | b for a, b in zip(self.final, other.final)),
         )
 
 
 def symbol_profile(a: NBW, symbol: Symbol) -> TransitionProfile:
     reach = a.rows[symbol]
-    return TransitionProfile(len(a.states), reach, tuple(row & a.final_mask for row in reach))
+    return TransitionProfile(reach, tuple(row & a.final_mask for row in reach))
 
 
 def word_profile(a: NBW, word: Sequence[Symbol]) -> TransitionProfile:
@@ -104,24 +95,24 @@ def word_profile(a: NBW, word: Sequence[Symbol]) -> TransitionProfile:
     return profile
 
 
-def _period_closure(period_profile: TransitionProfile) -> TransitionProfile:
-    """Union of the 1..size fold powers: paths over one or more periods."""
-    closure = period_profile
-    for _ in range(period_profile.size):
-        grown = closure.union(closure.compose(period_profile))
-        if grown == closure:
-            break
-        closure = grown
-    return closure
-
-
 def _accepting_states(period_profile: TransitionProfile) -> int:
     """The mask of states from which period^omega has an accepting run:
     those that reach, over zero or more whole periods, a state on a
-    period-level cycle passing a final state."""
-    closure = _period_closure(period_profile)
-    cycles = sum(1 << q for q in range(closure.size) if closure.final[q] >> q & 1)
-    return sum(1 << q for q in range(closure.size) if (1 << q | closure.reach[q]) & cycles)
+    period-level cycle passing a final state.
+
+    `star` closes the one-period relation reflexively and transitively by
+    Warshall's loop.  Its invariant: after the rounds for states below k,
+    bit q of star[p] is set exactly when zero or more whole periods lead
+    p -> q with every intermediate boundary state below k.  State q is on
+    such a cycle when star leads q -> r, one period passing a final state
+    leads r -> s, and star leads s -> q."""
+    reach, final = period_profile
+    star = [row | 1 << p for p, row in enumerate(reach)]
+    for k in range(len(star)):
+        row_k, bit = star[k], 1 << k
+        star = [row | row_k if row & bit else row for row in star]
+    cycles = sum(1 << q for q, row in enumerate(star) if image(image(row, final), star) >> q & 1)
+    return sum(1 << p for p, row in enumerate(star) if row & cycles)
 
 
 def nbw_lasso_member(a: NBW, w: LassoWord) -> bool:
@@ -357,24 +348,18 @@ Shape = Tuple["Shape", ...]  # a node is the tuple of its child shapes
 
 
 @lru_cache(maxsize=None)
-def _shapes_cached(k: int) -> Tuple[Shape, ...]:
-    if k == 1:
+def _forests(m: int) -> Tuple[Shape, ...]:
+    """Every ordered forest of m nodes: a first tree of k nodes, a root
+    over a forest of k-1, then a forest of the other m-k.  A k-node tree's
+    shape is the forest of its root's children, one of `_forests(k-1)`."""
+    if m == 0:
         return ((),)
-    out: List[Shape] = []
-    # Split k-1 non-root nodes among an ordered run of child subtrees.
-    def splits(remaining: int, parts: int):
-        if parts == 1:
-            yield (remaining,)
-            return
-        for first in range(1, remaining - parts + 2):
-            for rest in splits(remaining - first, parts - 1):
-                yield (first,) + rest
-
-    for parts in range(1, k):
-        for sizes in splits(k - 1, parts):
-            for kids in product(*(_shapes_cached(s) for s in sizes)):
-                out.append(tuple(kids))
-    return tuple(out)
+    return tuple(
+        (first,) + rest
+        for k in range(1, m + 1)
+        for first in _forests(k - 1)
+        for rest in _forests(m - k)
+    )
 
 
 def _shape_names(shape: Shape, base: NodeName = ()) -> List[NodeName]:
@@ -415,7 +400,7 @@ def _shapes_upto(n: int):
     if n < 1:
         raise InputError("census requires n >= 1")
     for k in range(1, n + 1):
-        yield from _shapes_cached(k)
+        yield from _forests(k - 1)
 
 
 def enumerate_history_trees(n: int) -> int:

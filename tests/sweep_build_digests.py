@@ -1,5 +1,5 @@
-"""Byte sweep: one build digest per input over a wider input set than
-`fixtures/build_digests.txt`.
+"""Byte sweep: one build digest and one verify digest per input, over a
+wider input set than `fixtures/build_digests.txt`.
 
 The inputs are the golden inputs of `record_build_digests.py` (the
 hand-written fixtures, the default corpus and Michel m=4), Michel m=5,
@@ -7,13 +7,18 @@ Michel m=6 (18,731 DRTW states, where the engine's memos and interning
 carry real load) and every member of the benchmark's candidate pools
 (`perfbench/pools.json`), each generated by `perfbench/inputs.py` and
 read through its HOA text.
-Each line is `name sha256`, where the digest is `build_digest`: eight
-builds (canonical/baseline x drtw/drw x default/strict marks), each
-contributing `emit_rabin`, `stats.to_text()` and `emit_dot`.  The
-benchmark files are only read.
+Each line is `name build-sha256 verify-sha256`.  The build digest is
+`build_digest`: eight builds (canonical/baseline x drtw/drw x
+default/strict marks), each contributing `emit_rabin`, `stats.to_text()`
+and `emit_dot`.  The verify digest is `verify_digest`: for the three
+targets of `histree verify` under both mark semantics, `tested`,
+`counterexample` and `evaluated` of `bounded_equiv(a, d, 4, 4)`, or the
+`CapacityError` message where the lasso cap refuses the bounds (as on
+Michel m=5 and m=6).  The benchmark files are only read.
 
-A change that must keep emitted bytes compares the library before and
-after it, running this script from the change against each source tree:
+A change that must keep emitted bytes and verdicts compares the library
+before and after it, running this script from the change against each
+source tree:
 
     PYTHONPATH=/path/to/parent/src python tests/sweep_build_digests.py > parent.txt
     PYTHONPATH=src python tests/sweep_build_digests.py > change.txt
@@ -24,6 +29,7 @@ The name keeps pytest from collecting this script.
 
 from __future__ import annotations
 
+import hashlib
 import importlib.util
 import json
 import sys
@@ -31,7 +37,10 @@ from pathlib import Path
 from typing import Iterator, Tuple
 
 from histree.automata import NBW
+from histree.cli import _targets
+from histree.errors import CapacityError
 from histree.formats import parse_nbw
+from histree.oracle import bounded_equiv
 from record_build_digests import build_digest, golden_inputs
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -56,6 +65,19 @@ def sweep_inputs() -> Iterator[Tuple[str, NBW]]:
             yield f"{family}:{i}", parse_nbw(inputs.to_hoa(inputs.member(family, i)))
 
 
+def verify_digest(a: NBW) -> str:
+    digest = hashlib.sha256()
+    for strict in (False, True):
+        for label, d in _targets(a, strict):
+            try:
+                r = bounded_equiv(a, d, 4, 4)
+                line = f"{label} {r.tested} {r.counterexample} {r.evaluated}"
+            except CapacityError as exc:
+                line = f"{label} {exc}"
+            digest.update(f"{line}\n".encode("utf-8"))
+    return digest.hexdigest()
+
+
 if __name__ == "__main__":
     for name, a in sweep_inputs():
-        print(name, build_digest(a), flush=True)
+        print(name, build_digest(a), verify_digest(a), flush=True)

@@ -3,11 +3,12 @@ PASS line with its runtime (run with -s to see them).  The corpus here is
 the full seeded set plus every hand-written fixture."""
 
 import time
+from itertools import combinations
 from pathlib import Path
 
 import pytest
 
-from histree.automata import LassoWord
+from histree.automata import LassoWord, rabin_accepts
 from histree.corpus import default_corpus
 from histree.determinize import Determinizer, HistoryTree, build_drtw, build_drw, relabel
 from histree.dot import emit_dot
@@ -267,6 +268,90 @@ def test_searched_pair_index_fixtures(n, states, baseline_pairs, canonical_pairs
     for d in (canonical, baseline, drw):
         report = bounded_equiv(a, d, MAX_U, MAX_V)
         assert report.equivalent, report.counterexample
+
+
+# The n=3 witness: u . v_i^omega for five periods whose loops nest.
+INDEX_N3_PREFIX = "abcab"
+INDEX_N3_PERIODS = (
+    "b",
+    "aaabababbabb",
+    "caababcbbabaabb",
+    "aacabacbcbacbbcaaababbabbcab",
+    "acabacbcaabcbbcabaacbcbaabbabbcab",
+)
+
+
+def _single_pair_accepts(misses, meets, length):
+    """The indices i in 1..length of a chain S_1 < ... < S_length that one
+    pair (E, F) accepts, where `misses`/`meets` are the blocks (1-based)
+    that E and F meet: S_i misses E and meets F."""
+    return frozenset(
+        i for i in range(1, length + 1)
+        if not any(b <= i for b in misses) and any(b <= i for b in meets)
+    )
+
+
+def test_index_n3_needs_three_pairs():
+    """A 3-state NBW whose language needs 3 Rabin pairs, above the paper's
+    headline of 2^ceil((n-1)/2) = 2 at n = 3.
+
+    After u = abcab the DRTW is in one state s, and each period v_i leads
+    from s back to s.  The loops' edge sets form a chain S_1 < ... < S_5
+    that the automaton accepts at S_1, S_3 and S_5 only.  One pair (E, F)
+    accepts a loop S when S misses E and meets F.  Along the chain,
+    "misses E" holds up to some index and "meets F" from some index on, so
+    one pair accepts an interval of the chain, and {1, 3, 5} takes three
+    intervals.  The test exhausts the 1,024 patterns of (E, F) over the
+    chain's five blocks B_i = S_i - S_(i-1).  The argument covers every
+    deterministic Rabin automaton with such a chain for this language; the
+    bounded check below shows the built ones equivalent on short lassos
+    only, so exact equivalence (ROADMAP item 1) is still to come."""
+    a = parse_nbw((FIXTURE_DIR / "index_n3.hoa").read_text(encoding="utf-8"))
+    assert len(a.states) == 3
+    engine = Determinizer(a, "canonical")
+    canonical, baseline, drw = engine.build_drtw(), engine.build_drtw("baseline"), engine.build_drw()
+    assert [len(d.payloads) for d in (canonical, baseline, drw)] == [11, 11, 19]
+    assert [len(d.acceptance.indices) for d in (canonical, baseline)] == [3, 3]
+    for d in (canonical, baseline, drw):
+        report = bounded_equiv(a, d, MAX_U, MAX_V)
+        assert report.equivalent, report.counterexample
+
+    alternation = [True, False, True, False, True]
+    for d in (canonical, baseline, drw):
+        verdicts = [det_lasso_member(d, LassoWord(tuple(INDEX_N3_PREFIX), tuple(v)))
+                    for v in INDEX_N3_PERIODS]
+        assert verdicts == alternation
+    assert [nbw_lasso_member(a, LassoWord(tuple(INDEX_N3_PREFIX), tuple(v)))
+            for v in INDEX_N3_PERIODS] == alternation
+
+    d = canonical
+    letter = {sym: k for k, sym in enumerate(d.alphabet)}
+    start = d.initial
+    for sym in INDEX_N3_PREFIX:
+        start = d.targets[letter[sym]][start]
+    loops, signatures = [], []
+    for period in INDEX_N3_PERIODS:
+        state, edges, signature = start, set(), 0
+        for sym in period:
+            k = letter[sym]
+            edges.add((state, k))
+            signature |= d.acceptance.signatures[d.marks[k][state]]
+            state = d.targets[k][state]
+        assert state == start
+        loops.append(frozenset(edges))
+        signatures.append(signature)
+    assert [len(edges) for edges in loops] == [1, 8, 9, 16, 18]
+    assert all(inner < outer for inner, outer in zip(loops, loops[1:]))
+    assert [rabin_accepts(signature) for signature in signatures] == alternation
+
+    blocks = range(1, 6)
+    subsets = [frozenset(c) for k in range(6) for c in combinations(blocks, k)]
+    accepted = {_single_pair_accepts(e, f, 5) for e in subsets for f in subsets}
+    assert len(subsets) ** 2 == 1024
+    assert all(not s or s == frozenset(range(min(s), max(s) + 1)) for s in accepted)
+    target = frozenset({1, 3, 5})
+    assert not any(x | y == target for x in accepted for y in accepted)
+    assert any(x | y | z == target for x in accepted for y in accepted for z in accepted)
 
 
 def test_criterion_7_micro_example_exactness():

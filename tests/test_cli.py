@@ -276,13 +276,14 @@ def test_repeated_header_exits_2(header, tmp_path, capsys):
 
 
 def test_capacity_error_prints_partial_stats(monkeypatch, capsys):
-    import functools
-
     from histree import cli
     from histree.determinize import Determinizer
 
+    def capped(nbw, mode, strict_marks, max_states):
+        return Determinizer(nbw, mode, strict_marks, max_states=3)
+
     michel4 = str(Path(__file__).parent / "fixtures" / "michel4.hoa")
-    monkeypatch.setattr(cli, "Determinizer", functools.partial(Determinizer, max_states=3))
+    monkeypatch.setattr(cli, "Determinizer", capped)
     for command in (["determinize", "--in", michel4], ["stats", "--in", michel4]):
         assert main(command) == 2
         captured = capsys.readouterr()

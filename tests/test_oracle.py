@@ -4,6 +4,7 @@ import weakref
 from dataclasses import replace
 from functools import lru_cache
 from itertools import combinations, product
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -11,11 +12,13 @@ import pytest
 import histree.oracle
 from histree.automata import DRTW, EMPTY_ANNOTATION, LassoWord, NBW, RabinPairSet
 from histree.cli import main
+from histree.corpus import default_corpus
 from histree.determinize import Determinizer, build_drtw, build_drw
 from histree.errors import CapacityError, InputError
 from histree.fixtures import e1, finitely_many_b, fixtures, no_finals, spawn_die_respawn
 from histree.formats import emit_nbw_hoa, parse_nbw
 from histree.oracle import (
+    TREE_CAP,
     Counterexample,
     EquivReport,
     TransitionProfile,
@@ -32,14 +35,14 @@ from histree.oracle import (
     verify_identifier_bounds,
     word_profile,
 )
+from histree.oracle import _accepting_states, _shape_names, _shapes_upto
 from rabin_edges import edge_map, signature_map
 
 
-def _random_nbw(rng, max_states=4):
+def _random_nbw(rng, max_states=4, alphabet=("a", "b"), density=0.45):
     states = tuple(f"s{i}" for i in range(rng.randint(1, max_states)))
-    alphabet = ("a", "b")
     transitions = [
-        (p, c, q) for p in states for c in alphabet for q in states if rng.random() < 0.45
+        (p, c, q) for p in states for c in alphabet for q in states if rng.random() < density
     ]
     initial = tuple(q for q in states if rng.random() < 0.5) or states[:1]
     finals = tuple(q for q in states if rng.random() < 0.4)
@@ -72,9 +75,9 @@ def test_profile_dominance_invariant():
         a = _random_nbw(rng)
         word = tuple(rng.choice(a.alphabet) for _ in range(rng.randint(0, 4)))
         profile = word_profile(a, word)
-        for p in range(profile.size):
+        for p in range(len(profile.reach)):
             assert profile.final[p] & ~profile.reach[p] == 0
-            for q in range(profile.size):
+            for q in range(len(profile.reach)):
                 assert profile.entry(p, q) in (0, 1, 2)
 
 
@@ -82,6 +85,61 @@ def test_identity_profile_ignores_final_start():
     ident = TransitionProfile.identity(3)
     assert ident.entry(1, 1) == 1
     assert ident.entry(1, 2) == 0
+
+
+# -- period acceptance ---------------------------------------------------------
+
+
+def _reference_accepting_states(period_profile):
+    """The power-series fixpoint: union the 1..n fold powers of the period
+    profile until nothing grows, then take the states that reach, in zero
+    or more periods, a state with a final cycle of its own."""
+    n = len(period_profile.reach)
+    closure = period_profile
+    for _ in range(n):
+        longer = closure.compose(period_profile)
+        grown = TransitionProfile(
+            tuple(a | b for a, b in zip(closure.reach, longer.reach)),
+            tuple(a | b for a, b in zip(closure.final, longer.final)),
+        )
+        if grown == closure:
+            break
+        closure = grown
+    cycles = sum(1 << q for q in range(n) if closure.final[q] >> q & 1)
+    return sum(1 << q for q in range(n) if (1 << q | closure.reach[q]) & cycles)
+
+
+def _period_profiles(a, max_v):
+    """The profile of every period of length 1..max_v."""
+    for length in range(1, max_v + 1):
+        for period in product(a.alphabet, repeat=length):
+            yield word_profile(a, period)
+
+
+def test_accepting_states_match_the_power_series_reference():
+    rng = random.Random(17)
+    randoms = [_random_nbw(rng, 8, ("a", "b", "c"), 0.3) for _ in range(300)]
+    checked = 0
+    for a in [*fixtures().values(), *default_corpus(), *randoms]:
+        for profile in _period_profiles(a, 4):
+            assert _accepting_states(profile) == _reference_accepting_states(profile)
+            checked += 1
+    assert checked > 40_000
+
+
+def test_accepting_states_hand_cases():
+    assert _accepting_states(TransitionProfile((), ())) == 0
+    # p -a-> f -a-> p: the final state f lies inside the period aa of p.
+    a = NBW.make(("p", "f"), ("a",), [("p", "a", "f"), ("f", "a", "p")], ("p",), ("f",))
+    assert _accepting_states(word_profile(a, ("a", "a"))) == 0b11
+    assert nbw_lasso_member(a, LassoWord((), ("a", "a")))
+    # s cannot reach q's final self-loop, though q reaches s.
+    b = NBW.make(("s", "q"), ("a",), [("s", "a", "s"), ("q", "a", "q"), ("q", "a", "s")], ("s",), ("q",))
+    assert _accepting_states(word_profile(b, ("a",))) == b.mask("q")
+    assert not nbw_lasso_member(b, LassoWord((), ("a",)))
+    for nbw, period in ((a, ("a", "a")), (a, ("a",)), (b, ("a",))):
+        profile = word_profile(nbw, period)
+        assert _accepting_states(profile) == _reference_accepting_states(profile)
 
 
 # -- membership ----------------------------------------------------------------
@@ -540,6 +598,23 @@ def _brute_hist(n):
         for shape in shapes(k)
         for root in nonempty
     )
+
+
+def test_shapes_are_the_catalan_many_order_closed_trees():
+    by_size = {}
+    for shape in _shapes_upto(TREE_CAP):
+        names = _shape_names(shape)
+        assert len(set(names)) == len(names)
+        named = set(names)
+        for name in names:
+            if name:
+                assert name[:-1] in named
+                assert name[-1] == 1 or name[:-1] + (name[-1] - 1,) in named
+        by_size.setdefault(len(names), set()).add(shape)
+    assert sorted(by_size) == list(range(1, TREE_CAP + 1))
+    for k, shapes in by_size.items():
+        assert len(shapes) == comb(2 * (k - 1), k - 1) // k
+    assert sum(len(shapes) for shapes in by_size.values()) == sum(1 for _ in _shapes_upto(TREE_CAP))
 
 
 def test_hist_small_values_frozen():
