@@ -80,6 +80,10 @@ class NBW:
         return {sym: tuple(row) for sym, row in rows.items()}
 
     @cached_property
+    def initial_mask(self) -> int:
+        return self.mask(self.initial)
+
+    @cached_property
     def final_mask(self) -> int:
         return self.mask(self.finals)
 

@@ -60,30 +60,31 @@ marks as it decodes them, so a lane holds the engine's values and
 other tree is checked with `check_history_tree` before its first step,
 so a malformed tree raises InputError instead of a wrong successor.  Past the
 step every table is keyed on ints: the exploration numbers its trees and
-marks in discovery order, a build relabels each distinct mark once and
-gives equal relabeled marks one number, a DRW state is keyed by one int
-from its tree id and mark number, and the automaton's edges are the
-graph's edges sliced into per-letter rows of target and mark numbers.
-Pair assembly computes one acceptance signature per mark number.
+marks in discovery order, the DRTW build relabels each distinct mark once
+and gives equal relabeled marks one number, and its edges are the graph's
+edges sliced into per-letter rows of target and mark numbers.  Pair
+assembly computes one acceptance signature per mark number.
 
 The marks name nodes, and one exploration of the tree graph serves every
 build.  The exploration only discovers trees and edges, and keeps each
 distinct skeleton once, read off each tree's step: the census (the
 largest tree, and the transient off-table names, which are the fresh
-children of height >= n) is read once per engine off those skeletons,
-and both builds end in one tail that assembles the automaton.  The DRW's
-states are the start state and then the distinct DRTW edge targets (a
-tree with its incoming mark) in edge order, with no second walk; a state's
-payload is the engine's tree.  A baseline build indexes its Rabin pairs by
-those names.  A canonical build is the same build with its pair indices
-relabeled through the (height, flag) identifier table, which merges names
+children of height >= n) is read once per engine off those skeletons.
+The DRTW build is the one reader of the graph, and a DRW is its DRTW
+split by incoming mark: its states are the start state and then the
+distinct DRTW edge targets (a tree with its incoming mark, keyed by one
+int) in edge order, with no second walk; a state's payload is the
+engine's tree.  A baseline build indexes its Rabin pairs by node names.
+A canonical build is the same build with its pair indices relabeled
+through the (height, flag) identifier table, which merges names
 that can never share a tree and so lowers the number of pairs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
+from itertools import chain
 from typing import Collection, Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
 from .automata import (
@@ -431,7 +432,7 @@ class Determinizer:
         return tree
 
     def initial_tree(self) -> HistoryTree:
-        start = self.nbw.mask(self.nbw.initial)
+        start = self.nbw.initial_mask
         return self._tree(((ROOT, start),) if start else ())
 
     def _skeleton(self, names: Tuple[NodeName, ...]) -> _Skeleton:
@@ -525,20 +526,15 @@ class Determinizer:
         return BuildStats(mode, self.strict_marks, states, transitions, pairs,
                           max_tree_nodes=largest, off_table_intermediate_names=off_table)
 
-    def _automaton(self, cls, mode, table, payloads, targets, marks, annotations, acceptance):
-        """The one tail of both builds: the census and the automaton."""
-        stats = self._stats(mode, len(payloads), len(payloads) * len(self.nbw.alphabet), len(acceptance.indices),
-                            self._graph_census)
-        return cls(tuple(payloads), self.nbw.alphabet, 0, targets, marks, annotations, acceptance, stats, table)
-
-    def _relabeled(self, mode: Optional[str]):
-        """A build's mode (default: the engine's), the table that indexes
-        its pairs (the identifier table when canonical, None for node
-        names), each graph edge's number among the relabeled marks, and
-        those marks numbered in first-seen order.  Relabeling is done once
-        per graph mark, and relabeled marks that are equal get one number
-        and one annotation.  A graph past the state limit raises
-        CapacityError with this build's partial statistics."""
+    def build_drtw(self, mode: Optional[str] = None) -> DRTW:
+        """The DRTW with pairs indexed as `mode` (default: the engine's),
+        the one build that reads the tree graph.  Canonical pairs are
+        indexed by the identifier table, baseline pairs by node names.
+        Each graph mark is relabeled once, and relabeled marks that are
+        equal get one number and one annotation, in first-seen order.  The
+        graph's edges are sliced into one target and one mark row per
+        letter.  A graph past the state limit raises CapacityError with
+        this build's partial statistics."""
         mode = mode or self.mode
         _check_mode(mode)
         table = self.table if mode == "canonical" else None
@@ -549,52 +545,47 @@ class Determinizer:
             raise
         numbers: Dict[TransitionAnnotation, int] = {}
         renumber = [numbers.setdefault(relabel(marks, table), len(numbers)) for marks in graph.annotations]
-        return mode, table, list(map(renumber.__getitem__, graph.marks)), numbers
-
-    def build_drtw(self, mode: Optional[str] = None) -> DRTW:
-        """The DRTW with pairs indexed as `mode` (default: the engine's):
-        the graph's edges, sliced into one target and one mark row per
-        letter."""
-        mode, table, edge_marks, numbers = self._relabeled(mode)
-        graph, k = self._graph, len(self.nbw.alphabet)
+        k = len(self.nbw.alphabet)
         targets = tuple(tuple(graph.targets[j::k]) for j in range(k))
-        marks = tuple(tuple(edge_marks[j::k]) for j in range(k))
+        marks = tuple(tuple(map(renumber.__getitem__, graph.marks[j::k])) for j in range(k))
         annotations = tuple(numbers)
         acceptance = assemble_pairs(annotations, strict_marks=self.strict_marks)
-        return self._automaton(DRTW, mode, table, graph.trees, targets, marks, annotations, acceptance)
+        stats = self._stats(mode, len(graph.trees), len(graph.trees) * k, len(acceptance.indices), self._graph_census)
+        return DRTW(graph.trees, self.nbw.alphabet, 0, targets, marks, annotations, acceptance, stats, table)
 
     def build_drw(self, mode: Optional[str] = None) -> DRW:
-        """Split each tree of the DRTW by the mark of the edge that entered
-        it.  A DRW state is a tree id and a mark number, keyed by the int
-        tid * count + mid over `count` marks, whose edge on a symbol is its
-        tree's edge on that symbol, so the states are the start state and
-        then the distinct edge targets in edge order (tree id, then
-        alphabet): breadth-first order, with no successor computed and no
-        second walk.  A state's payload is its tree and its one mark is the
+        """The DRTW of `mode` with each state split by the mark of the edge
+        that entered it, read off the DRTW's rows alone.  The DRTW's marks
+        keep their numbers.  A DRW state is a tree id and a mark number,
+        keyed by the int tid * count + mid over `count` marks, whose edge
+        on a letter is its tree's edge on that letter, so the states are
+        the start state and then the distinct edge targets in edge order
+        (tree id, then letter): breadth-first order, with no successor
+        computed.  A state's payload is its tree and its one mark is the
         one that entered it."""
-        mode, table, edge_marks, numbers = self._relabeled(mode)
-        graph, k = self._graph, len(self.nbw.alphabet)
-        trees = graph.trees
+        d = self.build_drtw(mode)
         # Nodes of the initial tree count as stably present at time zero,
         # so re-entering the same tree through a quiet transition merges
         # with the start state.  Its key is its mark number, as its tree id is 0.
-        start = numbers.setdefault(relabel(TransitionAnnotation(stable=trees[0].names), table), len(numbers))
+        numbers = dict(zip(d.annotations, range(len(d.annotations))))
+        start = numbers.setdefault(relabel(TransitionAnnotation(stable=d.payloads[0].names), d.table), len(numbers))
         count = len(numbers)
-        split = [tid * count + mid for tid, mid in zip(graph.targets, edge_marks)]  # per graph edge, its key
-        index = dict.fromkeys([start, *split])  # key -> DRW state number
+        keys = [[tid * count + mid for tid, mid in zip(targets, marks)] for targets, marks in zip(d.targets, d.marks)]
+        index = dict.fromkeys([start, *chain.from_iterable(zip(*keys))])  # key -> DRW state number
         if len(index) > self.max_states:
-            partial = self._stats(mode, self.max_states, 0, 0, self._graph_census)
+            partial = replace(d.stats, states=self.max_states, transitions=0, pairs=0)
             raise CapacityError(f"state limit {self.max_states} exceeded", partial=partial)
         states = list(index)
         index.update(zip(states, range(len(states))))
-        entered = list(map(index.__getitem__, split))  # per graph edge, the DRW state it enters
         tids = [key // count for key in states]
-        targets = tuple(tuple(map(entered[j::k].__getitem__, tids)) for j in range(k))
+        entered = [list(map(index.__getitem__, row)) for row in keys]  # per letter, each tree's edge's DRW state
+        targets = tuple(tuple(map(row.__getitem__, tids)) for row in entered)
         marks = (tuple([key % count for key in states]),)
         annotations = tuple(numbers)
         acceptance = assemble_pairs(annotations, strict_marks=self.strict_marks)
-        payloads = list(map(trees.__getitem__, tids))
-        return self._automaton(DRW, mode, table, payloads, targets, marks, annotations, acceptance)
+        stats = replace(d.stats, states=len(states), transitions=len(states) * len(d.alphabet))
+        payloads = tuple(map(d.payloads.__getitem__, tids))
+        return DRW(payloads, d.alphabet, 0, targets, marks, annotations, acceptance, stats, d.table)
 
 
 # -- pair assembly ----------------------------------------------------------

@@ -42,7 +42,7 @@ def _nbw_dot(a: NBW) -> str:
     for i, q in enumerate(a.states):
         shape = "doublecircle" if a.final_mask >> i & 1 else "circle"
         lines.append(f"  n{i} [label={_q(q)} shape={shape}];")
-    for k, i in enumerate(bits(a.mask(a.initial))):
+    for k, i in enumerate(bits(a.initial_mask)):
         lines.append(f"  init{k} [shape=point];")
         lines.append(f"  init{k} -> n{i};")
     # One edge per (source, target) pair, labeled by its symbols sorted as strings.

@@ -393,7 +393,7 @@ def _hoa_preamble(state_count: int, starts: Iterable[int], alphabet: Sequence[st
 
 def emit_nbw_hoa(a: NBW) -> str:
     a.require_valid()
-    lines = _hoa_preamble(len(a.states), bits(a.mask(a.initial)), a.alphabet)
+    lines = _hoa_preamble(len(a.states), bits(a.initial_mask), a.alphabet)
     lines += ["acc-name: Buchi", _BUCHI_ACCEPTANCE, "--BODY--"]
     for i, q in enumerate(a.states):
         sig = " {0}" if a.final_mask >> i & 1 else ""
@@ -526,7 +526,7 @@ def emit_nbw_native(a: NBW) -> str:
         "format": "nbw",
         "states": list(a.states),
         "alphabet": list(a.alphabet),
-        "initial": [a.states[i] for i in bits(a.mask(a.initial))],
+        "initial": [a.states[i] for i in bits(a.initial_mask)],
         "finals": [a.states[i] for i in bits(a.final_mask)],
     }
     lines = [json.dumps(header)]

@@ -119,7 +119,7 @@ def nbw_lasso_member(a: NBW, w: LassoWord) -> bool:
     """Whether some run on prefix . period^omega visits finals infinitely
     often: a state reached on the prefix must accept period^omega."""
     prefix_profile = word_profile(a, w.prefix)
-    after_prefix = image(a.mask(a.initial), prefix_profile.reach)
+    after_prefix = image(a.initial_mask, prefix_profile.reach)
     return bool(after_prefix & _accepting_states(word_profile(a, w.period)))
 
 
@@ -311,7 +311,7 @@ def bounded_equiv(a: NBW, d: Union[DRTW, DRW], max_u: int, max_v: int) -> EquivR
     marks, targets = _mark_rows(d), d.targets
     seen: Set[Tuple[int, int]] = set()
     evaluated = 0
-    level = [((), a.mask(a.initial), d.initial)]
+    level = [((), a.initial_mask, d.initial)]
     for u_len in range(max_u + 1):
         extended = []
         for prefix, states, state in level:

@@ -219,20 +219,14 @@ class IdentifierTable:
 
     @cached_property
     def spine_order(self) -> List[NodeName]:
-        """All nodes of full_tree(n): leaves left to right, each
-        contributing the unseen part of its closed chain ordered by height.
-        There are 2**(n-1) of them, so n is capped at TABLE_CAP."""
-        if self.n > TABLE_CAP:
-            raise CapacityError(f"whole identifier table capped at n <= {TABLE_CAP} (got {self.n})")
-        full = full_tree(self.n)
-        leaves = sorted(name for name in full if height(name) == self.n - 1)
-        order: List[NodeName] = []
-        seen: Set[NodeName] = set()
-        for leaf in leaves:
-            spine = sorted(closed_chain(leaf) - seen, key=height)
-            order.extend(spine)
-            seen.update(spine)
-        return order
+        """All nodes of full_tree(n) in spine order: by fact 1, sorted by
+        the leaf whose spine a name of height h first appears in (the name
+        extended by n-1-h ones), then by height.  There are 2**(n-1) of
+        them, so n is capped at TABLE_CAP."""
+        n = self.n
+        if n > TABLE_CAP:
+            raise CapacityError(f"whole identifier table capped at n <= {TABLE_CAP} (got {n})")
+        return sorted(full_tree(n), key=lambda x: (x + (1,) * (n - 1 - height(x)), height(x)))
 
     def lookup(self, name: NodeName) -> Identifier:
         got = self._assigned.get(name)

@@ -2,7 +2,10 @@
 wider input set than `fixtures/build_digests.txt`.
 
 The inputs are the golden inputs of `record_build_digests.py` (the
-hand-written fixtures, the default corpus and Michel m=4), Michel m=5,
+hand-written fixtures, the default corpus and Michel m=4), the four
+pinned fixtures that no digest file covers (`fixtures/index_n3.hoa` and
+`fixtures/pair_index_n{4,5,6}.hoa`, where canonical relabeling merges
+pairs and the DRW splits the most states), Michel m=5,
 Michel m=6 (18,731 DRTW states, where the engine's memos and interning
 carry real load) and every member of the benchmark's candidate pools
 (`perfbench/pools.json`), each generated by `perfbench/inputs.py` and
@@ -41,9 +44,10 @@ from histree.cli import _targets
 from histree.errors import CapacityError
 from histree.formats import parse_nbw
 from histree.oracle import bounded_equiv
-from record_build_digests import build_digest, golden_inputs
+from record_build_digests import FIXTURE_DIR, build_digest, golden_inputs
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+PINNED = ("index_n3", "pair_index_n4", "pair_index_n5", "pair_index_n6")
 
 
 def _bench_inputs():
@@ -56,6 +60,8 @@ def _bench_inputs():
 
 def sweep_inputs() -> Iterator[Tuple[str, NBW]]:
     yield from golden_inputs()
+    for name in PINNED:
+        yield f"pinned:{name}", parse_nbw((FIXTURE_DIR / f"{name}.hoa").read_text(encoding="utf-8"))
     inputs = _bench_inputs()
     for m in (5, 6):
         yield f"michel{m}", parse_nbw(inputs.to_hoa(inputs.michel(m)))

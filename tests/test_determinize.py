@@ -1,3 +1,4 @@
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -219,25 +220,34 @@ def test_drw_refines_drtw(corpus_sample):
         assert len(build_drw(a).payloads) >= len(build_drtw(a).payloads)
 
 
-def test_drw_is_the_edge_split_of_the_drtw(corpus_sample):
+def test_drw_is_the_edge_split_of_the_drtw(all_fixtures, corpus_sample):
     """A DRW state is a DRTW state paired with the annotation of the edge
     that entered it: its edges are the DRTW's edges, and its states are the
-    start pair plus the distinct (target, annotation) pairs of DRTW edges."""
-    for a in corpus_sample:
-        for mode in ("canonical", "baseline"):
-            table = Determinizer(a).table if mode == "canonical" else None
-            drtw, drw = build_drtw(a, mode), build_drw(a, mode)
-            tree_id = {tree: t for t, tree in enumerate(drtw.payloads)}
-            split = [(tree_id[p], ann) for p, ann in zip(drw.payloads, incoming(drw))]
-            drtw_edges = edge_map(drtw)
-            for (sid, symbol), (did, ann) in edge_map(drw).items():
-                assert drtw_edges[(split[sid][0], symbol)] == (split[did][0], ann)
-                assert split[did][1] == ann
-            t0 = drtw.payloads[0]
-            start = (0, TransitionAnnotation(stable=frozenset(index(table, n) for n in t0.names)))
-            assert split[0] == start
-            assert len(set(split)) == len(split)
-            assert set(split) == {start} | set(drtw_edges.values())
+    start pair plus the distinct (target, annotation) pairs of DRTW edges.
+    Its statistics are the DRTW's but for the state and transition counts:
+    the same mode, mark semantics, pairs and census."""
+    path = Path(__file__).parent / "fixtures" / "index_n3.hoa"
+    named = _named_inputs(all_fixtures, corpus_sample) + [(path.stem, parse_nbw(path.read_text(encoding="utf-8")))]
+    for name, a in named:
+        for strict in (False, True):
+            for mode in ("canonical", "baseline"):
+                engine = Determinizer(a, strict_marks=strict)
+                table = engine.table if mode == "canonical" else None
+                drtw, drw = engine.build_drtw(mode), engine.build_drw(mode)
+                tree_id = {tree: t for t, tree in enumerate(drtw.payloads)}
+                split = [(tree_id[p], ann) for p, ann in zip(drw.payloads, incoming(drw))]
+                drtw_edges = edge_map(drtw)
+                for (sid, symbol), (did, ann) in edge_map(drw).items():
+                    assert drtw_edges[(split[sid][0], symbol)] == (split[did][0], ann), name
+                    assert split[did][1] == ann, name
+                t0 = drtw.payloads[0]
+                start = (0, TransitionAnnotation(stable=frozenset(index(table, n) for n in t0.names)))
+                assert split[0] == start, name
+                assert len(set(split)) == len(split), name
+                assert set(split) == {start} | set(drtw_edges.values()), name
+                size = len(drtw.payloads)
+                assert replace(drw.stats, states=size, transitions=size * len(a.alphabet)) == drtw.stats, name
+                assert (drw.stats.states, drw.stats.transitions) == (len(split), len(split) * len(a.alphabet)), name
 
 
 @pytest.mark.parametrize("mode", ["canonical", "baseline"])
@@ -350,12 +360,20 @@ def test_drw_state_limit_counts_the_split_states(e1_nbw):
     """The DRTW of e1 fits two states; its DRW splits them into three, so
     the DRW build alone exceeds the limit.  The partial record reports the
     limit and no transitions, since the DRW's edges are built only after
-    its states are counted."""
+    its states are counted, and the DRTW's mode, mark semantics and
+    census."""
     assert len(build_drtw(e1_nbw, max_states=2).payloads) == 2
     assert len(build_drw(e1_nbw).payloads) == 3
-    with pytest.raises(CapacityError, match="^state limit 2 exceeded$") as err:
-        build_drw(e1_nbw, max_states=2)
-    assert (err.value.partial.states, err.value.partial.transitions, err.value.partial.pairs) == (2, 0, 0)
+    for mode in ("canonical", "baseline"):
+        for strict in (False, True):
+            with pytest.raises(CapacityError, match="^state limit 2 exceeded$") as err:
+                build_drw(e1_nbw, mode, strict_marks=strict, max_states=2)
+            drtw = build_drtw(e1_nbw, mode, strict_marks=strict, max_states=2)
+            assert err.value.partial == replace(drtw.stats, states=2, transitions=0, pairs=0)
+            partial = err.value.partial
+            assert (partial.mode, partial.strict_marks, partial.states, partial.transitions, partial.pairs) == (
+                mode, strict, 2, 0, 0)
+            assert (partial.max_tree_nodes, partial.off_table_intermediate_names) == (2, 2)
 
 
 def test_invalid_inputs_rejected(e1_nbw):

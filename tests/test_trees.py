@@ -243,6 +243,20 @@ def test_full_tree_rejects_bad_n():
 # -- identifier tables ---------------------------------------------------------
 
 
+def leaf_walk_spine_order(n):
+    """Spine order by its definition, kept as a test oracle: the leaves of
+    full_tree(n) left to right, each contributing the not-yet-seen part of
+    its closed chain, ordered by height."""
+    leaves = sorted(name for name in full_tree(n) if height(name) == n - 1)
+    order = []
+    seen = set()
+    for leaf in leaves:
+        spine = sorted(closed_chain(leaf) - seen, key=height)
+        order.extend(spine)
+        seen.update(spine)
+    return order
+
+
 class GreedyReferenceTable:
     """The eager greedy table the closed form in IdentifierTable replaces,
     kept as a test oracle.  Every name of full_tree(n) is assigned in spine
@@ -254,7 +268,7 @@ class GreedyReferenceTable:
         self.n = n
         self.assigned = {}
         self.by_height = {}  # height -> [(closed chain, flag)]
-        for name in IdentifierTable(n).spine_order:
+        for name in leaf_walk_spine_order(n):
             self.lookup(name)
 
     def lookup(self, name):
@@ -401,6 +415,13 @@ def test_table_dump_n4_golden():
         "3\t3\t1\n"
     )
     assert IdentifierTable(4).dump_text() == expected
+
+
+def test_spine_order_is_the_leaf_walk():
+    """The one sort by first spine, then height, lists the names exactly
+    as the leaf-by-leaf walk does."""
+    for n in range(1, 16):
+        assert IdentifierTable(n).spine_order == leaf_walk_spine_order(n), n
 
 
 def test_spine_order_covers_full_tree_once():
