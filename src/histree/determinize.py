@@ -60,24 +60,24 @@ marks as it decodes them, so a lane holds the engine's values and
 other tree is checked with `check_history_tree` before its first step,
 so a malformed tree raises InputError instead of a wrong successor.  Past the
 step every table is keyed on ints: the exploration numbers its trees and
-marks in discovery order, the DRTW build relabels each distinct mark once
-and gives equal relabeled marks one number, and its edges are the graph's
-edges sliced into per-letter rows of target and mark numbers.  Pair
-assembly computes one acceptance signature per mark number.
+marks in discovery order, and its edges are sliced into per-letter rows
+of target and mark numbers.  Pair assembly computes one acceptance
+signature per mark number.
 
-The marks name nodes, and one exploration of the tree graph serves every
-build.  The exploration only discovers trees and edges, and keeps each
-distinct skeleton once, read off each tree's step: the census (the
-largest tree, and the transient off-table names, which are the fresh
-children of height >= n) is read once per engine off those skeletons.
-The DRTW build is the one reader of the graph, and a DRW is its DRTW
-split by incoming mark: its states are the start state and then the
-distinct DRTW edge targets (a tree with its incoming mark, keyed by one
-int) in edge order, with no second walk; a state's payload is the
-engine's tree.  A baseline build indexes its Rabin pairs by node names.
-A canonical build is the same build with its pair indices relabeled
-through the (height, flag) identifier table, which merges names
-that can never share a tree and so lowers the number of pairs.
+The exploration's product is the baseline DRTW: the reachable tree graph,
+built once per engine, with its Rabin pairs indexed by node names.  It
+only discovers trees and edges, and keeps each distinct skeleton once,
+read off each tree's step: the census (the largest tree, and the
+transient off-table names, which are the fresh children of height >= n)
+is read off those skeletons.  The other builds are translations of it.
+The canonical DRTW relabels its marks through the (height, flag)
+identifier table, which merges names that can never share a tree and so
+lowers the number of pairs: each distinct mark is relabeled once and
+equal relabeled marks get one number, while the trees and target rows
+are the baseline's own.  A DRW is a DRTW split by incoming mark: its
+states are the start state and then the distinct DRTW edge targets (a
+tree with its incoming mark, keyed by one int) in edge order, with no
+second walk; a state's payload is the engine's tree.
 """
 
 from __future__ import annotations
@@ -354,34 +354,20 @@ def _check_mode(mode: str) -> None:
         raise InputError(f"unknown mode {mode!r}; expected one of {MODES}")
 
 
-class _Graph(NamedTuple):
-    """The reachable tree graph of one engine, with name-indexed marks.
-    Edges come in (tree id, letter) order, so tree t's edge on the j-th
-    letter is edge t * k + j of k letters: `targets[e]` is edge e's target
-    tree id and `marks[e]` its mark number.  `annotations` holds the
-    engine's annotation of each mark number, and `shapes` each distinct
-    skeleton of the trees once."""
-
-    trees: Tuple[HistoryTree, ...]
-    targets: List[int]
-    marks: List[int]
-    annotations: List[TransitionAnnotation]
-    shapes: Tuple[_Skeleton, ...]
-
-
 class Determinizer:
     """Bundles one input automaton with a mode and mark semantics; all
     methods are pure with respect to trees.  The mode is the default
-    labeling of the builds.  The engine packs the letters into lanes once,
-    beside its one state count `n`.  It keeps the packed phases of the
-    tree it stepped last, matched by identity, so stepping one tree on
-    each letter in turn computes them once, and one `_Skeleton` per tree
-    shape it has stepped, so trees of one shape share their label-free
-    work, and each label's packed image, keyed by mask.  It also interns
-    its values: one `HistoryTree` per distinct entries tuple and one
-    `TransitionAnnotation` per distinct mark set, so a step that reaches a
-    known tree or mark set builds no new one.  A tree it did not produce
-    is checked once before its first step."""
+    labeling of the builds; each labeling's DRTW is built once per engine,
+    the canonical one from the baseline one.  The engine packs the letters
+    into lanes once, beside its one state count `n`.  It keeps the packed
+    phases of the tree it stepped last, matched by identity, so stepping
+    one tree on each letter in turn computes them once, and one
+    `_Skeleton` per tree shape it has stepped, so trees of one shape share
+    their label-free work, and each label's packed image, keyed by mask.
+    It also interns its values: one `HistoryTree` per distinct entries
+    tuple and one `TransitionAnnotation` per distinct mark set, so a step
+    that reaches a known tree or mark set builds no new one.  A tree it
+    did not produce is checked once before its first step."""
 
     def __init__(
         self,
@@ -465,14 +451,17 @@ class Determinizer:
     # -- automaton construction --------------------------------------------
 
     @cached_property
-    def _graph(self) -> _Graph:
-        """The reachable tree graph with name-indexed marks, explored
-        breadth-first once per engine.  Deterministic numbering: discovery
-        order with the alphabet in declared order, for trees and marks
-        alike.  The engine interns its trees and marks, so the graph
-        indexes both by identity.  Each tree's skeleton is read off the
-        phases its step left in `_last_phases`, and each distinct skeleton
-        is kept once."""
+    def _baseline(self) -> DRTW:
+        """The baseline DRTW, whose pair indices are node names: the
+        reachable tree graph, explored breadth-first once per engine.
+        Deterministic numbering: discovery order with the alphabet in
+        declared order, for trees and marks alike.  The engine interns its
+        trees and marks, so the exploration indexes both by identity, and
+        its edges, found in (tree id, letter) order, are sliced into one
+        target and one mark row per letter.  Each tree's skeleton is read
+        off the phases its step left in `_last_phases`, and the census
+        walks each distinct skeleton once.  Past the state limit it raises
+        CapacityError with baseline statistics of the trees met so far."""
         start = self.initial_tree()
         trees = [start]
         shapes: Dict[_Skeleton, None] = {}  # each skeleton met, in first-met order
@@ -481,7 +470,7 @@ class Determinizer:
         marks: List[int] = []
         annotations: List[TransitionAnnotation] = []
         numbers: Dict[int, int] = {}  # id of an engine annotation -> its number
-        step, alphabet = self.successor_trace, self.nbw.alphabet
+        step, alphabet, strict = self.successor_trace, self.nbw.alphabet, self.strict_marks
         for tree in trees:
             for symbol in alphabet:
                 trace = step(tree, symbol)
@@ -490,9 +479,8 @@ class Determinizer:
                 if tid is None:
                     if len(trees) >= self.max_states:
                         # The census covers the trees stepped so far, this one included.
-                        # The build that asked for the graph makes its statistics of these.
                         shapes[self._last_phases.skeleton] = None
-                        partial = (len(trees), len(targets), 0, self._census(shapes))
+                        partial = BuildStats("baseline", strict, len(trees), len(targets), 0, *self._census(shapes))
                         raise CapacityError(f"state limit {self.max_states} exceeded", partial=partial)
                     tid = index[id(result)] = len(trees)
                     trees.append(result)
@@ -505,7 +493,11 @@ class Determinizer:
             # With no letter nothing steps the start tree, the only tree.
             skeleton = self._last_phases.skeleton if alphabet else self._skeleton(tuple(name for name, _ in tree.entries))
             shapes[skeleton] = None
-        return _Graph(tuple(trees), targets, marks, annotations, tuple(shapes))
+        k = len(alphabet)
+        acceptance = assemble_pairs(annotations, strict_marks=strict)
+        stats = BuildStats("baseline", strict, len(trees), len(targets), len(acceptance.indices), *self._census(shapes))
+        return DRTW(tuple(trees), alphabet, 0, tuple(tuple(targets[j::k]) for j in range(k)),
+                    tuple(tuple(marks[j::k]) for j in range(k)), tuple(annotations), acceptance, stats)
 
     def _census(self, shapes: Collection[_Skeleton]) -> Tuple[int, int]:
         """The largest tree and the number of off-table names among the
@@ -517,41 +509,36 @@ class Determinizer:
         return max(shape.node_count for shape in shapes), len(off_table)
 
     @cached_property
-    def _graph_census(self) -> Tuple[int, int]:
-        """The census of the whole tree graph, read once per engine."""
-        return self._census(self._graph.shapes)
-
-    def _stats(self, mode, states, transitions, pairs, census) -> BuildStats:
-        largest, off_table = census
-        return BuildStats(mode, self.strict_marks, states, transitions, pairs,
-                          max_tree_nodes=largest, off_table_intermediate_names=off_table)
-
-    def build_drtw(self, mode: Optional[str] = None) -> DRTW:
-        """The DRTW with pairs indexed as `mode` (default: the engine's),
-        the one build that reads the tree graph.  Canonical pairs are
-        indexed by the identifier table, baseline pairs by node names.
-        Each graph mark is relabeled once, and relabeled marks that are
-        equal get one number and one annotation, in first-seen order.  The
-        graph's edges are sliced into one target and one mark row per
-        letter.  A graph past the state limit raises CapacityError with
-        this build's partial statistics."""
-        mode = mode or self.mode
-        _check_mode(mode)
-        table = self.table if mode == "canonical" else None
-        try:
-            graph = self._graph
-        except CapacityError as error:
-            error.partial = self._stats(mode, *error.partial)
-            raise
+    def _canonical(self) -> DRTW:
+        """The baseline DRTW with its pair indices relabeled through the
+        (height, flag) identifier table, which merges names that can never
+        share a tree and so lowers the number of pairs.  Each baseline mark
+        is relabeled once, and relabeled marks that are equal get one
+        number and one annotation, in first-seen order.  The states, trees
+        and target rows are the baseline's own."""
+        table = self.table
+        d = self._baseline
         numbers: Dict[TransitionAnnotation, int] = {}
-        renumber = [numbers.setdefault(relabel(marks, table), len(numbers)) for marks in graph.annotations]
-        k = len(self.nbw.alphabet)
-        targets = tuple(tuple(graph.targets[j::k]) for j in range(k))
-        marks = tuple(tuple(map(renumber.__getitem__, graph.marks[j::k])) for j in range(k))
+        renumber = [numbers.setdefault(relabel(marks, table), len(numbers)) for marks in d.annotations]
+        marks = tuple(tuple(map(renumber.__getitem__, row)) for row in d.marks)
         annotations = tuple(numbers)
         acceptance = assemble_pairs(annotations, strict_marks=self.strict_marks)
-        stats = self._stats(mode, len(graph.trees), len(graph.trees) * k, len(acceptance.indices), self._graph_census)
-        return DRTW(graph.trees, self.nbw.alphabet, 0, targets, marks, annotations, acceptance, stats, table)
+        stats = replace(d.stats, mode="canonical", pairs=len(acceptance.indices))
+        return DRTW(d.payloads, d.alphabet, 0, d.targets, marks, annotations, acceptance, stats, table)
+
+    def build_drtw(self, mode: Optional[str] = None) -> DRTW:
+        """The engine's DRTW with pairs indexed as `mode` (default: the
+        engine's): `_baseline` by node names, `_canonical` by the
+        identifier table.  Each is built once per engine, so a repeated
+        call returns the same automaton.  A graph past the state limit
+        raises CapacityError with this build's partial statistics."""
+        mode = mode or self.mode
+        _check_mode(mode)
+        try:
+            return self._canonical if mode == "canonical" else self._baseline
+        except CapacityError as error:
+            error.partial = replace(error.partial, mode=mode)
+            raise
 
     def build_drw(self, mode: Optional[str] = None) -> DRW:
         """The DRTW of `mode` with each state split by the mark of the edge

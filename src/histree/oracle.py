@@ -372,10 +372,8 @@ def _shape_names(shape: Shape, base: NodeName = ()) -> List[NodeName]:
 @lru_cache(maxsize=None)
 def _labelings_with_root_size(shape: Shape, size: int) -> int:
     """Labelings of `shape` whose root label is one fixed set of `size`
-    states: children take disjoint non-empty subsets of it whose union
-    leaves at least one parent state uncovered."""
-    if size < 1:
-        return 0
+    states, size >= 1: children take disjoint non-empty subsets of it
+    whose union leaves at least one parent state uncovered."""
     if not shape:
         return 1
 

@@ -2,22 +2,21 @@
 wider input set than `fixtures/build_digests.txt`.
 
 The inputs are the golden inputs of `record_build_digests.py` (the
-hand-written fixtures, the default corpus and Michel m=4), the four
-pinned fixtures that no digest file covers (`fixtures/index_n3.hoa` and
-`fixtures/pair_index_n{4,5,6}.hoa`, where canonical relabeling merges
-pairs and the DRW splits the most states), Michel m=5,
-Michel m=6 (18,731 DRTW states, where the engine's memos and interning
-carry real load) and every member of the benchmark's candidate pools
-(`perfbench/pools.json`), each generated by `perfbench/inputs.py` and
-read through its HOA text.
-Each line is `name build-sha256 verify-sha256`.  The build digest is
-`build_digest`: eight builds (canonical/baseline x drtw/drw x
-default/strict marks), each contributing `emit_rabin`, `stats.to_text()`
-and `emit_dot`.  The verify digest is `verify_digest`: for the three
-targets of `histree verify` under both mark semantics, `tested`,
-`counterexample` and `evaluated` of `bounded_equiv(a, d, 4, 4)`, or the
-`CapacityError` message where the lasso cap refuses the bounds (as on
-Michel m=5 and m=6).  The benchmark files are only read.
+hand-written fixtures, the default corpus and Michel m=4), its pinned
+inputs (`fixtures/index_n3.hoa` and `fixtures/pair_index_n{4,5,6}.hoa`,
+where canonical relabeling merges pairs and the DRW splits the most
+states), Michel m=5, Michel m=6 (18,731 DRTW states, where the engine's
+memos and interning carry real load) and every member of the benchmark's
+candidate pools (`perfbench/pools.json`), each generated by
+`perfbench/inputs.py` and read through its HOA text.
+Each line is `name build-sha256 verify-sha256`, the `build_digest` and
+`verify_digest` of `record_build_digests.py`: eight builds
+(canonical/baseline x drtw/drw x default/strict marks), each
+contributing `emit_rabin`, `stats.to_text()` and `emit_dot`, and the
+`bounded_equiv(a, d, 4, 4)` results of the three targets of
+`histree verify` under both mark semantics, or the `CapacityError`
+message where the lasso cap refuses the bounds (as on Michel m=5 and
+m=6).  The benchmark files are only read.
 
 A change that must keep emitted bytes and verdicts compares the library
 before and after it, running this script from the change against each
@@ -32,7 +31,6 @@ The name keeps pytest from collecting this script.
 
 from __future__ import annotations
 
-import hashlib
 import importlib.util
 import json
 import sys
@@ -40,14 +38,10 @@ from pathlib import Path
 from typing import Iterator, Tuple
 
 from histree.automata import NBW
-from histree.cli import _targets
-from histree.errors import CapacityError
 from histree.formats import parse_nbw
-from histree.oracle import bounded_equiv
-from record_build_digests import FIXTURE_DIR, build_digest, golden_inputs
+from record_build_digests import build_digest, golden_inputs, pinned_inputs, verify_digest
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-PINNED = ("index_n3", "pair_index_n4", "pair_index_n5", "pair_index_n6")
 
 
 def _bench_inputs():
@@ -60,8 +54,7 @@ def _bench_inputs():
 
 def sweep_inputs() -> Iterator[Tuple[str, NBW]]:
     yield from golden_inputs()
-    for name in PINNED:
-        yield f"pinned:{name}", parse_nbw((FIXTURE_DIR / f"{name}.hoa").read_text(encoding="utf-8"))
+    yield from pinned_inputs()
     inputs = _bench_inputs()
     for m in (5, 6):
         yield f"michel{m}", parse_nbw(inputs.to_hoa(inputs.michel(m)))
@@ -69,19 +62,6 @@ def sweep_inputs() -> Iterator[Tuple[str, NBW]]:
     for family, members in pools.items():
         for i in members:
             yield f"{family}:{i}", parse_nbw(inputs.to_hoa(inputs.member(family, i)))
-
-
-def verify_digest(a: NBW) -> str:
-    digest = hashlib.sha256()
-    for strict in (False, True):
-        for label, d in _targets(a, strict):
-            try:
-                r = bounded_equiv(a, d, 4, 4)
-                line = f"{label} {r.tested} {r.counterexample} {r.evaluated}"
-            except CapacityError as exc:
-                line = f"{label} {exc}"
-            digest.update(f"{line}\n".encode("utf-8"))
-    return digest.hexdigest()
 
 
 if __name__ == "__main__":

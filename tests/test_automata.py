@@ -267,6 +267,7 @@ def test_transition_keys_are_exactly_the_edges(cls, kind, key):
 
 @pytest.mark.parametrize("cls", [DRTW, DRW])
 @pytest.mark.parametrize("case, fields, message", [
+    ("initial out of range", dict(initial=1), "initial state 1 out of range"),
     ("missing letter row", dict(alphabet=("a", "b")), "1 target rows, expected 2"),
     ("short target row", dict(payloads=(None, None), targets=((0,),), marks=((0, 0),)),
      "target row 'a' has 1 entries for 2 states"),

@@ -6,10 +6,12 @@ from record_build_digests import (
     DIGEST_FILE,
     MICHEL5_DIGEST_FILE,
     NBW_DIGEST_FILE,
+    PINNED_DIGEST_FILE,
     build_digests,
     digest_text,
     michel5_digests,
     nbw_digests,
+    pinned_digests,
 )
 
 
@@ -30,3 +32,7 @@ def test_nbw_writers_match_recorded_digests():
 
 def test_michel5_builds_match_recorded_digest():
     assert _changed(MICHEL5_DIGEST_FILE, michel5_digests) == []
+
+
+def test_pinned_fixtures_match_recorded_digests():
+    assert _changed(PINNED_DIGEST_FILE, pinned_digests) == []

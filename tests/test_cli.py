@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -129,6 +130,26 @@ def test_targets_explore_once(monkeypatch):
         assert targets["baseline-drtw"].stats.mode == "baseline"
 
 
+def test_targets_assemble_three_pair_sets(monkeypatch):
+    """The three targets assemble the baseline DRTW's pairs, the canonical
+    DRTW's and the DRW's, once each: the canonical DRTW is built once."""
+    import histree.determinize as determinize
+    from histree.cli import _targets
+
+    calls = []
+    assemble = determinize.assemble_pairs
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return assemble(*args, **kwargs)
+
+    monkeypatch.setattr(determinize, "assemble_pairs", counting)
+    for a in (e1(), spawn_die_respawn()):
+        calls.clear()
+        assert [label for label, _ in _targets(a, strict=False)] == ["canonical-drtw", "baseline-drtw", "canonical-drw"]
+        assert len(calls) == 3
+
+
 def test_stats_lists_all_targets(e1_file, capsys):
     assert main(["stats", "--in", e1_file]) == 0
     out = capsys.readouterr().out
@@ -252,6 +273,21 @@ def test_render_rejects_invalid_automaton(tmp_path, capsys):
     assert main(["render", "--in", str(path), "--dot", str(dot)]) == 2
     assert "invalid automaton: duplicate state ids" in capsys.readouterr().err
     assert not dot.exists()
+
+
+@pytest.mark.parametrize("command", ["determinize", "verify", "stats"])
+@pytest.mark.parametrize("alphabet, problem", [
+    (["a", "a"], "duplicate symbols in alphabet"),
+    ([""], "empty symbol token in alphabet"),
+], ids=["duplicate symbol", "empty symbol"])
+def test_invalid_alphabet_exits_2(command, alphabet, problem, tmp_path, capsys):
+    path = tmp_path / "alphabet.native"
+    header = {"format": "nbw", "states": ["p"], "alphabet": alphabet, "initial": ["p"], "finals": ["p"]}
+    edge = {"from": "p", "symbol": alphabet[0], "to": "p"}
+    path.write_text(json.dumps(header) + "\n" + json.dumps(edge) + "\n", encoding="utf-8")
+    assert main([command, "--in", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: invalid automaton: {problem}\n")
 
 
 @pytest.mark.parametrize("doc", NON_STRING_DOCUMENTS, ids=NON_STRING_IDS)

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -456,6 +457,22 @@ def test_check_history_tree_reports_colliding_identifiers(e1_nbw):
     assert check_history_tree(t1, e1_nbw, Flat()) == ["identifiers not injective"]
 
 
+THREE_STATES = NBW.make(("p", "q", "r"), ("a",), [("p", "a", "q")], ("p",), ("q",))
+
+
+@pytest.mark.parametrize("nbw, labels, problems", [
+    (THREE_STATES, {(): {"p", "q", "r"}, (2,): {"q"}}, ["not order closed: imbalanced [(2,)]"]),
+    (e1(), {(): {"p", "q"}, (1,): {"q"}, (1, 1): {"q"}},
+     ["3 nodes exceeds state count 2", "children of 1 do not form a strict subset",
+      "node 1.1 outside the capacity-2 full tree"]),
+    (e1(), {(): {"p", "q"}, (2,): {"q"}},
+     ["not order closed: imbalanced [(2,)]", "node 2 outside the capacity-2 full tree"]),
+    (e1(), {(): {"p", "q"}, (1,): set()}, ["empty label at 1"]),
+], ids=["imbalanced", "too many nodes", "outside the full tree", "empty label"])
+def test_check_history_tree_lists_every_problem(nbw, labels, problems):
+    assert check_history_tree(tree(nbw, labels), nbw) == problems
+
+
 def test_erasure_bijection_and_injectivity(corpus_sample):
     for a in corpus_sample[:20]:
         canonical = build_drtw(a, "canonical")
@@ -631,28 +648,30 @@ def _census_inputs(all_fixtures):
 def test_skeleton_census_equals_the_per_tree_formula(all_fixtures):
     """The census read off the distinct skeletons equals the per-tree
     formula on the fixtures, the whole corpus and Michel m=4 and m=5.  The
-    graph keeps each distinct name tuple of its trees' skeletons once.  At
-    a state limit of 1, 2 or half the trees, the partial census covers the
-    trees stepped until tree number `limit` is reached: every tree up to
-    the source of the first edge, in (tree id, letter) order, that targets
-    it."""
+    engine keeps one skeleton per distinct name tuple of the baseline
+    DRTW's trees.  At a state limit of 1, 2 or half the trees, the partial
+    census covers the trees stepped until tree number `limit` is reached:
+    every tree up to the source of the first edge, in (tree id, letter)
+    order, that targets it."""
     for name, a in _census_inputs(all_fixtures):
         engine = Determinizer(a)
-        graph = engine._graph
+        d = engine.build_drtw("baseline")
+        trees = d.payloads
         n, k = len(a.states), len(a.alphabet)
-        shapes = {tuple(node for node, _ in t.entries) for t in graph.trees}
-        assert sorted(tuple(s.names[p] for p in s.slots) for s in graph.shapes) == sorted(shapes), name
-        assert {id(s) for s in graph.shapes} == {id(engine._skeleton(names)) for names in shapes}, name
-        assert engine._graph_census == per_tree_census(graph.trees, n), name
-        for limit in {1, 2, len(graph.trees) // 2}:
-            if not 0 < limit < len(graph.trees):
+        shapes = {tuple(node for node, _ in t.entries) for t in trees}
+        assert set(engine._skeletons) == shapes, name
+        assert sorted(tuple(s.names[p] for p in s.slots) for s in engine._skeletons.values()) == sorted(shapes), name
+        assert (d.stats.max_tree_nodes, d.stats.off_table_intermediate_names) == per_tree_census(trees, n), name
+        edges = list(chain.from_iterable(zip(*d.targets)))  # edge targets in (tree id, letter) order
+        for limit in {1, 2, len(trees) // 2}:
+            if not 0 < limit < len(trees):
                 continue
             with pytest.raises(CapacityError) as err:
                 Determinizer(a, max_states=limit).build_drtw()
             partial = err.value.partial
-            i = graph.targets.index(limit) // k
+            i = edges.index(limit) // k
             census = (partial.max_tree_nodes, partial.off_table_intermediate_names)
-            assert census == per_tree_census(graph.trees[:i + 1], n), (name, limit)
+            assert census == per_tree_census(trees[:i + 1], n), (name, limit)
 
 
 def test_one_skeleton_per_shape(all_fixtures):
@@ -662,13 +681,13 @@ def test_one_skeleton_per_shape(all_fixtures):
     engine = Determinizer(michel5)
     engine.build_drtw()
     engine.build_drw("baseline")
-    trees = engine._graph.trees
-    assert (len(trees), len(engine._skeletons), len(engine._graph.shapes)) == (2163, 6, 6)
+    trees = engine.build_drtw("baseline").payloads
+    assert (len(trees), len(engine._skeletons)) == (2163, 6)
     assert set(engine._skeletons) == {tuple(name for name, _ in t.entries) for t in trees}
     for a in all_fixtures.values():
         engine = Determinizer(a)
         engine.build_drtw()
-        shapes = {tuple(name for name, _ in t.entries) for t in engine._graph.trees}
+        shapes = {tuple(name for name, _ in t.entries) for t in engine.build_drtw("baseline").payloads}
         assert set(engine._skeletons) == shapes
 
 
@@ -691,7 +710,23 @@ def test_one_census_walk_serves_every_build(monkeypatch, all_fixtures):
     engine = Determinizer(a)
     for (mode, build), text in expected.items():
         assert getattr(engine, build)(mode).stats.to_text() == text
-    assert walks == [len(engine._graph.shapes)]
+    assert walks == [len(engine._skeletons)]
+
+
+def test_canonical_drtw_shares_the_baseline_drtws_trees_and_targets(all_fixtures, corpus_sample):
+    """The canonical DRTW relabels the baseline DRTW's marks only: it holds
+    the baseline's own payload and target tuples."""
+    for name, a in _named_inputs(all_fixtures, corpus_sample):
+        engine = Determinizer(a)
+        canonical, baseline = engine.build_drtw("canonical"), engine.build_drtw("baseline")
+        assert canonical.payloads is baseline.payloads and canonical.targets is baseline.targets, name
+
+
+def test_each_drtw_is_built_once_per_engine(e1_nbw):
+    engine = Determinizer(e1_nbw)
+    for mode in ("canonical", "baseline"):
+        assert engine.build_drtw(mode) is engine.build_drtw(mode)
+    assert engine.build_drtw() is engine.build_drtw("canonical")
 
 
 @pytest.mark.parametrize("strict", [False, True])

@@ -47,6 +47,15 @@ def test_tree_and_enriched_and_nbw_render(e1_nbw):
     assert "sink" in emit_dot(sink_tree)
 
 
+def test_tree_edges_join_parent_and_child(e1_nbw):
+    """A tree's DOT names its nodes in entry order and draws one edge from
+    each parent to each child: e1's two-node tree has the edge n0 -> n1."""
+    d = build_drtw(e1_nbw)
+    two_nodes = next(t for t in d.payloads if t.node_count == 2)
+    assert two_nodes.entries == (((), 3), ((1,), 2))
+    assert "  n0 -> n1;\n" in emit_dot(two_nodes)
+
+
 def test_dot_escapes_quotes():
     from histree.automata import NBW
 

@@ -222,6 +222,93 @@ def test_native_transition_fields_must_be_strings():
         assert err.value.line == 2
 
 
+# A two-state, two-letter Buchi document whose states carry names.
+TWO_STATE_HOA = """HOA: v1
+States: 2
+Start: 0
+AP: 2 "a" "b"
+Alias: @a 0&!1
+Alias: @b !0&1
+acc-name: Buchi
+Acceptance: 1 Inf(0)
+--BODY--
+State: 0 "p" {0}
+[@a] 0
+[@b] 1
+State: 1 "q"
+[@a] 1
+[@b] 0
+--END--
+"""
+
+NATIVE_HEADER = '{"format": "nbw", "states": ["p"], "alphabet": ["a"], "initial": ["p"], "finals": []}\n'
+
+
+def _e1_rabin(starts):
+    return emit_rabin(build_drtw(e1())).replace("Start: 0\n", starts)
+
+
+# Refusals as each reader words them today: (case, reader, document,
+# exception type, message), the message with its line:column where the
+# error is a ParseError.
+REFUSALS = [
+    ("states at end of input", parse_nbw, "HOA: v1\nStates:",
+     ParseError, "2:1: unexpected end of input, expected state count"),
+    ("alias AP out of range", parse_nbw, MINIMAL_HOA.replace("Alias: @a 0", "Alias: @a 3"),
+     ParseError, "5:11: AP 3 out of range"),
+    ("alias with two positive APs", parse_nbw, TWO_STATE_HOA.replace("Alias: @b !0&1", "Alias: @b 0&1"),
+     ParseError, "6:11: alias must name exactly one symbol: one positive AP, all others negated"),
+    ("--END-- in the header", parse_nbw, MINIMAL_HOA.replace("--BODY--", "--END--"),
+     ParseError, "8:1: expected --BODY--"),
+    ("edge label without ]", parse_nbw, MINIMAL_HOA.replace("[@a] 0", "[@a & 0"),
+     ParseError, "10:5: expected ]"),
+    ("signature at end of input", parse_nbw, MINIMAL_HOA.split("State:")[0] + "State: 0 {0",
+     ParseError, "9:11: unexpected end of input, expected acceptance set or }"),
+    ("edge before any State:", parse_nbw, MINIMAL_HOA.replace("--BODY--\n", "--BODY--\n[@a] 0\n"),
+     ParseError, "9:1: edge before any State:"),
+    ("undeclared State:", parse_nbw, MINIMAL_HOA.replace("State: 0 {0}", "State: 3 {0}"),
+     ParseError, "9:8: state 3 not declared"),
+    ("repeated State:", parse_nbw, MINIMAL_HOA.replace("--END--", "State: 0\n[@a] 0\n--END--"),
+     ParseError, "11:8: state 0 declared twice"),
+    ("second --BODY--", parse_nbw, MINIMAL_HOA.replace("--BODY--\n", "--BODY--\n--BODY--\n"),
+     ParseError, "9:1: unexpected --BODY--"),
+    # Reported at the --BODY-- marker that opened the body.
+    ("missing --END--", parse_nbw, MINIMAL_HOA.replace("--END--\n", ""),
+     ParseError, "8:1: missing --END--"),
+    ("signature naming no set", parse_nbw, MINIMAL_HOA.replace("State: 0 {0}", "State: 0 {a}"),
+     ParseError, "9:11: acceptance signature must list set numbers"),
+    ("Buchi set 1", parse_nbw, MINIMAL_HOA.replace("State: 0 {0}", "State: 0 {1}"),
+     InputError, "state 0: Buchi input uses only acceptance set 0"),
+    ("duplicate state names", parse_nbw, TWO_STATE_HOA.replace('"q"', '"p"'),
+     InputError, "duplicate state names"),
+    ("missing alias", parse_nbw,
+     TWO_STATE_HOA.replace("Alias: @b !0&1\n", "").replace("[@b] 1\n", "").replace("[@b] 0\n", ""),
+     InputError, "expected exactly one alias per atomic proposition"),
+    ("duplicate alias", parse_nbw, TWO_STATE_HOA.replace("Alias: @b !0&1", "Alias: @b 0&!1"),
+     InputError, "two aliases name the same symbol"),
+    ("Rabin without Start:", parse_rabin, _e1_rabin(""),
+     InputError, "deterministic automata need exactly one start state"),
+    ("Rabin with two Start:", parse_rabin, _e1_rabin("Start: 0\nStart: 0\n"),
+     InputError, "deterministic automata need exactly one start state"),
+    ("native empty document", parse_nbw_native, "",
+     ParseError, "1:1: empty document"),
+    ("native wrong format", parse_nbw_native, '{"format": "dpa"}\n',
+     ParseError, '1:1: header must set "format": "nbw"'),
+    ("native non-object transition", parse_nbw_native, NATIVE_HEADER + "[1]\n",
+     ParseError, '2:1: transition lines need "from", "symbol", "to"'),
+    ("native unknown symbol", parse_nbw_native, NATIVE_HEADER + '{"from": "p", "symbol": "b", "to": "p"}\n',
+     ParseError, "2:1: transition symbol not in alphabet"),
+]
+
+
+@pytest.mark.parametrize("reader, text, error, message", [case[1:] for case in REFUSALS],
+                         ids=[case[0] for case in REFUSALS])
+def test_refusals_keep_their_type_message_and_position(reader, text, error, message):
+    with pytest.raises(InputError) as err:
+        reader(text)
+    assert (type(err.value), str(err.value)) == (error, message)
+
+
 def test_unrecognized_format():
     with pytest.raises(ParseError):
         parse_nbw("digraph {}\n")

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from histree.automata import NBW
 from histree.determinize import Determinizer
 from histree.errors import CapacityError, InputError
-from histree.oracle import verify_identifier_bounds
+from histree.oracle import enumerate_history_trees, verify_identifier_bounds
 from histree.trees import (
     Identifier,
     IdentifierTable,
@@ -238,6 +238,17 @@ def test_every_small_order_closed_tree_sits_inside_full_tree():
 def test_full_tree_rejects_bad_n():
     with pytest.raises(InputError):
         full_tree(0)
+
+
+@pytest.mark.parametrize("build, message", [
+    (IdentifierTable, "identifier table requires n >= 1"),
+    (enumerate_history_trees, "census requires n >= 1"),
+    (verify_identifier_bounds, "identifier bound check requires n >= 1"),
+], ids=["IdentifierTable", "enumerate_history_trees", "verify_identifier_bounds"])
+def test_capacity_zero_is_refused(build, message):
+    with pytest.raises(InputError) as err:
+        build(0)
+    assert (type(err.value), str(err.value)) == (InputError, message)
 
 
 # -- identifier tables ---------------------------------------------------------
