@@ -1,17 +1,19 @@
 """Core automaton values: Buchi input, deterministic Rabin output, Rabin
 acceptance signatures and lasso words.
 
-All values are immutable after construction and safe to share between
-threads.  Symbols and Buchi states are opaque strings; states of the
-deterministic outputs are dense integers indexing a payload table.  A set
-of Buchi states is an int mask whose bit i stands for `NBW.states[i]`; the
-NBW owns that encoding and its per-symbol successor rows.  A deterministic
-Rabin automaton's transitions are int rows too: per letter, each state's
-successor, and mark numbers on its edges or states.  A build has many
-edges but few distinct marks, so each mark's annotation and acceptance
-signature is held once.  A Rabin condition is the same value wherever its
-marks sit; the automaton's class says where: on edges for a DRTW, on
-states for a DRW.
+All values are valid and immutable once made, and safe to share between
+threads: an NBW, a Rabin automaton, a pair set or a lasso word that
+breaks its invariants is refused by its constructor with an InputError,
+so no consumer checks it again.  Symbols and Buchi states are opaque
+strings; states of the deterministic outputs are dense integers indexing
+a payload table.  A set of Buchi states is an int mask whose bit i stands
+for `NBW.states[i]`; the NBW owns that encoding and its per-symbol
+successor rows.  A deterministic Rabin automaton's transitions are int
+rows too: per letter, each state's successor, and mark numbers on its
+edges or states.  A build has many edges but few distinct marks, so each
+mark's annotation and acceptance signature is held once.  A Rabin
+condition is the same value wherever its marks sit; the automaton's
+class says where: on edges for a DRTW, on states for a DRW.
 """
 
 from __future__ import annotations
@@ -34,13 +36,22 @@ PairIndex = Hashable
 
 @dataclass(frozen=True)
 class NBW:
-    """A nondeterministic Buchi word automaton over an explicit alphabet."""
+    """A nondeterministic Buchi word automaton over an explicit alphabet.
+    It is valid once made: the constructor raises InputError listing every
+    problem `validate_nbw` finds, so its states are distinct and every
+    transition, initial and final state names declared states and
+    symbols."""
 
     states: Tuple[State, ...]
     alphabet: Tuple[Symbol, ...]
     initial: FrozenSet[State]
     transitions: FrozenSet[Transition]
     finals: FrozenSet[State]
+
+    def __post_init__(self):
+        problems = validate_nbw(self)
+        if problems:
+            raise InputError("invalid automaton: " + "; ".join(problems))
 
     @classmethod
     def make(
@@ -86,17 +97,6 @@ class NBW:
     @cached_property
     def final_mask(self) -> int:
         return self.mask(self.finals)
-
-    @cached_property
-    def problems(self) -> Tuple[str, ...]:
-        """What validate_nbw finds, computed once per automaton."""
-        return tuple(validate_nbw(self))
-
-    def require_valid(self) -> None:
-        """Raise InputError listing every problem.  The determinizer and
-        the oracle share this one cached check."""
-        if self.problems:
-            raise InputError("invalid automaton: " + "; ".join(self.problems))
 
 
 def image(mask: int, rows: Sequence[int]) -> int:

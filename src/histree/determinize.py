@@ -379,7 +379,6 @@ class Determinizer:
         _check_mode(mode)
         if max_states < 1:
             raise InputError(f"state limit must be at least 1 (got {max_states})")
-        nbw.require_valid()
         self.nbw = nbw
         self.mode = mode
         self.strict_marks = strict_marks

@@ -37,7 +37,6 @@ def emit_dot(
 
 
 def _nbw_dot(a: NBW) -> str:
-    a.require_valid()
     lines = ["digraph nbw {", "  rankdir=LR;"]
     for i, q in enumerate(a.states):
         shape = "doublecircle" if a.final_mask >> i & 1 else "circle"

@@ -278,7 +278,7 @@ def _parse_hoa_document(text: str) -> _HoaDocument:
                 raise error("unexpected --BODY--", offset)
             break
         elif kind == "end":
-            raise error("missing --END--", marker[2])
+            raise error("missing --END--", offset)
         else:
             raise error(f"unexpected token {value!r} in body", offset)
     return doc
@@ -392,7 +392,6 @@ def _hoa_preamble(state_count: int, starts: Iterable[int], alphabet: Sequence[st
 
 
 def emit_nbw_hoa(a: NBW) -> str:
-    a.require_valid()
     lines = _hoa_preamble(len(a.states), bits(a.initial_mask), a.alphabet)
     lines += ["acc-name: Buchi", _BUCHI_ACCEPTANCE, "--BODY--"]
     for i, q in enumerate(a.states):
@@ -521,7 +520,6 @@ def _check_rabin_acceptance(acceptance: Optional[List[_Token]], pair_count: int)
 
 
 def emit_nbw_native(a: NBW) -> str:
-    a.require_valid()
     header = {
         "format": "nbw",
         "states": list(a.states),

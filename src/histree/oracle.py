@@ -1,6 +1,6 @@
 """Independent brute-force ground truth: lasso-word membership for the
 Buchi input and the deterministic Rabin outputs, bounded differential
-equivalence, exhaustive tree census and identifier bound reports.
+equivalence, the tree census and identifier bound reports.
 
 Membership for the nondeterministic input works over transition profiles:
 for a finite word, a matrix over state pairs whose entries say whether the
@@ -86,7 +86,6 @@ def symbol_profile(a: NBW, symbol: Symbol) -> TransitionProfile:
 
 
 def word_profile(a: NBW, word: Sequence[Symbol]) -> TransitionProfile:
-    a.require_valid()
     profile = TransitionProfile.identity(len(a.states))
     for sym in word:
         if sym not in a.alphabet:
@@ -302,7 +301,6 @@ def bounded_equiv(a: NBW, d: Union[DRTW, DRW], max_u: int, max_v: int) -> EquivR
             f"lasso bounds max_u={max_u}, max_v={max_v} over {len(a.alphabet)} letters "
             f"exceed {LASSO_CAP} lassos"
         )
-    a.require_valid()
     start = time.monotonic()
     accepting = _period_acceptance(a, max_v)
     letters = range(len(a.alphabet))
@@ -342,7 +340,7 @@ def bounded_equiv(a: NBW, d: Union[DRTW, DRW], max_u: int, max_v: int) -> EquivR
     return EquivReport(total, None, time.monotonic() - start, evaluated)
 
 
-# -- exhaustive tree census ---------------------------------------------------
+# -- tree census -------------------------------------------------------------
 
 Shape = Tuple["Shape", ...]  # a node is the tuple of its child shapes
 
@@ -369,45 +367,33 @@ def _shape_names(shape: Shape, base: NodeName = ()) -> List[NodeName]:
     return names
 
 
-@lru_cache(maxsize=None)
-def _labelings_with_root_size(shape: Shape, size: int) -> int:
-    """Labelings of `shape` whose root label is one fixed set of `size`
-    states, size >= 1: children take disjoint non-empty subsets of it
-    whose union leaves at least one parent state uncovered."""
-    if not shape:
-        return 1
-
-    def place(kid_pos: int, free: int) -> int:
-        if kid_pos == len(shape):
-            return 1 if free >= 1 else 0
-        total = 0
-        for kid_size in range(1, free + 1):
-            below = _labelings_with_root_size(shape[kid_pos], kid_size)
-            if below:
-                total += comb(free, kid_size) * below * place(kid_pos + 1, free - kid_size)
-        return total
-
-    return place(0, size)
+def _check_census_size(n: int) -> None:
+    if n > TREE_CAP:
+        raise CapacityError(f"tree enumeration capped at n <= {TREE_CAP} (got {n})")
+    if n < 1:
+        raise InputError("census requires n >= 1")
 
 
 def _shapes_upto(n: int):
     """Every order-closed tree shape with at most n nodes, within the
     enumeration cap."""
-    if n > TREE_CAP:
-        raise CapacityError(f"tree enumeration capped at n <= {TREE_CAP} (got {n})")
-    if n < 1:
-        raise InputError("census requires n >= 1")
+    _check_census_size(n)
     for k in range(1, n + 1):
         yield from _forests(k - 1)
 
 
 def enumerate_history_trees(n: int) -> int:
-    """hist(n): labeled order-closed trees over an n-state automaton."""
-    return sum(
-        comb(n, size) * _labelings_with_root_size(shape, size)
-        for shape in _shapes_upto(n)
-        for size in range(1, n + 1)
-    )
+    """hist(n): labeled order-closed trees over an n-state automaton,
+    counted by recurrence.  T(k) counts the trees whose root label is one
+    fixed k-set: the children's labels cover r < k of its states.  F(r)
+    counts the ordered forests whose root labels partition one fixed
+    r-set: the first tree takes j of them, the rest the other r - j."""
+    _check_census_size(n)
+    trees, forests = [0], [1]  # T(0) is never read; F(0) = 1, the empty forest
+    for k in range(1, n + 1):
+        trees.append(sum(comb(k, r) * forests[r] for r in range(k)))
+        forests.append(sum(comb(k, j) * trees[j] * forests[k - j] for j in range(1, k + 1)))
+    return sum(comb(n, k) * trees[k] for k in range(1, n + 1))
 
 
 def check_identifiers_injective(n: int) -> None:

@@ -1,5 +1,6 @@
-"""Byte sweep: one build digest and one verify digest per input, over a
-wider input set than `fixtures/build_digests.txt`.
+"""Byte sweep: one build digest, one verify digest and one NBW digest per
+input, over a wider input set than `fixtures/build_digests.txt` and
+`fixtures/nbw_digests.txt`.
 
 The inputs are the golden inputs of `record_build_digests.py` (the
 hand-written fixtures, the default corpus and Michel m=4), its pinned
@@ -9,14 +10,16 @@ states), Michel m=5, Michel m=6 (18,731 DRTW states, where the engine's
 memos and interning carry real load) and every member of the benchmark's
 candidate pools (`perfbench/pools.json`), each generated by
 `perfbench/inputs.py` and read through its HOA text.
-Each line is `name build-sha256 verify-sha256`, the `build_digest` and
-`verify_digest` of `record_build_digests.py`: eight builds
+Each line is `name build-sha256 verify-sha256 nbw-sha256`, the
+`build_digest`, `verify_digest` and `nbw_digest` of
+`record_build_digests.py`: eight builds
 (canonical/baseline x drtw/drw x default/strict marks), each
 contributing `emit_rabin`, `stats.to_text()` and `emit_dot`, and the
 `bounded_equiv(a, d, 4, 4)` results of the three targets of
 `histree verify` under both mark semantics, or the `CapacityError`
 message where the lasso cap refuses the bounds (as on Michel m=5 and
-m=6).  The benchmark files are only read.
+m=6), and the input written back by `emit_nbw_hoa`, `emit_nbw_native`
+and `emit_dot`.  The benchmark files are only read.
 
 A change that must keep emitted bytes and verdicts compares the library
 before and after it, running this script from the change against each
@@ -39,7 +42,7 @@ from typing import Iterator, Tuple
 
 from histree.automata import NBW
 from histree.formats import parse_nbw
-from record_build_digests import build_digest, golden_inputs, pinned_inputs, verify_digest
+from record_build_digests import build_digest, golden_inputs, nbw_digest, pinned_inputs, verify_digest
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -66,4 +69,4 @@ def sweep_inputs() -> Iterator[Tuple[str, NBW]]:
 
 if __name__ == "__main__":
     for name, a in sweep_inputs():
-        print(name, build_digest(a), verify_digest(a), flush=True)
+        print(name, build_digest(a), verify_digest(a), nbw_digest(a), flush=True)

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from histree.automata import (
     DRTW,
@@ -16,20 +17,20 @@ from histree.automata import (
 )
 from histree.errors import InputError
 from histree.formats import emit_rabin, parse_rabin
+from histree.oracle import symbol_profile
 from rabin_edges import signature_map
 
 
-def test_validate_rejects_undeclared_transition_state(e1_nbw):
-    broken = NBW.make(
-        states=("p", "q"),
-        alphabet=("a",),
-        transitions=[("p", "a", "q9")],
-        initial=("p",),
-        finals=("q",),
-    )
-    problems = validate_nbw(broken)
-    assert len(problems) == 1
-    assert "q9" in problems[0]
+def test_validate_rejects_undeclared_transition_state():
+    with pytest.raises(InputError) as caught:
+        NBW.make(
+            states=("p", "q"),
+            alphabet=("a",),
+            transitions=[("p", "a", "q9")],
+            initial=("p",),
+            finals=("q",),
+        )
+    assert str(caught.value) == "invalid automaton: transition (p,a,q9): target state q9 not declared"
 
 
 def test_validate_allows_empty_initial():
@@ -42,9 +43,45 @@ def test_validate_e1_clean(e1_nbw):
 
 
 def test_validate_reports_every_violation():
-    a = NBW.make(("p",), ("a",), [("p", "b", "p"), ("x", "a", "p")], ("y",), ("z",))
-    problems = validate_nbw(a)
-    assert len(problems) == 4
+    with pytest.raises(InputError) as caught:
+        NBW.make(("p",), ("a",), [("p", "b", "p"), ("x", "a", "p")], ("y",), ("z",))
+    assert str(caught.value) == (
+        "invalid automaton: transition (p,b,p): symbol b not in alphabet; "
+        "transition (x,a,p): source state x not declared; "
+        "initial state y not declared; final state z not declared"
+    )
+
+
+@st.composite
+def nbw_arguments(draw):
+    """`NBW.make` arguments: short state and alphabet lists, duplicates and
+    the empty symbol allowed, and references drawn from the declared names
+    plus one undeclared state and one undeclared symbol."""
+    states = draw(st.lists(st.sampled_from(("p", "q", "r")), max_size=3))
+    alphabet = draw(st.lists(st.sampled_from(("a", "b", "")), max_size=3))
+    state_refs = st.sampled_from(states + ["zz"])
+    symbol_refs = st.sampled_from(alphabet + ["c"])
+    transitions = draw(st.lists(st.tuples(state_refs, symbol_refs, state_refs), max_size=4))
+    initial = draw(st.lists(state_refs, max_size=2))
+    finals = draw(st.lists(state_refs, max_size=2))
+    return states, alphabet, transitions, initial, finals
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(nbw_arguments())
+@example((["p"], ["a"], [("p", "a", "zz")], ["p"], []))
+def test_an_nbw_is_refused_or_usable_when_made(arguments):
+    """Either the constructor refuses the automaton, or every accessor
+    that reads its state encoding works on it."""
+    try:
+        a = NBW.make(*arguments)
+    except InputError as exc:
+        assert str(exc).startswith("invalid automaton: ")
+        return
+    assert len(a.rows) == len(a.alphabet)
+    assert a.initial_mask == a.mask(a.initial) and a.final_mask == a.mask(a.finals)
+    for symbol in a.alphabet:
+        assert symbol_profile(a, symbol).reach == a.rows[symbol]
 
 
 def test_image_on_e1(e1_nbw):

@@ -378,9 +378,9 @@ def test_drw_state_limit_counts_the_split_states(e1_nbw):
 
 
 def test_invalid_inputs_rejected(e1_nbw):
-    broken = NBW.make(("p",), ("a",), [("p", "a", "zz")], ("p",), ())
-    with pytest.raises(InputError):
-        build_drtw(broken)
+    with pytest.raises(InputError) as caught:
+        NBW.make(("p",), ("a",), [("p", "a", "zz")], ("p",), ())
+    assert str(caught.value) == "invalid automaton: transition (p,a,zz): target state zz not declared"
     with pytest.raises(InputError):
         Determinizer(e1_nbw, mode="fancy")
     with pytest.raises(InputError):

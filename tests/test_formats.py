@@ -272,8 +272,9 @@ REFUSALS = [
      ParseError, "11:8: state 0 declared twice"),
     ("second --BODY--", parse_nbw, MINIMAL_HOA.replace("--BODY--\n", "--BODY--\n--BODY--\n"),
      ParseError, "9:1: unexpected --BODY--"),
-    # Reported at the --BODY-- marker that opened the body.
     ("missing --END--", parse_nbw, MINIMAL_HOA.replace("--END--\n", ""),
+     ParseError, "10:6: missing --END--"),
+    ("missing --END-- after an empty body", parse_nbw, MINIMAL_HOA.split("State:")[0],
      ParseError, "8:1: missing --END--"),
     ("signature naming no set", parse_nbw, MINIMAL_HOA.replace("State: 0 {0}", "State: 0 {a}"),
      ParseError, "9:11: acceptance signature must list set numbers"),
@@ -545,14 +546,12 @@ def test_hoa_symbols_with_odd_characters():
 
 def test_nbw_writers_reject_invalid_automata():
     """The writers read the automaton's state encoding, which a duplicated
-    state name would make ambiguous."""
+    state name would make ambiguous, so no writer can be handed one: the
+    constructor refuses it."""
     from histree.automata import NBW
-    from histree.dot import emit_dot
 
-    a = NBW.make(("p", "p"), ("a",), [("p", "a", "p")], ("p",), ())
-    for write in (emit_nbw_hoa, emit_nbw_native, emit_dot):
-        with pytest.raises(InputError, match="^invalid automaton: duplicate state ids"):
-            write(a)
+    with pytest.raises(InputError, match="^invalid automaton: duplicate state ids in state list$"):
+        NBW.make(("p", "p"), ("a",), [("p", "a", "p")], ("p",), ())
 
 
 def test_specific_parsers_reject_other_format():
