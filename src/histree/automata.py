@@ -38,9 +38,9 @@ PairIndex = Hashable
 class NBW:
     """A nondeterministic Buchi word automaton over an explicit alphabet.
     It is valid once made: the constructor raises InputError listing every
-    problem `validate_nbw` finds, so its states are distinct and every
-    transition, initial and final state names declared states and
-    symbols."""
+    problem `validate_nbw` finds, so its states and symbols are distinct
+    strings and every transition is a triple that, like every initial and
+    final state, names declared states and symbols."""
 
     states: Tuple[State, ...]
     alphabet: Tuple[Symbol, ...]
@@ -127,16 +127,24 @@ def validate_nbw(a: NBW) -> List[str]:
         problems.append("duplicate symbols in alphabet")
     if any(not s for s in a.alphabet):
         problems.append("empty symbol token in alphabet")
-    for src, sym, dst in sorted(a.transitions):
+    problems.extend(f"state {q!r} is not a string" for q in a.states if not isinstance(q, str))
+    problems.extend(f"symbol {s!r} is not a string" for s in a.alphabet if not isinstance(s, str))
+    # Names of any type are listed in the order of their texts, which sort.
+    for t in sorted(a.transitions, key=lambda t: tuple(map(str, t))):
+        where = f"transition ({','.join(map(str, t))})"
+        if len(t) != 3:
+            problems.append(f"{where}: not a (source, symbol, target) triple")
+            continue
+        src, sym, dst = t
         if src not in states:
-            problems.append(f"transition ({src},{sym},{dst}): source state {src} not declared")
+            problems.append(f"{where}: source state {src} not declared")
         if dst not in states:
-            problems.append(f"transition ({src},{sym},{dst}): target state {dst} not declared")
+            problems.append(f"{where}: target state {dst} not declared")
         if sym not in alphabet:
-            problems.append(f"transition ({src},{sym},{dst}): symbol {sym} not in alphabet")
-    for q in sorted(a.initial - states):
+            problems.append(f"{where}: symbol {sym} not in alphabet")
+    for q in sorted(a.initial - states, key=str):
         problems.append(f"initial state {q} not declared")
-    for q in sorted(a.finals - states):
+    for q in sorted(a.finals - states, key=str):
         problems.append(f"final state {q} not declared")
     return problems
 

@@ -305,15 +305,16 @@ def _acc_tokens_text(tokens: Optional[List[_Token]]) -> str:
     return " ".join(value for _, value, _ in tokens) if tokens else ""
 
 
-def _acceptance_is(tokens: Optional[List[_Token]], line: str) -> bool:
-    """Whether an Acceptance: header's argument tokens have the values of
-    the tokens of `line`, an Acceptance: line as the writers emit it."""
-    return [value for _, value, _ in tokens or ()] == [value for _, value, _ in _tokenize(line)[1:]]
+def _argument_values(line: str) -> List[str]:
+    """The values of the tokens after the header of `line`, an Acceptance:
+    line as the writers emit it."""
+    return [value for _, value, _ in _tokenize(line)[1:]]
 
 
 # -- NBW (Buchi) parse / emit -------------------------------------------------
 
 _BUCHI_ACCEPTANCE = "Acceptance: 1 Inf(0)"
+_BUCHI_ACCEPTANCE_VALUES = _argument_values(_BUCHI_ACCEPTANCE)
 
 
 def parse_nbw_hoa(text: str) -> NBW:
@@ -324,7 +325,7 @@ def parse_nbw_hoa(text: str) -> NBW:
         raise UnsupportedAcceptanceError(
             f"unsupported acceptance {acc_name!r}: this reader takes Buchi input only"
         )
-    if acceptance and not _acceptance_is(doc.acceptance, _BUCHI_ACCEPTANCE):
+    if acceptance and [value for _, value, _ in doc.acceptance] != _BUCHI_ACCEPTANCE_VALUES:
         raise UnsupportedAcceptanceError(
             f"unsupported acceptance condition {acceptance!r}: expected 1 Inf(0)"
         )
@@ -511,7 +512,7 @@ def _check_rabin_acceptance(acceptance: Optional[List[_Token]], pair_count: int)
     `pair_count` pairs.  A pair takes several tokens, so a count above the
     line's token count is refused before anything is sized by it."""
     found = [value for _, value, _ in acceptance or ()]
-    if pair_count <= len(found) and _acceptance_is(acceptance, _rabin_acceptance_line(pair_count)):
+    if pair_count <= len(found) and found == _argument_values(_rabin_acceptance_line(pair_count)):
         return
     raise UnsupportedAcceptanceError(f"acceptance {' '.join(found)!r} is not the Rabin condition on {pair_count} pairs")
 

@@ -17,9 +17,13 @@ reflexive-transitive closure of its profile's rows (Warshall's loop).
 verdicts depend only on the NBW states and the deterministic state its
 prefix reaches, and on its period.  So the scan walks prefixes one letter
 at a time in enumeration order, and evaluates the periods only of the
-first prefix to reach each (states, state) pair.  `nbw_lasso_member` and
-`det_lasso_member` stay as the per-lasso entry points and share the scan's
-period and loop helpers.
+first prefix to reach each (states, state) pair.  Of those it compares
+only the periods that read an omega-word not compared earlier in that
+order (Calbrix, Nivat & Podelski): never a power v^j, j >= 2, which reads
+as v, and after a prefix u.x never a period v.x, since u.x.(v.x)^omega
+is the lasso u.(x.v)^omega with the shorter prefix.  `nbw_lasso_member`
+and `det_lasso_member` stay as the per-lasso entry points and share the
+scan's period and loop helpers.
 
 What the scan derives from one automaton alone is kept on that automaton
 object, as its cached properties are, and goes when it goes; nothing is
@@ -51,6 +55,20 @@ LASSO_CAP = 1_000_000  # most lassos one bounded_equiv call may enumerate
 LASSO_LENGTH_CAP = 100  # longest prefix or period one bounded_equiv call may enumerate
 
 
+class _Images(dict):
+    """`image(mask, rows)` by mask, each computed on first use.  Profile
+    rows recur across periods, so `_period_masks` keeps one for each
+    letter's reach rows and one for its final rows."""
+
+    def __init__(self, rows: Sequence[int]):
+        super().__init__()
+        self.rows = rows
+
+    def __missing__(self, mask: int) -> int:
+        out = self[mask] = image(mask, self.rows)
+        return out
+
+
 class TransitionProfile(NamedTuple):
     """Reachability matrix for one finite word, encoded as bitmask rows:
     bit q of reach[p] means some path p -> q, of final[p] that some such
@@ -71,12 +89,16 @@ class TransitionProfile(NamedTuple):
         return TransitionProfile(tuple(1 << p for p in range(size)), (0,) * size)
 
     def compose(self, other: "TransitionProfile") -> "TransitionProfile":
-        # final[p] is a subset of reach[p], so image(final[p], other.reach)
-        # adds exactly the paths that passed a final state before `other`.
-        reach, final = other.reach, other.final
+        return self.extend(_Images(other.reach), _Images(other.final))
+
+    def extend(self, to_reach: Dict[int, int], to_final: Dict[int, int]) -> "TransitionProfile":
+        """This profile followed by a word's, given as the maps from a row
+        to its images under that word's reach and final rows."""
+        # final[p] is a subset of reach[p], so to_reach[final[p]] adds
+        # exactly the paths that passed a final state before the word.
         return TransitionProfile(
-            tuple([image(r, reach) for r in self.reach]),
-            tuple([image(r, final) | image(f, reach) for r, f in zip(self.reach, self.final)]),
+            tuple([to_reach[r] for r in self.reach]),
+            tuple([to_final[r] | to_reach[f] for r, f in zip(self.reach, self.final)]),
         )
 
 
@@ -178,8 +200,11 @@ class Counterexample:
 @dataclass(frozen=True)
 class EquivReport:
     """Outcome of a bounded differential scan.  `tested` counts the lassos
-    covered in enumeration order; `evaluated` counts those whose verdicts
-    were computed, the rest reusing the verdicts of an earlier prefix."""
+    covered in enumeration order; `evaluated` counts the lassos of each
+    (states, state) pair's first prefix, the rest reusing the verdicts of
+    an earlier prefix.  It counts every period of such a prefix, also
+    those the scan skips because they re-read an earlier lasso's
+    omega-word (see `bounded_equiv`)."""
 
     tested: int
     counterexample: Optional[Counterexample]
@@ -236,9 +261,11 @@ def lasso_count(letters: int, max_u: int, max_v: int) -> int:
 
 def _period_masks(a: NBW, max_v: int) -> Tuple[int, ...]:
     """`_accepting_states` of every period, in `_periods` order.  A
-    depth-first walk extends each period's profile by one symbol profile,
-    and keeps only the masks."""
-    symbols = [symbol_profile(a, sym) for sym in a.alphabet]
+    depth-first walk extends each period's profile by one letter, through
+    the `_Images` that letter keeps for the whole walk, and keeps only the
+    masks."""
+    profiles = [symbol_profile(a, sym) for sym in reversed(a.alphabet)]  # the stack pops letter 0 first
+    images = [(_Images(p.reach), _Images(p.final)) for p in profiles]
     by_length: List[List[int]] = [[] for _ in range(max_v + 1)]
     stack = [(0, TransitionProfile.identity(len(a.states)))]
     while stack:
@@ -246,7 +273,7 @@ def _period_masks(a: NBW, max_v: int) -> Tuple[int, ...]:
         if depth:
             by_length[depth].append(_accepting_states(profile))
         if depth < max_v:
-            stack.extend((depth + 1, profile.compose(p)) for p in reversed(symbols))
+            stack.extend((depth + 1, profile.extend(*letter)) for letter in images)
     return tuple(mask for masks in by_length for mask in masks)
 
 
@@ -268,7 +295,7 @@ def _period_acceptance(a: NBW, max_v: int) -> Tuple[int, ...]:
 def _shortlex_rank(word: Sequence[int], letters: int) -> int:
     """How many words precede `word`, a tuple of letter indices, in the
     order lassos_upto enumerates prefixes: its value in bijective base
-    `letters`."""
+    `letters`.  A non-empty word's index among `_periods` is one less."""
     rank = 0
     for k in word:
         rank = rank * letters + k + 1
@@ -286,7 +313,15 @@ def bounded_equiv(a: NBW, d: Union[DRTW, DRW], max_u: int, max_v: int) -> EquivR
     the scan walks prefixes one letter at a time in enumeration order and
     evaluates the periods of each distinct (states, state) pair once.  A
     repeated pair agreed on every period when first seen, and so do all
-    its extensions, whose pairs were seen too; the walk does not extend it."""
+    its extensions, whose pairs were seen too; the walk does not extend it.
+
+    Nor does a pair compare a period that re-reads an omega-word compared,
+    and so agreed on, earlier in enumeration order: a power v^j, j >= 2,
+    reads as v, and after a prefix u.x, a period v.x reads u.(x.v)^omega,
+    whose prefix is shorter.  Period i ends in letter i % width, since
+    each length's block of periods starts at a multiple of width.  A
+    disagreement is therefore first met where the per-lasso scan meets
+    it, and `evaluated` counts the skipped periods as it did the rest."""
     if tuple(a.alphabet) != tuple(d.alphabet):
         raise InputError("automata to compare must share one alphabet")
     if max_u < 0 or max_v < 1:
@@ -303,8 +338,13 @@ def bounded_equiv(a: NBW, d: Union[DRTW, DRW], max_u: int, max_v: int) -> EquivR
         )
     start = time.monotonic()
     accepting = _period_acceptance(a, max_v)
-    letters = range(len(a.alphabet))
+    width = len(a.alphabet)
+    letters = range(width)
     periods = list(zip(_periods(letters, max_v), accepting))
+    power = bytearray(len(periods))  # 1 at each v^j, j >= 2
+    for period, _ in periods[: lasso_count(width, 0, max_v // 2)]:
+        for j in range(2, max_v // len(period) + 1):
+            power[_shortlex_rank(period * j, width) - 1] = 1
     nbw_rows = [a.rows[sym] for sym in a.alphabet]
     marks, targets = _mark_rows(d), d.targets
     seen: Set[Tuple[int, int]] = set()
@@ -316,13 +356,15 @@ def bounded_equiv(a: NBW, d: Union[DRTW, DRW], max_u: int, max_v: int) -> EquivR
             if (states, state) in seen:
                 continue
             seen.add((states, state))
+            last = prefix[-1] if prefix else -1  # period i ends in letter i % width
             for i, (period, accepts) in enumerate(periods):
-                evaluated += 1
+                if power[i] or i % width == last:
+                    continue
                 expected = bool(states & accepts)
                 got = _loop_accepts(d, marks, state, period)
                 if expected != got:
                     return EquivReport(
-                        _shortlex_rank(prefix, len(a.alphabet)) * len(periods) + i + 1,
+                        _shortlex_rank(prefix, width) * len(periods) + i + 1,
                         Counterexample(
                             tuple(a.alphabet[k] for k in prefix),
                             tuple(a.alphabet[k] for k in period),
@@ -330,8 +372,9 @@ def bounded_equiv(a: NBW, d: Union[DRTW, DRW], max_u: int, max_v: int) -> EquivR
                             got,
                         ),
                         time.monotonic() - start,
-                        evaluated,
+                        evaluated + i + 1,
                     )
+            evaluated += len(periods)
             if u_len < max_u:
                 extended.extend(
                     (prefix + (k,), image(states, nbw_rows[k]), targets[k][state]) for k in letters

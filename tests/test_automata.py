@@ -52,6 +52,28 @@ def test_validate_reports_every_violation():
     )
 
 
+def test_validate_refuses_a_transition_that_is_not_a_triple():
+    with pytest.raises(InputError) as caught:
+        NBW.make(("p",), ("a",), [("p", "a")], (), ())
+    assert str(caught.value) == "invalid automaton: transition (p,a): not a (source, symbol, target) triple"
+
+
+def test_validate_refuses_names_that_are_not_strings():
+    """Mixed name types do not reach `sorted` as a TypeError: the names
+    must be strings, and the problems are listed in the order of their
+    texts."""
+    with pytest.raises(InputError) as caught:
+        NBW.make(("p", 1), ("a",), [("p", "a", "p"), (1, "a", 1)], (), ())
+    assert str(caught.value) == "invalid automaton: state 1 is not a string"
+    with pytest.raises(InputError) as caught:
+        NBW.make(("p",), ("a", 2), [("p", "a", 3), ("p", 2, "p")], (4, "q"), ())
+    assert str(caught.value) == (
+        "invalid automaton: symbol 2 is not a string; "
+        "transition (p,a,3): target state 3 not declared; "
+        "initial state 4 not declared; initial state q not declared"
+    )
+
+
 @st.composite
 def nbw_arguments(draw):
     """`NBW.make` arguments: short state and alphabet lists, duplicates and

@@ -488,6 +488,71 @@ def test_bounded_equiv_reuses_verdicts_of_repeated_prefix_pairs(corpus_sample):
     assert 0 < report.evaluated < report.tested
 
 
+def _reread(w):
+    """The earlier lasso whose omega-word `w` re-reads under the scan's two
+    skip rules, or None: a power period's root, else, after a prefix that
+    ends in the period's last letter, that letter rotated into the period."""
+    u, v = w.prefix, w.period
+    for size in range(1, len(v)):
+        if v == v[:size] * (len(v) // size):
+            return LassoWord(u, v[:size])
+    if u and u[-1] == v[-1]:
+        return LassoWord(u[:-1], u[-1:] + v[:-1])
+    return None
+
+
+def test_skipped_lassos_get_the_verdicts_of_the_lassos_they_reread(corpus_sample):
+    skipped = 0
+    for a in corpus_sample:
+        order = {w: i for i, w in enumerate(lassos_upto(a.alphabet, 3, 3))}
+        rereads = [(w, earlier) for w in order if (earlier := _reread(w)) is not None]
+        engine = Determinizer(a)
+        builds = [engine.build_drtw(), engine.build_drtw("baseline"), engine.build_drw()]
+        targets = builds + [m for d in builds for m in _acceptance_mutants(d)]
+        for w, earlier in rereads:
+            assert order[earlier] < order[w]
+            assert nbw_lasso_member(a, w) == nbw_lasso_member(a, earlier), (w, earlier)
+            for d in targets:
+                assert det_lasso_member(d, w) == det_lasso_member(d, earlier), (w, earlier)
+        skipped += len(rereads)
+    assert skipped > len(corpus_sample) * 100
+
+
+def _walked_periods(monkeypatch):
+    walked = []
+    real = histree.oracle._loop_accepts
+    monkeypatch.setattr(histree.oracle, "_loop_accepts",
+                        lambda d, marks, state, period: walked.append(period) or real(d, marks, state, period))
+    return walked
+
+
+def test_bounded_equiv_walks_each_omega_word_once_per_prefix_pair(corpus_sample, monkeypatch):
+    """Over two letters at U = V = 4 the empty prefix walks the 22 of 30
+    periods that are no power, and each later (states, state) pair the
+    11 of those that do not end in its prefix's last letter."""
+    a = corpus_sample[0]
+    assert len(a.alphabet) == 2
+    walked = _walked_periods(monkeypatch)
+    report = bounded_equiv(a, build_drtw(a), 4, 4)
+    periods = lasso_count(2, 0, 4)
+    assert report.equivalent and report.evaluated % periods == 0
+    pairs = report.evaluated // periods
+    assert pairs > 1 and len(walked) == 22 + 11 * (pairs - 1)
+    new = [v for v in histree.oracle._periods((0, 1), 4) if _reread(LassoWord((), v)) is None]
+    assert walked[:22] == new
+    for start in range(22, len(walked), 11):
+        chunk = walked[start:start + 11]
+        assert chunk in ([v for v in new if v[-1] == x] for x in (0, 1))
+
+
+def test_bounded_equiv_walks_one_period_over_one_letter(monkeypatch):
+    walked = _walked_periods(monkeypatch)
+    a = e1()
+    report = bounded_equiv(a, build_drtw(a), 4, 4)
+    assert report.equivalent and report.evaluated > 4
+    assert walked == [(0,)]
+
+
 def test_bounded_equiv_keeps_no_reference_to_its_automata():
     a = spawn_die_respawn()
     d = build_drtw(a)
