@@ -62,11 +62,28 @@ class NBW:
         initial: Iterable[State],
         finals: Iterable[State],
     ) -> "NBW":
+        """The automaton of these parts.  A transition is a tuple or a list
+        of names; any other value, a string among them, or one holding a
+        name that cannot be hashed is refused with InputError, as the
+        constructor refuses every other problem."""
+        # The readers pass plain tuples, which the first try holds as they are.
+        triples = list(transitions)
+        try:
+            held = frozenset(triples)
+        except TypeError:  # a list, or a name that cannot be hashed
+            held = None
+        if held is None or not set(map(type, held)) <= {tuple}:
+            # A list or a tuple subclass becomes a plain tuple; any other value is refused.
+            triples = [tuple(t) if isinstance(t, (tuple, list)) else t for t in triples]
+            problems = _unheld_transitions(triples)
+            if problems:
+                raise InputError("invalid automaton: " + "; ".join(problems))
+            held = frozenset(triples)
         return cls(
             states=tuple(states),
             alphabet=tuple(alphabet),
             initial=frozenset(initial),
-            transitions=frozenset(tuple(t) for t in transitions),
+            transitions=held,
             finals=frozenset(finals),
         )
 
@@ -114,6 +131,22 @@ def bits(mask: int) -> List[int]:
     """The positions of the set bits of `mask`, ascending: for an NBW's
     encoding, the indices of a set's states in state order."""
     return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def _unheld_transitions(transitions: Sequence[object]) -> List[str]:
+    """Why `NBW.make` cannot hold these transitions in a set: the ones that
+    are not tuples, and the names that cannot be hashed."""
+    problems: List[str] = []
+    for t in transitions:
+        if type(t) is not tuple:
+            problems.append(f"transition {t!r}: not a (source, symbol, target) triple")
+            continue
+        for name in t:
+            try:
+                hash(name)
+            except TypeError:
+                problems.append(f"transition ({','.join(map(str, t))}): name {name!r} is not a string")
+    return problems
 
 
 def validate_nbw(a: NBW) -> List[str]:

@@ -12,6 +12,10 @@ a single-symbol profile is the NBW's successor rows for that symbol, and
 composition takes `image`s of rows, the same union the successor kernel
 uses to advance a tree label.  A period's accepting states come from one
 reflexive-transitive closure of its profile's rows (Warshall's loop).
+Periods share profiles, since the NBW's transition monoid is small, so
+`_period_masks` walks the distinct profiles: each is extended by each
+letter once and closed at most once, and a power v^j takes v's states
+unclosed.
 
 `bounded_equiv` scans every lasso up to the bounds, but a lasso's two
 verdicts depend only on the NBW states and the deterministic state its
@@ -27,16 +31,18 @@ scan's period and loop helpers.
 
 What the scan derives from one automaton alone is kept on that automaton
 object, as its cached properties are, and goes when it goes; nothing is
-kept at module level or keyed by value.  The NBW keeps each period's
-accepting states, for the longest period bound asked of it so far, so the
-three targets of one `histree verify` job compute them once.  The walks
-of the deterministic automaton read its per-letter target and mark rows
-and its per-mark signatures in place.
+kept at module level or keyed by value.  The NBW keeps the table of the
+periods the scan compares, each with its letters and accepting states,
+for the longest period bound asked of it so far, so the three targets of
+one `histree verify` job build it once and a shorter bound reads a prefix
+of it.  The walks of the deterministic automaton read its per-letter
+target and mark rows and its per-mark signatures in place.
 """
 
 from __future__ import annotations
 
 import time
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
@@ -259,37 +265,90 @@ def lasso_count(letters: int, max_u: int, max_v: int) -> int:
     return powers(0, max_u) * powers(1, max_v)
 
 
+def _power_roots(width: int, max_v: int) -> List[int]:
+    """For each period in `_periods` order over `width` letters, the index
+    of its primitive root: its own, unless it is a power v^j, j >= 2.  In
+    bijective base `width`, rank(v^j) = rank(v^(j-1)) * width^|v| + rank(v)
+    (see `_shortlex_rank`), so the powers of each primitive v are marked
+    from its index alone, before the walk reaches them."""
+    roots = list(range(lasso_count(width, 0, max_v)))
+    first = 0  # the index of the first period of length d
+    for d in range(1, max_v // 2 + 1):
+        block = width**d
+        for i in range(first, first + block):
+            if roots[i] == i:
+                rank = power = i + 1
+                for _ in range(2, max_v // d + 1):
+                    power = power * block + rank
+                    roots[power - 1] = i
+        first += block
+    return roots
+
+
 def _period_masks(a: NBW, max_v: int) -> Tuple[int, ...]:
-    """`_accepting_states` of every period, in `_periods` order.  A
-    depth-first walk extends each period's profile by one letter, through
-    the `_Images` that letter keeps for the whole walk, and keeps only the
-    masks."""
-    profiles = [symbol_profile(a, sym) for sym in reversed(a.alphabet)]  # the stack pops letter 0 first
-    images = [(_Images(p.reach), _Images(p.final)) for p in profiles]
-    by_length: List[List[int]] = [[] for _ in range(max_v + 1)]
-    stack = [(0, TransitionProfile.identity(len(a.states)))]
-    while stack:
-        depth, profile = stack.pop()
-        if depth:
-            by_length[depth].append(_accepting_states(profile))
-        if depth < max_v:
-            stack.extend((depth + 1, profile.extend(*letter)) for letter in images)
-    return tuple(mask for masks in by_length for mask in masks)
+    """`_accepting_states` of every period, in `_periods` order, from a
+    walk over the NBW's distinct transition profiles.  The walk goes one
+    period length at a time, which is `_periods` order.  A profile gets an
+    id when first met, and each (id, letter) is extended once, through the
+    `_Images` that letter keeps for the whole walk.  A period that is no
+    power is closed through its profile's id, so each distinct profile is
+    closed at most once.  A power v^j is extended, for its extensions, but
+    takes v's mask, since (v^j)^omega is v^omega."""
+    images = [(_Images(p.reach), _Images(p.final)) for p in (symbol_profile(a, sym) for sym in a.alphabet)]
+    profiles = [TransitionProfile.identity(len(a.states))]
+    ids = {profiles[0]: 0}
+    successors: List[Optional[List[int]]] = [None]  # per id, its extensions' ids by letter
+    closed: Dict[int, int] = {}  # per closed id, its mask
+    roots = _power_roots(len(images), max_v)
+    masks: List[int] = []
+
+    def extend(pid: int) -> List[int]:
+        row = successors[pid] = []
+        for letter in images:
+            profile = profiles[pid].extend(*letter)
+            row.append(ids.setdefault(profile, len(profiles)))
+            if row[-1] == len(profiles):
+                profiles.append(profile)
+                successors.append(None)
+        return row
+
+    level = [0]
+    for _ in range(max_v):
+        level = [nid for pid in level for nid in successors[pid] or extend(pid)]
+        for pid in level:
+            root = roots[len(masks)]
+            if root < len(masks):  # a power: its root's mask
+                masks.append(masks[root])
+            else:
+                if pid not in closed:
+                    closed[pid] = _accepting_states(profiles[pid])
+                masks.append(closed[pid])
+    return tuple(masks)
 
 
-_PERIOD_MASKS = "_oracle_period_masks"  # the instance dict key that keeps them
+_COMPARED_PERIODS = "_oracle_compared_periods"  # the instance dict key that keeps them
+
+ComparedPeriod = Tuple[int, Tuple[int, ...], int]  # index, letter indices, accepting-state mask
 
 
-def _period_acceptance(a: NBW, max_v: int) -> Tuple[int, ...]:
-    """`_period_masks(a, max_v)`, computed once per automaton object for
-    the longest bound asked so far and kept in its instance dict, where
-    its cached properties live.  Periods come shortest first, so a
-    shorter bound reads a prefix of the kept masks."""
-    count = lasso_count(len(a.alphabet), 0, max_v)
-    masks = a.__dict__.get(_PERIOD_MASKS, ())
-    if len(masks) < count:
-        masks = a.__dict__[_PERIOD_MASKS] = _period_masks(a, max_v)
-    return masks[:count]
+def _compared_periods(a: NBW, max_v: int) -> Sequence[ComparedPeriod]:
+    """The periods `bounded_equiv` compares, every one that is no power,
+    in `_periods` order: (index, letter indices, `_period_masks` entry).
+    The table is computed once per automaton object for the longest bound
+    asked so far and kept in its instance dict, where its cached
+    properties live.  Periods come shortest first, so a shorter bound
+    reads a prefix of the kept table."""
+    kept_v, table = a.__dict__.get(_COMPARED_PERIODS, (0, ()))
+    if kept_v < max_v:
+        width = len(a.alphabet)
+        roots, masks = _power_roots(width, max_v), _period_masks(a, max_v)
+        table = tuple(
+            (i, period, masks[i]) for i, period in enumerate(_periods(range(width), max_v)) if roots[i] == i
+        )
+        a.__dict__[_COMPARED_PERIODS] = (max_v, table)
+    elif kept_v > max_v:
+        table = table[: bisect_left(table, (lasso_count(len(a.alphabet), 0, max_v),))]
+    return table
 
 
 def _shortlex_rank(word: Sequence[int], letters: int) -> int:
@@ -337,14 +396,10 @@ def bounded_equiv(a: NBW, d: Union[DRTW, DRW], max_u: int, max_v: int) -> EquivR
             f"exceed {LASSO_CAP} lassos"
         )
     start = time.monotonic()
-    accepting = _period_acceptance(a, max_v)
+    compared = _compared_periods(a, max_v)
     width = len(a.alphabet)
     letters = range(width)
-    periods = list(zip(_periods(letters, max_v), accepting))
-    power = bytearray(len(periods))  # 1 at each v^j, j >= 2
-    for period, _ in periods[: lasso_count(width, 0, max_v // 2)]:
-        for j in range(2, max_v // len(period) + 1):
-            power[_shortlex_rank(period * j, width) - 1] = 1
+    periods = lasso_count(width, 0, max_v)
     nbw_rows = [a.rows[sym] for sym in a.alphabet]
     marks, targets = _mark_rows(d), d.targets
     seen: Set[Tuple[int, int]] = set()
@@ -357,14 +412,14 @@ def bounded_equiv(a: NBW, d: Union[DRTW, DRW], max_u: int, max_v: int) -> EquivR
                 continue
             seen.add((states, state))
             last = prefix[-1] if prefix else -1  # period i ends in letter i % width
-            for i, (period, accepts) in enumerate(periods):
-                if power[i] or i % width == last:
+            for i, period, accepts in compared:
+                if i % width == last:
                     continue
                 expected = bool(states & accepts)
                 got = _loop_accepts(d, marks, state, period)
                 if expected != got:
                     return EquivReport(
-                        _shortlex_rank(prefix, width) * len(periods) + i + 1,
+                        _shortlex_rank(prefix, width) * periods + i + 1,
                         Counterexample(
                             tuple(a.alphabet[k] for k in prefix),
                             tuple(a.alphabet[k] for k in period),
@@ -374,7 +429,7 @@ def bounded_equiv(a: NBW, d: Union[DRTW, DRW], max_u: int, max_v: int) -> EquivR
                         time.monotonic() - start,
                         evaluated + i + 1,
                     )
-            evaluated += len(periods)
+            evaluated += periods
             if u_len < max_u:
                 extended.extend(
                     (prefix + (k,), image(states, nbw_rows[k]), targets[k][state]) for k in letters

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import hashlib
 from pathlib import Path
-from typing import Dict, Iterator, Tuple
+from typing import Dict, Iterator, Sequence, Tuple
 
 from histree.automata import NBW
 from histree.cli import _targets
@@ -71,16 +71,19 @@ def build_digest(a: NBW) -> str:
     return digest.hexdigest()
 
 
-def verify_digest(a: NBW) -> str:
+def verify_digest(a: NBW, bounds: Sequence[Tuple[int, int]] = ((4, 4),)) -> str:
+    """One line per target and (max_u, max_v) in `bounds`, in that order,
+    each scan on the same NBW object."""
     digest = hashlib.sha256()
     for strict in (False, True):
         for label, d in _targets(a, strict):
-            try:
-                r = bounded_equiv(a, d, 4, 4)
-                line = f"{label} {r.tested} {r.counterexample} {r.evaluated}"
-            except CapacityError as exc:
-                line = f"{label} {exc}"
-            digest.update(f"{line}\n".encode("utf-8"))
+            for max_u, max_v in bounds:
+                try:
+                    r = bounded_equiv(a, d, max_u, max_v)
+                    line = f"{label} {r.tested} {r.counterexample} {r.evaluated}"
+                except CapacityError as exc:
+                    line = f"{label} {exc}"
+                digest.update(f"{line}\n".encode("utf-8"))
     return digest.hexdigest()
 
 

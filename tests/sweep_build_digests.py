@@ -19,7 +19,10 @@ contributing `emit_rabin`, `stats.to_text()` and `emit_dot`, and the
 `histree verify` under both mark semantics, or the `CapacityError`
 message where the lasso cap refuses the bounds (as on Michel m=5 and
 m=6), and the input written back by `emit_nbw_hoa`, `emit_nbw_native`
-and `emit_dot`.  The benchmark files are only read.
+and `emit_dot`.  Here the verify digest also covers a second call per
+target, `bounded_equiv(a, d, 2, 3)` on the same NBW object, which the
+NBW serves from the period table it kept for the longer bound.  The
+benchmark files are only read.
 
 A change that must keep emitted bytes and verdicts compares the library
 before and after it, running this script from the change against each
@@ -69,4 +72,4 @@ def sweep_inputs() -> Iterator[Tuple[str, NBW]]:
 
 if __name__ == "__main__":
     for name, a in sweep_inputs():
-        print(name, build_digest(a), verify_digest(a), nbw_digest(a), flush=True)
+        print(name, build_digest(a), verify_digest(a, ((4, 4), (2, 3))), nbw_digest(a), flush=True)

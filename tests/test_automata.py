@@ -1,4 +1,5 @@
 import random
+from collections import namedtuple
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -56,6 +57,32 @@ def test_validate_refuses_a_transition_that_is_not_a_triple():
     with pytest.raises(InputError) as caught:
         NBW.make(("p",), ("a",), [("p", "a")], (), ())
     assert str(caught.value) == "invalid automaton: transition (p,a): not a (source, symbol, target) triple"
+
+
+def test_make_refuses_a_transition_that_is_not_iterable():
+    with pytest.raises(InputError) as caught:
+        NBW.make(("p",), ("a",), [5], (), ())
+    assert str(caught.value) == "invalid automaton: transition 5: not a (source, symbol, target) triple"
+
+
+def test_make_refuses_a_transition_with_a_name_that_cannot_be_hashed():
+    with pytest.raises(InputError) as caught:
+        NBW.make(("p",), ("a",), [(["p"], "a", "p")], (), ())
+    assert str(caught.value) == "invalid automaton: transition (['p'],a,p): name ['p'] is not a string"
+
+
+def test_make_refuses_a_string_as_a_transition():
+    with pytest.raises(InputError) as caught:
+        NBW.make(("p",), ("a",), ["pap"], (), ())
+    assert str(caught.value) == "invalid automaton: transition 'pap': not a (source, symbol, target) triple"
+
+
+def test_make_takes_a_transition_as_a_list_or_a_named_tuple():
+    named = namedtuple("Edge", "source symbol target")
+    plain = NBW.make(("p",), ("a",), [("p", "a", "p")], (), ())
+    for transition in (["p", "a", "p"], named("p", "a", "p")):
+        made = NBW.make(("p",), ("a",), [transition], (), ())
+        assert made == plain and {type(t) for t in made.transitions} == {tuple}
 
 
 def test_validate_refuses_names_that_are_not_strings():

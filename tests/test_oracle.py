@@ -38,6 +38,8 @@ from histree.oracle import (
 from histree.oracle import _accepting_states, _shape_names, _shapes_upto
 from rabin_edges import edge_map, signature_map
 
+FIXTURE_DIR = Path(__file__).parent / "fixtures"
+
 
 def _random_nbw(rng, max_states=4, alphabet=("a", "b"), density=0.45):
     states = tuple(f"s{i}" for i in range(rng.randint(1, max_states)))
@@ -403,10 +405,9 @@ def _differential_targets(a):
 
 def _named_inputs(corpus_sample):
     """The fixtures, the corpus sample and the pair_index inputs, by name."""
-    fixture_dir = Path(__file__).parent / "fixtures"
     named = list(fixtures().items()) + [(f"random:{i}", a) for i, a in enumerate(corpus_sample)]
     for n in (4, 5, 6):
-        text = (fixture_dir / f"pair_index_n{n}.hoa").read_text(encoding="utf-8")
+        text = (FIXTURE_DIR / f"pair_index_n{n}.hoa").read_text(encoding="utf-8")
         named.append((f"pair_index_n{n}", parse_nbw(text)))
     return named
 
@@ -592,15 +593,54 @@ def test_equal_automata_parsed_apart_compute_their_own_masks(monkeypatch):
 
 
 def test_kept_masks_serve_shorter_and_longer_bounds(monkeypatch):
+    """The NBW keeps the table of compared periods, (index, letter
+    indices, mask) for each period that is no power: a shorter bound reads
+    a prefix of it, a longer bound recomputes it once."""
     a = spawn_die_respawn()
-    fresh = histree.oracle._period_masks(spawn_die_respawn(), 4)
+    fresh = histree.oracle._compared_periods(spawn_die_respawn(), 4)
+    masks = histree.oracle._period_masks(spawn_die_respawn(), 4)
+    primitive = [(i, v) for i, v in enumerate(histree.oracle._periods((0, 1), 4)) if _reread(LassoWord((), v)) is None]
+    assert fresh == tuple((i, v, masks[i]) for i, v in primitive)
     count = {v: lasso_count(len(a.alphabet), 0, v) for v in (2, 4)}
+    short = tuple(entry for entry in fresh if entry[0] < count[2])
+    assert len(fresh) == 22 and len(short) == 4
     calls = _count_mask_computations(monkeypatch)
-    assert histree.oracle._period_acceptance(a, 2) == fresh[:count[2]]
-    assert histree.oracle._period_acceptance(a, 4) == fresh
-    assert len(fresh) == count[4]
-    assert histree.oracle._period_acceptance(a, 2) == fresh[:count[2]]
+    assert histree.oracle._compared_periods(a, 2) == short
+    assert histree.oracle._compared_periods(a, 4) == fresh
+    assert histree.oracle._compared_periods(a, 2) == short
     assert [max_v for _, max_v in calls] == [2, 4]
+
+
+def _mask_inputs():
+    """(automaton, period bound) pairs for the mask tests: every period of
+    the fixtures and a corpus slice over one and two letters, Michel m=4
+    over five letters, and a three-letter input."""
+    for a in list(fixtures().values()) + default_corpus()[:40]:
+        for max_v in (1, 4):
+            yield a, max_v
+    yield parse_nbw((FIXTURE_DIR / "michel4.hoa").read_text(encoding="utf-8")), 3
+    yield parse_nbw((FIXTURE_DIR / "index_n3.hoa").read_text(encoding="utf-8")), 4
+
+
+def test_period_masks_match_one_closure_per_period():
+    for a, max_v in _mask_inputs():
+        expected = tuple(_accepting_states(word_profile(a, v)) for v in histree.oracle._periods(a.alphabet, max_v))
+        assert histree.oracle._period_masks(a, max_v) == expected
+
+
+def test_period_masks_close_each_compared_profile_once(monkeypatch):
+    """Of the 30 periods over two letters at V = 4, 22 are compared; the
+    walk closes each distinct profile among theirs once, and no power's."""
+    a = spawn_die_respawn()
+    compared = [v for v in histree.oracle._periods(a.alphabet, 4) if _reread(LassoWord((), v)) is None]
+    distinct = {word_profile(a, v) for v in compared}
+    closed = []
+    real = histree.oracle._accepting_states
+    monkeypatch.setattr(histree.oracle, "_accepting_states", lambda profile: closed.append(profile) or real(profile))
+    histree.oracle._period_masks(a, 4)
+    assert len(compared) == 22
+    assert len(closed) == len(distinct) < 22
+    assert set(closed) == distinct
 
 
 def test_equiv_report_text_round():
