@@ -31,7 +31,8 @@ emptiness at once, and "children's union equals the label" is that test
 on their XOR.  Node sets are guard-bit masks: lane j's guard bit is set
 when the node is in the set on letter j.  The engine packs the lanes
 once: the letter index, each state's successor rows packed across the
-letters, and the final, ones, fill and guard masks.
+letters, the final, ones, fill and guard masks, and each letter's shift
+and guard bit.
 
 Spawn reads one packed `image` per node, over per-state successor rows
 packed across the letters, from the engine's memo keyed by label mask;
@@ -43,26 +44,28 @@ siblings, and stability: a survivor is stable when its count gives back
 its own index and its parent is stable.  The phases end by decoding
 every lane: its survivors renamed and split into stable and unstable,
 which gives the result tree and the marks.  `Determinizer` keeps the
-phases of the tree it stepped last, and each `successor_trace` picks its
-letter's lane: a `StepTrace` is the step's outputs, its letter, result
-tree and marks.  `classify`, the gap-rule definition of stability, stays
-the reference that `check_history_tree` applies; `tests/test_kernel.py`
-holds the five-phase step, one letter at a time on dicts, as the
-specification, and decodes the intermediate phases there.
+phases of the tree it stepped last.  The exploration reads every lane of
+a tree's one step, and `successor_trace` is the per-letter view: it picks
+its letter's lane as a `StepTrace`, the step's outputs, its letter,
+result tree and marks.  `classify`, the gap-rule definition of
+stability, stays the reference that `check_history_tree` applies;
+`tests/test_kernel.py` holds the five-phase step, one letter at a time
+on dicts, as the specification, and decodes the intermediate phases
+there.
 
 Most steps reach a tree or a mark set the engine has seen before, so the
 engine interns both: it keeps one `HistoryTree` per distinct entries
 tuple and one `TransitionAnnotation` per distinct (accepting, unstable,
 stable) name tuple, and a step that reaches a known value builds no new
 dataclass or frozenset.  The decode pass interns every lane's result and
-marks as it decodes them, so a lane holds the engine's values and
-`successor_trace` only picks one.  Interned trees are known sound; any
-other tree is checked with `check_history_tree` before its first step,
-so a malformed tree raises InputError instead of a wrong successor.  Past the
-step every table is keyed on ints: the exploration numbers its trees and
-marks in discovery order, and its edges are sliced into per-letter rows
-of target and mark numbers.  Pair assembly computes one acceptance
-signature per mark number.
+marks as it decodes them, so a lane holds the engine's values, which the
+exploration numbers and `successor_trace` returns.  Interned trees are
+known sound; any other tree is checked with `check_history_tree` before
+its first step, so a malformed tree raises InputError instead of a wrong
+successor.  Past the step every table is keyed on ints: the exploration
+numbers its trees and marks in discovery order, and its edges are sliced
+into per-letter rows of target and mark numbers.  Pair assembly computes
+one acceptance signature per mark number.
 
 The exploration's product is the baseline DRTW: the reachable tree graph,
 built once per engine, with its Rabin pairs indexed by node names.  It
@@ -295,8 +298,7 @@ class _Phases:
         trees, annotations, states = engine._trees, engine._marks, engine.nbw.states
         self.lanes = decoded = []
         mask = (1 << n) - 1  # a lane's label; also fits its sibling counts, at most n
-        for shift in range(0, len(engine._index) * (n + 1), n + 1):
-            guard = 1 << (shift + n)
+        for shift, guard in engine._lane_bits:
             entries = []
             stable_names: List[NodeName] = []
             plus: List[NodeName] = []
@@ -359,9 +361,11 @@ class Determinizer:
     methods are pure with respect to trees.  The mode is the default
     labeling of the builds; each labeling's DRTW is built once per engine,
     the canonical one from the baseline one.  The engine packs the letters
-    into lanes once, beside its one state count `n`.  It keeps the packed
-    phases of the tree it stepped last, matched by identity, so stepping
-    one tree on each letter in turn computes them once, and one
+    into lanes once, beside its one state count `n`.  `_step` steps a tree
+    on every letter at once; the exploration reads every lane of that step,
+    and `successor_trace` one.  The engine keeps the packed phases of the
+    tree it stepped last, matched by identity, so stepping one tree on each
+    letter in turn computes them once, and one
     `_Skeleton` per tree shape it has stepped, so trees of one shape share
     their label-free work, and each label's packed image, keyed by mask.
     It also interns its values: one `HistoryTree` per distinct entries
@@ -396,6 +400,8 @@ class Determinizer:
         self._final = nbw.final_mask * ones  # the final states in every lane
         self._fill = ((1 << n) - 1) * ones  # each lane's n low bits
         self._guards = ones << n
+        # Per letter, its lane's shift and guard bit, which the decode pass reads.
+        self._lane_bits = tuple((shift, 1 << (shift + n)) for shift in shifts)
         self._last_phases: Optional[_Phases] = None
         # Every tree known sound, by entries, and every mark set met.
         self._trees: Dict[Tuple[Tuple[NodeName, int], ...], HistoryTree] = {}
@@ -427,15 +433,12 @@ class Determinizer:
             skeleton = self._skeletons[names] = _Skeleton(names, self)
         return skeleton
 
-    def successor_trace(self, tree: HistoryTree, symbol: Symbol) -> StepTrace:
-        """One step of `tree` on `symbol`: the result and marks of its
-        letter's lane of the tree's phases, which are computed for every
-        letter at once and kept as the engine's `_last_phases`.  A tree the
-        engine has not met is checked first; an unsound one raises
-        InputError listing its problems."""
-        lane = self._index.get(symbol)
-        if lane is None:
-            raise InputError(f"symbol {symbol!r} not in alphabet")
+    def _step(self, tree: HistoryTree) -> _Phases:
+        """The step of `tree` on every letter at once: its phases, one lane
+        per letter, kept as the engine's `_last_phases` and reused while
+        the same tree is stepped again.  A tree the engine has not met is
+        checked first; an unsound one raises InputError listing its
+        problems."""
         phases = self._last_phases
         if phases is None or phases.tree is not tree:
             if tree.entries not in self._trees:
@@ -445,7 +448,17 @@ class Determinizer:
                 self._tree(tree.entries)
             names, labels = zip(*tree.entries) if tree.entries else ((), ())
             phases = self._last_phases = _Phases(tree, self._skeleton(names), labels, self)
-        return StepTrace(symbol, *phases.lanes[lane])
+        return phases
+
+    def successor_trace(self, tree: HistoryTree, symbol: Symbol) -> StepTrace:
+        """One step of `tree` on `symbol`: the result and marks of its
+        letter's lane of the tree's step (`_step`), the per-letter view of
+        that step.  An unknown letter, or a tree the engine has not met
+        that is unsound, raises InputError."""
+        lane = self._index.get(symbol)
+        if lane is None:
+            raise InputError(f"symbol {symbol!r} not in alphabet")
+        return StepTrace(symbol, *self._step(tree).lanes[lane])
 
     # -- automaton construction --------------------------------------------
 
@@ -454,13 +467,16 @@ class Determinizer:
         """The baseline DRTW, whose pair indices are node names: the
         reachable tree graph, explored breadth-first once per engine.
         Deterministic numbering: discovery order with the alphabet in
-        declared order, for trees and marks alike.  The engine interns its
-        trees and marks, so the exploration indexes both by identity, and
-        its edges, found in (tree id, letter) order, are sliced into one
-        target and one mark row per letter.  Each tree's skeleton is read
-        off the phases its step left in `_last_phases`, and the census
-        walks each distinct skeleton once.  Past the state limit it raises
-        CapacityError with baseline statistics of the trees met so far."""
+        declared order, for trees and marks alike.  Each tree is stepped
+        once, on every letter (`_step`), and the exploration reads every
+        lane of that step in letter order.  The engine interns its trees
+        and marks, so the exploration indexes both by identity, and its
+        edges, found in (tree id, letter) order, are sliced into one target
+        and one mark row per letter.  Each tree's skeleton is read off its
+        step, and the census walks each distinct skeleton once; a step over
+        no letter has no lanes and still has a skeleton.  Past the state limit
+        it raises CapacityError with baseline statistics of the trees met
+        so far."""
         start = self.initial_tree()
         trees = [start]
         shapes: Dict[_Skeleton, None] = {}  # each skeleton met, in first-met order
@@ -469,29 +485,27 @@ class Determinizer:
         marks: List[int] = []
         annotations: List[TransitionAnnotation] = []
         numbers: Dict[int, int] = {}  # id of an engine annotation -> its number
-        step, alphabet, strict = self.successor_trace, self.nbw.alphabet, self.strict_marks
+        step, strict = self._step, self.strict_marks
         for tree in trees:
-            for symbol in alphabet:
-                trace = step(tree, symbol)
-                result = trace.result
+            phases = step(tree)
+            for result, mark in phases.lanes:
                 tid = index.get(id(result))
                 if tid is None:
                     if len(trees) >= self.max_states:
                         # The census covers the trees stepped so far, this one included.
-                        shapes[self._last_phases.skeleton] = None
+                        shapes[phases.skeleton] = None
                         partial = BuildStats("baseline", strict, len(trees), len(targets), 0, *self._census(shapes))
                         raise CapacityError(f"state limit {self.max_states} exceeded", partial=partial)
                     tid = index[id(result)] = len(trees)
                     trees.append(result)
-                mid = numbers.get(id(trace.marks))
+                mid = numbers.get(id(mark))
                 if mid is None:
-                    mid = numbers[id(trace.marks)] = len(annotations)
-                    annotations.append(trace.marks)
+                    mid = numbers[id(mark)] = len(annotations)
+                    annotations.append(mark)
                 targets.append(tid)
                 marks.append(mid)
-            # With no letter nothing steps the start tree, the only tree.
-            skeleton = self._last_phases.skeleton if alphabet else self._skeleton(tuple(name for name, _ in tree.entries))
-            shapes[skeleton] = None
+            shapes[phases.skeleton] = None
+        alphabet = self.nbw.alphabet
         k = len(alphabet)
         acceptance = assemble_pairs(annotations, strict_marks=strict)
         stats = BuildStats("baseline", strict, len(trees), len(targets), len(acceptance.indices), *self._census(shapes))

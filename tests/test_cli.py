@@ -17,7 +17,6 @@ from test_formats import (
     REPEATED_HEADERS,
     repeated_header_document,
 )
-from rabin_edges import edge_map
 
 
 @pytest.fixture()
@@ -109,23 +108,30 @@ def test_gen_table_past_the_cap_exits_2(capsys):
 
 
 def test_targets_explore_once(monkeypatch):
+    """The three targets explore one tree graph: each DRTW state's tree is
+    stepped once, in discovery order, and no tree twice.  A step counts
+    when it builds new phases."""
     from histree.cli import _targets
     from histree.determinize import Determinizer
 
-    calls = []
-    kernel = Determinizer.successor_trace
+    stepped = []
+    step = Determinizer._step
 
-    def counting(self, tree, symbol):
-        calls.append(symbol)
-        return kernel(self, tree, symbol)
+    def counting(self, tree):
+        before = self._last_phases
+        phases = step(self, tree)
+        if phases is not before:
+            stepped.append(tree)
+        return phases
 
-    monkeypatch.setattr(Determinizer, "successor_trace", counting)
+    monkeypatch.setattr(Determinizer, "_step", counting)
     for a in (e1(), spawn_die_respawn()):
-        calls.clear()
+        stepped.clear()
         targets = dict(_targets(a, strict=False))
         assert list(targets) == ["canonical-drtw", "baseline-drtw", "canonical-drw"]
         drtw = targets["canonical-drtw"]
-        assert len(calls) == len(edge_map(drtw))
+        assert stepped == list(drtw.payloads)
+        assert len(set(stepped)) == len(stepped)
         assert targets["baseline-drtw"].payloads == drtw.payloads
         assert targets["baseline-drtw"].stats.mode == "baseline"
 

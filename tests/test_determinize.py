@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from histree.automata import NBW, TransitionAnnotation
+from histree.automata import NBW, BuildStats, TransitionAnnotation
 from histree.determinize import (
     Determinizer,
     HistoryTree,
@@ -270,25 +270,32 @@ def test_drw_payloads_are_the_engines_trees(mode, all_fixtures, corpus_sample):
             assert payload is drtw.payloads[tree_id[sid]], (name, sid)
 
 
-def test_build_drw_after_build_drtw_makes_no_successor_calls(e1_nbw, monkeypatch):
+def test_build_drw_after_build_drtw_steps_no_tree(e1_nbw, monkeypatch):
+    """The canonical DRTW steps each of its trees once, in discovery order,
+    and the DRW and baseline builds after it step no tree again.  A step
+    counts when it builds new phases."""
     engine = Determinizer(e1_nbw, "canonical")
-    calls = []
-    kernel = engine.successor_trace
+    stepped = []
+    step = engine._step
 
-    def counting(tree, symbol):
-        calls.append(symbol)
-        return kernel(tree, symbol)
+    def counting(tree):
+        before = engine._last_phases
+        phases = step(tree)
+        if phases is not before:
+            stepped.append(tree)
+        return phases
 
-    monkeypatch.setattr(engine, "successor_trace", counting)
+    monkeypatch.setattr(engine, "_step", counting)
     drtw = engine.build_drtw()
-    assert len(calls) == len(edge_map(drtw))
+    assert stepped == list(drtw.payloads)
+    assert len(set(stepped)) == len(stepped)
     drw = engine.build_drw()
     assert len(drw.payloads) > len(drtw.payloads)
     baseline = engine.build_drtw("baseline")
     assert baseline == build_drtw(e1_nbw, "baseline")
     assert baseline.stats == build_drtw(e1_nbw, "baseline").stats
     assert engine.build_drw("baseline") == build_drw(e1_nbw, "baseline")
-    assert len(calls) == len(edge_map(drtw))
+    assert stepped == list(drtw.payloads)
 
 
 def test_assemble_pairs_absence_rule():
@@ -573,6 +580,12 @@ def _named_inputs(all_fixtures, corpus_sample):
     return named
 
 
+def no_letters():
+    """A one-state NBW over the empty alphabet."""
+    return parse_nbw("HOA: v1\nStates: 1\nStart: 0\nAP: 0\nacc-name: Buchi\n"
+                     "Acceptance: 1 Inf(0)\n--BODY--\nState: 0 {0}\n--END--\n")
+
+
 def fresh_children(t):
     """Each node's fresh youngest child, in entry order: the name one past
     its last child, computed from the tree alone."""
@@ -617,9 +630,7 @@ def test_census_matches_the_per_step_definition(strict, all_fixtures, corpus_sam
     distinct spawned names of height >= n over every (tree, symbol), and the
     largest tree.  Every step spawns exactly the tree's names and its fresh
     children.  A zero-letter input steps no tree, so it spawns no name."""
-    no_letters = parse_nbw("HOA: v1\nStates: 1\nStart: 0\nAP: 0\nacc-name: Buchi\n"
-                           "Acceptance: 1 Inf(0)\n--BODY--\nState: 0 {0}\n--END--\n")
-    for name, a in _named_inputs(all_fixtures, corpus_sample) + [("no_letters", no_letters)]:
+    for name, a in _named_inputs(all_fixtures, corpus_sample) + [("no_letters", no_letters())]:
         engine = Determinizer(a, "canonical", strict_marks=strict)
         trees = engine.build_drtw().payloads
         off_table = set()
@@ -635,6 +646,56 @@ def test_census_matches_the_per_step_definition(strict, all_fixtures, corpus_sam
             for d in (engine.build_drtw(mode), engine.build_drw(mode)):
                 assert d.stats.off_table_intermediate_names == len(off_table), (name, mode)
                 assert d.stats.max_tree_nodes == max(t.node_count for t in trees), (name, mode)
+
+
+def reference_exploration(a, strict, max_states=None):
+    """The baseline tree graph by its definition: a breadth-first search
+    over `successor_trace(tree, symbol)` per (tree, letter) on a fresh
+    engine, with trees and marks numbered by discovery and the alphabet in
+    declared order.  Returns the payloads, the target and mark rows per
+    letter and the annotations.  Past `max_states` trees it returns instead
+    the partial statistics of a build stopped there: the trees met, the
+    edges found before the one that passed the limit, and the census of the
+    trees stepped, that edge's source included."""
+    engine = Determinizer(a, "baseline", strict_marks=strict)
+    trees = [engine.initial_tree()]
+    tree_ids = {trees[0]: 0}
+    mark_ids = {}
+    edges = []  # (target, mark) per edge, in (tree id, letter) order
+    for i, t in enumerate(trees):
+        for symbol in a.alphabet:
+            trace = engine.successor_trace(t, symbol)
+            if trace.result not in tree_ids:
+                if max_states is not None and len(trees) >= max_states:
+                    census = per_tree_census(trees[:i + 1], len(a.states))
+                    return BuildStats("baseline", strict, len(trees), len(edges), 0, *census)
+                tree_ids[trace.result] = len(trees)
+                trees.append(trace.result)
+            edges.append((tree_ids[trace.result], mark_ids.setdefault(trace.marks, len(mark_ids))))
+    k = len(a.alphabet)
+    targets = tuple(tuple(tid for tid, _ in edges[j::k]) for j in range(k))
+    marks = tuple(tuple(mid for _, mid in edges[j::k]) for j in range(k))
+    return tuple(trees), targets, marks, tuple(mark_ids)
+
+
+@pytest.mark.parametrize("strict", [False, True])
+def test_exploration_matches_a_per_letter_search(strict, all_fixtures, corpus_sample):
+    """The exploration, which reads every lane of a tree's one step, finds
+    the graph that a per-letter breadth-first search over `successor_trace`
+    finds: the same payloads, target rows, mark rows and annotations, on the
+    fixtures, the corpus sample, Michel m=4 and a zero-letter input.  Michel
+    m=4 stopped by a state limit of 1, 2 or half its trees reports the
+    partial statistics, census included, that the search gives at the same
+    limit."""
+    michel4 = parse_nbw((Path(__file__).parent / "fixtures" / "michel4.hoa").read_text(encoding="utf-8"))
+    named = _named_inputs(all_fixtures, corpus_sample) + [("michel4", michel4), ("no_letters", no_letters())]
+    for name, a in named:
+        d = Determinizer(a, strict_marks=strict).build_drtw("baseline")
+        assert (d.payloads, d.targets, d.marks, d.annotations) == reference_exploration(a, strict), name
+    for limit in (1, 2, len(reference_exploration(michel4, strict)[0]) // 2):
+        with pytest.raises(CapacityError) as err:
+            Determinizer(michel4, strict_marks=strict, max_states=limit).build_drtw("baseline")
+        assert err.value.partial == reference_exploration(michel4, strict, limit), limit
 
 
 def _census_inputs(all_fixtures):
