@@ -35,6 +35,7 @@ from .formats import (
     parse_nbw_hoa,
     parse_nbw_native,
     parse_rabin,
+    write_rabin,
 )
 from .oracle import (
     EquivReport,

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import repeat
-from typing import ClassVar, Dict, FrozenSet, Hashable, Iterable, List, Mapping, Sequence, Tuple
+from typing import ClassVar, Dict, FrozenSet, Hashable, Iterable, Iterator, List, Mapping, Sequence, Tuple
 
 from .errors import InputError
 
@@ -312,23 +312,22 @@ class _Rabin:
             raise InputError(f"{len(self.acceptance.signatures)} acceptance signatures "
                              f"for {len(self.annotations)} marks")
 
-    def state_labels(self) -> List[str]:
-        """Every state as HOA names and DOT labels show it: a tree payload
-        rendered with the identifier table, on a DRW followed by its
-        incoming marks ` [+{accepting} -{unstable}]`, and any other payload
-        as plain text.  The trees share one memo of label texts, so each
-        distinct label is rendered once per call, and each mark's text is
-        rendered once per mark number."""
+    def state_labels(self) -> Iterator[str]:
+        """Every state as HOA names and DOT labels show it, in state order
+        and one at a time, so no list of every label is held: a tree
+        payload rendered with the identifier table, on a DRW followed by
+        its incoming marks ` [+{accepting} -{unstable}]`, and any other
+        payload as plain text.  The trees share one memo of label texts,
+        so each distinct label is rendered once per call, and each mark's
+        text is rendered once per mark number."""
         texts: Dict[int, str] = {}
         incoming = repeat("")
         if self.acceptance_kind == "state":
             suffixes = [" [+{%s} -{%s}]" % tuple(",".join(map(str, sorted(s))) for s in (ann.accepting, ann.unstable))
                         for ann in self.annotations]
             incoming = map(suffixes.__getitem__, self.marks[0])
-        return [
-            payload.render(self.table, texts) + marks if hasattr(payload, "render") else str(payload)
-            for payload, marks in zip(self.payloads, incoming)
-        ]
+        for payload, marks in zip(self.payloads, incoming):
+            yield payload.render(self.table, texts) + marks if hasattr(payload, "render") else str(payload)
 
 
 def _check_rows(what: str, rows, names: Sequence[str], n: int, bound: int) -> None:

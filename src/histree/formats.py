@@ -6,6 +6,12 @@ per symbol, an alias per symbol expanding to the one-hot conjunction, and
 edges labeled by exactly one alias reference.  Arbitrary propositional
 label expressions are rejected on purpose.  Supported acceptance: Buchi on
 states (input) and Rabin on transitions or states (output).
+
+A Rabin document is formatted in blocks of states, with each state's label
+rendered as its block is formatted.  `write_rabin` writes each block to a
+text stream as soon as it is formatted, which is how the command line
+emits, so the whole text is never held; `emit_rabin` joins the same blocks
+into one string.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ import json
 import re
 from dataclasses import dataclass
 from itertools import islice
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, TextIO, Tuple, Union
 
 from .automata import (
     DRTW,
@@ -417,32 +423,45 @@ def _rabin_acceptance_line(pair_count: int) -> str:
 def emit_rabin(d: Union[DRTW, DRW]) -> str:
     """HOA text for a deterministic Rabin automaton; pair i owns the
     acceptance sets 2i (Fin, rejecting) and 2i+1 (Inf, accepting).  Output
-    is a pure function of the automaton, so emission is byte stable."""
+    is a pure function of the automaton, so emission is byte stable.  The
+    text is the join of `_rabin_blocks(d)`, so it holds the whole document
+    at once; `write_rabin` writes the same text a block at a time."""
+    return "".join(_rabin_blocks(d))
+
+
+def write_rabin(d: Union[DRTW, DRW], stream: TextIO) -> None:
+    """Write `emit_rabin(d)` to the text stream `stream`, each block as soon
+    as it is formatted, so that no more than one block of the text is held
+    at a time."""
+    for block in _rabin_blocks(d):
+        stream.write(block)
+
+
+# States per body block of `_rabin_blocks`: the unit of one write.
+_BODY_BLOCK = 1024
+
+
+def _rabin_blocks(d: Union[DRTW, DRW]) -> Iterator[str]:
+    """The HOA document in blocks: the preamble through `--BODY--`, then
+    the body in strings of `_BODY_BLOCK` states each, then `--END--`.  One
+    `%` format of a per-state template interleaves the letters' columns:
+    each state's label, drawn from `state_labels` as the block needs it,
+    each letter's row of target numbers, formatted in C, and on a DRTW a
+    C-level map of its mark row to the marks' texts.  A block is formatted
+    only when the one before it has been taken, so neither the labels nor
+    the body are held whole."""
     on_transitions = d.acceptance_kind == "transition"
     pair_count = len(d.acceptance.indices)
     preamble = _hoa_preamble(len(d.payloads), [d.initial], d.alphabet)
     preamble += [f"acc-name: Rabin {pair_count}", _rabin_acceptance_line(pair_count)]
     preamble += ["properties: deterministic " + ("trans-acc" if on_transitions else "state-acc"), "--BODY--"]
-    return "".join(["\n".join(preamble) + "\n", *_rabin_body(d), "--END--\n"])
-
-
-# States per string of `_rabin_body`.
-_BODY_BLOCK = 1024
-
-
-def _rabin_body(d: Union[DRTW, DRW]) -> List[str]:
-    """The HOA body, as strings of `_BODY_BLOCK` states each.  One `%`
-    format of a per-state template interleaves the letters' columns: each
-    letter's row of target numbers, formatted in C, and on a DRTW a C-level
-    map of its mark row to the marks' texts.  A block's state strings are
-    joined and freed before the next block is formatted, and the labels
-    are freed when this returns, before the caller joins the text."""
+    yield "\n".join(preamble) + "\n"
     # A mark's signature has bit s set for each acceptance set s it is in;
     # each mark's text, with its line end, is rendered once.
     ends = [" {" + " ".join(map(str, bits(sig))) + "}\n" if sig else "\n" for sig in d.acceptance.signatures]
     labels = map(_quote, d.state_labels())
     letters = range(len(d.alphabet))
-    if d.acceptance_kind == "transition":
+    if on_transitions:
         template = "State: %d %s\n" + "".join(f"[@s{k}] %d%s" for k in letters)
         columns = []
         for row, marked in zip(d.targets, d.marks):
@@ -452,7 +471,8 @@ def _rabin_body(d: Union[DRTW, DRW]) -> List[str]:
         template = "State: %d %s%s" + "".join(f"[@s{k}] %d\n" for k in letters)
         states = zip(range(len(d.payloads)), labels, map(ends.__getitem__, d.marks[0]), *d.targets)
     texts = map(template.__mod__, states)
-    return list(iter(lambda: "".join(islice(texts, _BODY_BLOCK)), ""))
+    yield from iter(lambda: "".join(islice(texts, _BODY_BLOCK)), "")
+    yield "--END--\n"
 
 
 def parse_rabin(text: str) -> Union[DRTW, DRW]:

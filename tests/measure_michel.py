@@ -8,9 +8,11 @@ states over m + 1 letters), read through its HOA text.  The build allows
 shapes among them (the engine's skeletons) and its pairs, then the
 seconds spent parsing the HOA text, exploring the tree graph (the
 baseline DRTW, with its pairs assembled), relabeling it into the
-canonical DRTW and emitting that as HOA, and the peak resident set size
-of the process (`resource.getrusage`, so it includes the interpreter).  Run one m per
-process, so that each peak is its own.
+canonical DRTW and writing that as HOA, block by block through
+`write_rabin`, to the null device.  Last come the peak resident set size
+of the process after the build and after emission (`resource.getrusage`,
+so it includes the interpreter); the second is the whole run's peak.  Run
+one m per process, so that each peak is its own.
 
 The name keeps pytest from collecting this script.
 """
@@ -18,11 +20,12 @@ The name keeps pytest from collecting this script.
 from __future__ import annotations
 
 import argparse
+import os
 import resource
 from time import perf_counter
 
 from histree.determinize import Determinizer
-from histree.formats import emit_rabin, parse_nbw
+from histree.formats import parse_nbw, write_rabin
 from sweep_build_digests import _bench_inputs
 
 MAX_STATES = 2_000_000
@@ -43,13 +46,18 @@ def main(argv=None) -> None:
     explored = perf_counter()
     drtw = engine.build_drtw()
     built = perf_counter()
-    emit_rabin(drtw)
+    build_peak_mb = _peak_rss_mb()
+    with open(os.devnull, "w", encoding="utf-8") as sink:
+        write_rabin(drtw, sink)
     emitted = perf_counter()
-    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # ru_maxrss is in KB on Linux
     print(f"michel m={args.m} n={len(nbw.states)} states={len(drtw.payloads)} "
           f"shapes={len(engine._skeletons)} pairs={len(drtw.acceptance.indices)}")
     print(f"parse_s={parsed - read:.4f} explore_s={explored - started:.3f} build_s={built - explored:.3f} "
-          f"emit_s={emitted - built:.3f} peak_rss_mb={peak_mb:.0f}")
+          f"emit_s={emitted - built:.3f} build_peak_rss_mb={build_peak_mb:.0f} peak_rss_mb={_peak_rss_mb():.0f}")
+
+
+def _peak_rss_mb() -> float:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # ru_maxrss is in KB on Linux
 
 
 if __name__ == "__main__":

@@ -9,7 +9,8 @@ import pytest
 
 from histree.cli import main
 from histree.fixtures import e1, spawn_die_respawn
-from histree.formats import emit_nbw_hoa, emit_nbw_native, parse_rabin
+from histree.determinize import Determinizer
+from histree.formats import emit_nbw_hoa, emit_nbw_native, emit_rabin, parse_nbw, parse_rabin
 from test_formats import (
     MANGLED_BUCHI_ACCEPTANCE,
     NON_STRING_DOCUMENTS,
@@ -366,3 +367,43 @@ def test_max_states_below_one_is_input_error(e1_file, capsys, limit):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: state limit must be at least 1 (got {limit})\n"
+
+
+MICHEL5 = str(Path(__file__).parent / "fixtures" / "michel5.hoa")
+MICHEL5_TARGETS = [("canonical", "drtw"), ("baseline", "drtw"), ("canonical", "drw")]
+
+
+@pytest.mark.parametrize("mode,out", MICHEL5_TARGETS)
+def test_determinize_streams_the_emitted_text(mode, out, capsys):
+    """`histree determinize` writes the HOA text a block at a time, and the
+    blocks add up to `emit_rabin` of the same build."""
+    assert main(["determinize", "--in", MICHEL5, "--mode", mode, "--out", out]) == 0
+    engine = Determinizer(parse_nbw(Path(MICHEL5).read_text(encoding="utf-8")), mode)
+    automaton = engine.build_drw() if out == "drw" else engine.build_drtw()
+    assert capsys.readouterr().out == emit_rabin(automaton)
+
+
+@pytest.mark.parametrize("mode,out", MICHEL5_TARGETS)
+def test_determinize_past_the_state_limit_writes_nothing(mode, out, capsys):
+    """The build finishes before the first byte is written, so a build
+    stopped by `--max-states` leaves stdout empty."""
+    assert main(["determinize", "--in", MICHEL5, "--mode", mode, "--out", out, "--max-states", "2000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: state limit 2000 exceeded\nmode={mode}\n")
+    assert "states=2000\n" in captured.err
+
+
+def test_determinize_into_a_closed_pipe_exits_2():
+    """A reader that closes the pipe after a few bytes makes a later block
+    write fail: the command reports the broken pipe on one line and exits
+    2, with no traceback."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.Popen([sys.executable, "-m", "histree.cli", "determinize", "--in", MICHEL5],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.read(10) == b"HOA: v1\nSt"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 2
+    assert err == "error: [Errno 32] Broken pipe\n"

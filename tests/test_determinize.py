@@ -513,13 +513,13 @@ def test_build_drw_modes_agree_on_language(e1_nbw):
 def test_drw_state_labels_render_incoming_marks(e1_nbw):
     """A DRW state's label is its tree's rendering followed by its
     incoming mark's pair indices, and a DRTW's is the tree's alone."""
-    assert build_drw(e1_nbw).state_labels() == [
+    assert list(build_drw(e1_nbw).state_labels()) == [
         "ε:{p}(0,1) [+{} -{}]",
         "ε:{p,q}(0,1) 1:{q}(1,1) [+{} -{}]",
         "ε:{p,q}(0,1) 1:{q}(1,1) [+{(1,1)} -{}]",
     ]
-    assert build_drw(e1_nbw, "baseline").state_labels()[2] == "ε:{p,q} 1:{q} [+{(1,)} -{}]"
-    assert build_drtw(e1_nbw).state_labels() == ["ε:{p}(0,1)", "ε:{p,q}(0,1) 1:{q}(1,1)"]
+    assert list(build_drw(e1_nbw, "baseline").state_labels())[2] == "ε:{p,q} 1:{q} [+{(1,)} -{}]"
+    assert list(build_drtw(e1_nbw).state_labels()) == ["ε:{p}(0,1)", "ε:{p,q}(0,1) 1:{q}(1,1)"]
 
 
 def test_rename_takeover_rejects_broken_lineage():

@@ -9,10 +9,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from histree.automata import EMPTY_ANNOTATION
 from histree.corpus import default_corpus
-from histree.determinize import Determinizer, build_drtw, build_drw
+from histree.determinize import Determinizer, HistoryTree, build_drtw, build_drw
 from histree.errors import InputError, ParseError
 from histree.fixtures import e1, fixtures
 from histree.formats import (
+    _BODY_BLOCK,
     UnsupportedAcceptanceError,
     _position,
     _tokenize,
@@ -23,6 +24,7 @@ from histree.formats import (
     parse_nbw_hoa,
     parse_nbw_native,
     parse_rabin,
+    write_rabin,
 )
 from histree.oracle import det_lasso_member, lassos_upto
 from rabin_edges import edge_map, signature_map
@@ -360,6 +362,66 @@ def test_rabin_documents_round_trip_byte_for_byte():
                     assert signature_map(back) == signature_map(d)
                     count += 1
     assert count == 8 * 51
+
+
+class RecordingStream:
+    """A text stream that keeps each write, and what `probe` read at it."""
+
+    def __init__(self, probe=lambda: None):
+        self.writes, self.probes, self._probe = [], [], probe
+
+    def write(self, text):
+        self.writes.append(text)
+        self.probes.append(self._probe())
+        return len(text)
+
+
+def test_write_rabin_writes_the_emitted_text():
+    """The writer and `emit_rabin` share one path: for every build, the
+    writes add up to the emitted text."""
+    count = 0
+    for a in list(fixtures().values()) + default_corpus(count=40):
+        for strict in (False, True):
+            engine = Determinizer(a, "canonical", strict_marks=strict)
+            for mode in ("canonical", "baseline"):
+                for build in (engine.build_drtw, engine.build_drw):
+                    d = build(mode)
+                    stream = RecordingStream()
+                    write_rabin(d, stream)
+                    assert "".join(stream.writes) == emit_rabin(d)
+                    count += 1
+    assert count == 8 * 51
+
+
+def _michel5_drtw():
+    path = Path(__file__).parent / "fixtures" / "michel5.hoa"
+    return build_drtw(parse_nbw(path.read_text(encoding="utf-8")))
+
+
+def test_write_rabin_renders_labels_block_by_block(monkeypatch):
+    """Michel m=5's canonical DRTW (2,163 states) reaches the stream in
+    five writes: the preamble, three body blocks of at most `_BODY_BLOCK`
+    states, and `--END--`.  Each label is rendered as its block is
+    formatted, so the first body write comes after `_BODY_BLOCK` renders,
+    not after all of them."""
+    d = _michel5_drtw()
+    assert len(d.payloads) == 2163
+    renders = 0
+    render = HistoryTree.render
+
+    def counting(self, *args):
+        nonlocal renders
+        renders += 1
+        return render(self, *args)
+
+    monkeypatch.setattr(HistoryTree, "render", counting)
+    stream = RecordingStream(lambda: renders)
+    write_rabin(d, stream)
+    assert [w.count("State: ") for w in stream.writes] == [0, _BODY_BLOCK, _BODY_BLOCK, 2163 - 2 * _BODY_BLOCK, 0]
+    assert stream.writes[0].endswith("--BODY--\n") and stream.writes[-1] == "--END--\n"
+    assert stream.probes == [0, _BODY_BLOCK, 2 * _BODY_BLOCK, 2163, 2163]
+    monkeypatch.undo()
+    assert "".join(stream.writes) == emit_rabin(d)
 
 
 def test_parse_rabin_refuses_sets_past_its_pairs():
