@@ -54,18 +54,23 @@ on dicts, as the specification, and decodes the intermediate phases
 there.
 
 Most steps reach a tree or a mark set the engine has seen before, so the
-engine interns both: it keeps one `HistoryTree` per distinct entries
-tuple and one `TransitionAnnotation` per distinct (accepting, unstable,
-stable) name tuple, and a step that reaches a known value builds no new
-dataclass or frozenset.  The decode pass interns every lane's result and
-marks as it decodes them, so a lane holds the engine's values, which the
-exploration numbers and `successor_trace` returns.  Interned trees are
-known sound; any other tree is checked with `check_history_tree` before
-its first step, so a malformed tree raises InputError instead of a wrong
-successor.  Past the step every table is keyed on ints: the exploration
-numbers its trees and marks in discovery order, and its edges are sliced
-into per-letter rows of target and mark numbers.  Pair assembly computes
-one acceptance signature per mark number.
+engine interns both.  A `HistoryTree` is packed: its shape, the sorted
+name tuple, and its labels tuple.  The engine keeps one record per
+shape, which holds the shape's one name tuple, shared by all of the
+engine's trees of that shape, its trees keyed by labels tuple, and its
+skeleton; and one `TransitionAnnotation` per distinct (accepting,
+unstable, stable) name tuple.  A step that reaches a known value builds
+no new tree or frozenset.  The decode pass gathers each lane's result
+as a name list and a label list and interns it through its shape's
+record, and interns its marks, so a lane holds the engine's values,
+which the exploration numbers and `successor_trace` returns.  Interned
+trees are known sound; any other tree is checked with
+`check_history_tree` before its first step, so a malformed tree raises
+InputError instead of a wrong successor.  Past the step every table is
+keyed on ints: the exploration numbers its trees and marks in discovery
+order, and its edges are sliced into per-letter rows of target and mark
+numbers.  Pair assembly computes one acceptance signature per mark
+number.
 
 The exploration's product is the baseline DRTW: the reachable tree graph,
 built once per engine, with its Rabin pairs indexed by node names.  It
@@ -85,10 +90,10 @@ second walk; a state's payload is the engine's tree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 from functools import cached_property
 from itertools import chain
-from typing import Collection, Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Collection, Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .automata import (
     DRTW,
@@ -120,28 +125,74 @@ MODES = ("baseline", "canonical")
 DEFAULT_MAX_STATES = 100_000
 
 
-@dataclass(frozen=True)
 class HistoryTree:
     """Immutable labeled tree payload; the empty tree is the rejecting sink.
 
-    `entries` holds (name, label) pairs sorted by name, each label a mask
-    over `states`, the automaton's state tuple, which only rendering reads.
+    A tree is two tuples: `shape`, its names sorted, and `labels`, each
+    name's label in that order, a mask over `states`, the automaton's state
+    tuple, which only rendering reads.  `entries` pairs them as (name,
+    label) tuples.  Equality and hashing take the shape and the labels, not
+    `states`.  The engine's trees of one shape share one `shape` tuple (see
+    `Determinizer`), so a tree of k nodes costs its own object and a
+    k-tuple of small ints.
     """
 
-    entries: Tuple[Tuple[NodeName, int], ...]
-    states: Tuple[str, ...] = field(default=(), compare=False, repr=False)
+    __slots__ = ("shape", "labels", "states")
 
-    @cached_property
+    shape: Tuple[NodeName, ...]
+    labels: Tuple[int, ...]
+    states: Tuple[str, ...]
+
+    def __init__(self, entries: Iterable[Tuple[NodeName, int]], states: Tuple[str, ...] = ()):
+        entries = tuple(entries)
+        _set_shape(self, tuple(name for name, _ in entries))
+        _set_labels(self, tuple(label for _, label in entries))
+        _set_states(self, states)
+
+    @classmethod
+    def _packed(cls, shape: Tuple[NodeName, ...], labels: Tuple[int, ...], states: Tuple[str, ...]) -> "HistoryTree":
+        """The tree of these tuples, which it keeps as they are."""
+        tree = _new(cls)
+        _set_shape(tree, shape)
+        _set_labels(tree, labels)
+        _set_states(tree, states)
+        return tree
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}: a HistoryTree is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}: a HistoryTree is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.labels == other.labels and self.shape == other.shape
+
+    def __hash__(self) -> int:
+        return hash((self.shape, self.labels))
+
+    def __repr__(self) -> str:
+        return f"HistoryTree(entries={self.entries!r})"
+
+    def __reduce__(self):
+        return HistoryTree, (self.entries, self.states)
+
+    @property
+    def entries(self) -> Tuple[Tuple[NodeName, int], ...]:
+        return tuple(zip(self.shape, self.labels))
+
+    @property
     def names(self) -> FrozenSet[NodeName]:
-        return frozenset(n for n, _ in self.entries)
+        return frozenset(self.shape)
 
     @property
     def is_sink(self) -> bool:
-        return not self.entries
+        return not self.shape
 
     @property
     def node_count(self) -> int:
-        return len(self.entries)
+        return len(self.shape)
 
     def label_text(self, label: int) -> str:
         """A label as its state names, sorted as strings, in braces."""
@@ -154,12 +205,12 @@ class HistoryTree:
         distinct entry's text, and on a miss each distinct label's text
         (keyed by mask) and name's text with its identifier (keyed by
         name), so each is rendered once."""
-        if self.is_sink:
+        if not self.shape:
             return "sink"
         if texts is None:
             texts = {}
         parts = []
-        for entry in self.entries:
+        for entry in zip(self.shape, self.labels):
             text = texts.get(entry)
             if text is None:
                 name, label = entry
@@ -172,6 +223,13 @@ class HistoryTree:
                 text = texts[entry] = f"{name_text[0]}:{label_text}{name_text[1]}"
             parts.append(text)
         return " ".join(parts)
+
+
+# The slots' own setters, which `HistoryTree.__setattr__` refuses to be.
+_new = object.__new__
+_set_shape = HistoryTree.shape.__set__
+_set_labels = HistoryTree.labels.__set__
+_set_states = HistoryTree.states.__set__
 
 
 # A step's name-indexed marks as sorted name tuples: (accepting, unstable,
@@ -211,6 +269,27 @@ class _Skeleton:
         self.below = [(p, position[name[:-1]], name, name[-1] * ones) for p, name in enumerate(spawned) if name]
         self.off_table = frozenset(child for child in children if height(child) >= engine.n)
         self.node_count = len(names)
+
+
+class _Shape:
+    """The engine's record of one tree shape: `names`, the name tuple that
+    every engine tree of the shape holds as its `shape`, `trees`, those
+    trees keyed by their labels tuple, and `skeleton`, the shape's step
+    work."""
+
+    __slots__ = ("names", "trees", "skeleton")
+
+    def __init__(self, names: Tuple[NodeName, ...], engine: "Determinizer"):
+        self.names = names
+        self.trees: Dict[Tuple[int, ...], HistoryTree] = {}
+        self.skeleton = _Skeleton(names, engine)
+
+    def tree(self, labels: Tuple[int, ...], states: Tuple[str, ...]) -> HistoryTree:
+        """The record's one tree with these labels, added when new."""
+        tree = self.trees.get(labels)
+        if tree is None:
+            tree = self.trees[labels] = HistoryTree._packed(self.names, labels, states)
+        return tree
 
 
 class _Phases:
@@ -293,13 +372,16 @@ class _Phases:
             survivors.append((p, live, kept, cover, minus, name, label, q, rank))
 
         # Decode each lane: rename its survivors and split them into stable
-        # and unstable, which gives the result tree and the marks, each
-        # looked up in the engine's interned values and added when new.
-        trees, annotations, states = engine._trees, engine._marks, engine.nbw.states
+        # and unstable, which gives the result tree's names and labels and
+        # the marks, each looked up in the engine's interned values and
+        # added when new.  A result keeps its shape record's name tuple, so
+        # the renamed names live only as long as the lookup.
+        shapes, annotations, states = engine._shapes, engine._marks, engine.nbw.states
         self.lanes = decoded = []
         mask = (1 << n) - 1  # a lane's label; also fits its sibling counts, at most n
         for shift, guard in engine._lane_bits:
-            entries = []
+            result_names: List[NodeName] = []
+            result_labels: List[int] = []
             stable_names: List[NodeName] = []
             plus: List[NodeName] = []
             minus_names: List[NodeName] = []
@@ -316,11 +398,13 @@ class _Phases:
                         minus_names.append(name)
                     # The root is always stable, so an unstable node has a parent.
                     name = renamed[p] = renamed.get(q, names[q]) + (rank >> shift & mask,)
-                entries.append((name, label >> shift & mask))
-            entries = tuple(entries)
-            result = trees.get(entries)
-            if result is None:
-                result = trees[entries] = HistoryTree(entries, states)
+                result_names.append(name)
+                result_labels.append(label >> shift & mask)
+            shape = tuple(result_names)
+            record = shapes.get(shape)
+            if record is None:
+                record = engine._shape(shape)
+            result = record.tree(tuple(result_labels), states)
             marked = (tuple(plus), tuple(minus_names), tuple(stable_names))
             marks = annotations.get(marked)
             if marks is None:
@@ -365,13 +449,14 @@ class Determinizer:
     on every letter at once; the exploration reads every lane of that step,
     and `successor_trace` one.  The engine keeps the packed phases of the
     tree it stepped last, matched by identity, so stepping one tree on each
-    letter in turn computes them once, and one
-    `_Skeleton` per tree shape it has stepped, so trees of one shape share
-    their label-free work, and each label's packed image, keyed by mask.
-    It also interns its values: one `HistoryTree` per distinct entries
-    tuple and one `TransitionAnnotation` per distinct mark set, so a step
-    that reaches a known tree or mark set builds no new one.  A tree it
-    did not produce is checked once before its first step."""
+    letter in turn computes them once, and each label's packed image,
+    keyed by mask.  It interns its values: one `_Shape` record per tree
+    shape, keyed by name tuple, which holds the shape's trees by labels
+    tuple, each sharing the record's name tuple, and the shape's
+    `_Skeleton`, so trees of one shape share their label-free work; and
+    one `TransitionAnnotation` per distinct mark set.  A step that reaches
+    a known tree or mark set builds no new one.  A tree it did not produce
+    is checked once before its first step."""
 
     def __init__(
         self,
@@ -403,11 +488,10 @@ class Determinizer:
         # Per letter, its lane's shift and guard bit, which the decode pass reads.
         self._lane_bits = tuple((shift, 1 << (shift + n)) for shift in shifts)
         self._last_phases: Optional[_Phases] = None
-        # Every tree known sound, by entries, and every mark set met.
-        self._trees: Dict[Tuple[Tuple[NodeName, int], ...], HistoryTree] = {}
+        # One record per tree shape, keyed by its name tuple, which holds
+        # every tree of that shape known sound; and every mark set met.
+        self._shapes: Dict[Tuple[NodeName, ...], _Shape] = {}
         self._marks: Dict[_MarkNames, TransitionAnnotation] = {}
-        # One skeleton per tree shape, keyed by the name tuple.
-        self._skeletons: Dict[Tuple[NodeName, ...], _Skeleton] = {}
         # Each label stepped, by mask, and its successors packed across the letters.
         self._images: Dict[int, int] = {}
 
@@ -415,39 +499,37 @@ class Determinizer:
     def table(self) -> IdentifierTable:
         return IdentifierTable(max(self.n, 1))
 
-    def _tree(self, entries: Tuple[Tuple[NodeName, int], ...]) -> HistoryTree:
-        """The engine's one tree with these entries."""
-        tree = self._trees.get(entries)
-        if tree is None:
-            tree = self._trees[entries] = HistoryTree(entries, self.nbw.states)
-        return tree
+    def _shape(self, names: Tuple[NodeName, ...]) -> _Shape:
+        """The engine's one record of the trees with these names."""
+        record = self._shapes.get(names)
+        if record is None:
+            record = self._shapes[names] = _Shape(names, self)
+        return record
 
     def initial_tree(self) -> HistoryTree:
         start = self.nbw.initial_mask
-        return self._tree(((ROOT, start),) if start else ())
-
-    def _skeleton(self, names: Tuple[NodeName, ...]) -> _Skeleton:
-        """The engine's one skeleton of the trees with these names."""
-        skeleton = self._skeletons.get(names)
-        if skeleton is None:
-            skeleton = self._skeletons[names] = _Skeleton(names, self)
-        return skeleton
+        shape, labels = ((ROOT,), (start,)) if start else ((), ())
+        return self._shape(shape).tree(labels, self.nbw.states)
 
     def _step(self, tree: HistoryTree) -> _Phases:
         """The step of `tree` on every letter at once: its phases, one lane
         per letter, kept as the engine's `_last_phases` and reused while
-        the same tree is stepped again.  A tree the engine has not met is
-        checked first; an unsound one raises InputError listing its
-        problems."""
+        the same tree is stepped again.  The step reads the tree's labels
+        and the skeleton of its shape's record.  A tree the engine has not
+        met is checked first, and an unsound one raises InputError listing
+        its problems; a sound one becomes known, in its shape's record,
+        with the record's name tuple."""
         phases = self._last_phases
         if phases is None or phases.tree is not tree:
-            if tree.entries not in self._trees:
+            labels = tree.labels
+            record = self._shapes.get(tree.shape)
+            if record is None or labels not in record.trees:
                 problems = check_history_tree(tree, self.nbw)
                 if problems:
                     raise InputError("not a history tree of this automaton: " + "; ".join(problems))
-                self._tree(tree.entries)
-            names, labels = zip(*tree.entries) if tree.entries else ((), ())
-            phases = self._last_phases = _Phases(tree, self._skeleton(names), labels, self)
+                record = self._shape(tree.shape)
+                record.tree(labels, self.nbw.states)
+            phases = self._last_phases = _Phases(tree, record.skeleton, labels, self)
         return phases
 
     def successor_trace(self, tree: HistoryTree, symbol: Symbol) -> StepTrace:

@@ -285,9 +285,10 @@ def _power_roots(width: int, max_v: int) -> List[int]:
     return roots
 
 
-def _period_masks(a: NBW, max_v: int) -> Tuple[int, ...]:
+def _period_masks(a: NBW, max_v: int, roots: Sequence[int]) -> Tuple[int, ...]:
     """`_accepting_states` of every period, in `_periods` order, from a
-    walk over the NBW's distinct transition profiles.  The walk goes one
+    walk over the NBW's distinct transition profiles; `roots` is
+    `_power_roots` over the NBW's letters and `max_v`.  The walk goes one
     period length at a time, which is `_periods` order.  A profile gets an
     id when first met, and each (id, letter) is extended once, through the
     `_Images` that letter keeps for the whole walk.  A period that is no
@@ -299,7 +300,6 @@ def _period_masks(a: NBW, max_v: int) -> Tuple[int, ...]:
     ids = {profiles[0]: 0}
     successors: List[Optional[List[int]]] = [None]  # per id, its extensions' ids by letter
     closed: Dict[int, int] = {}  # per closed id, its mask
-    roots = _power_roots(len(images), max_v)
     masks: List[int] = []
 
     def extend(pid: int) -> List[int]:
@@ -341,7 +341,8 @@ def _compared_periods(a: NBW, max_v: int) -> Sequence[ComparedPeriod]:
     kept_v, table = a.__dict__.get(_COMPARED_PERIODS, (0, ()))
     if kept_v < max_v:
         width = len(a.alphabet)
-        roots, masks = _power_roots(width, max_v), _period_masks(a, max_v)
+        roots = _power_roots(width, max_v)
+        masks = _period_masks(a, max_v, roots)
         table = tuple(
             (i, period, masks[i]) for i, period in enumerate(_periods(range(width), max_v)) if roots[i] == i
         )

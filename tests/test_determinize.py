@@ -1,3 +1,7 @@
+import copy
+import gc
+import pickle
+import tracemalloc
 from dataclasses import replace
 from itertools import chain
 from pathlib import Path
@@ -54,6 +58,34 @@ def test_initial_tree_examples(e1_nbw):
     engine = Determinizer(full_start)
     assert engine.initial_tree() == tree(full_start, {(): {"p", "q"}})
     assert engine.initial_tree().render(engine.table) == "ε:{p,q}(0,1)"
+
+
+def test_a_tree_is_a_value_of_its_entries(all_fixtures):
+    """A tree built from its entries equals the engine's tree and hashes
+    equal, whatever its `states`; `entries` gives back what it was built
+    from; the repr shows the entries alone; a copy or a pickled tree is an
+    equal tree; and no field can be set or deleted."""
+    for name, a in all_fixtures.items():
+        for t in Determinizer(a).build_drtw().payloads:
+            for twin in (HistoryTree(t.entries, a.states), HistoryTree(t.entries), HistoryTree(list(t.entries))):
+                assert twin == t and hash(twin) == hash(t) and twin is not t, name
+                assert twin.shape == t.shape and twin.labels == t.labels and twin.entries == t.entries, name
+            assert HistoryTree(t.entries, ("x",) * len(a.states)) == t, name
+            assert t.entries == tuple(zip(t.shape, t.labels)) and t.names == frozenset(t.shape), name
+            for clone in (copy.copy(t), pickle.loads(pickle.dumps(t))):
+                assert clone == t and clone.states == t.states, name
+    entries = (((), 3), ((1,), 2))
+    t = HistoryTree(entries, ("p", "q"))
+    assert t.entries == entries and (t.shape, t.labels) == (((), (1,)), (3, 2))
+    assert repr(t) == "HistoryTree(entries=(((), 3), ((1,), 2)))" and repr(HistoryTree(())) == "HistoryTree(entries=())"
+    assert t != HistoryTree((((), 3), ((1,), 1))) and t != HistoryTree((((), 3), ((2,), 2))) and t != entries
+    for field in ("shape", "labels", "states", "entries", "names", "other"):
+        with pytest.raises(AttributeError):
+            setattr(t, field, ())
+    for field in ("shape", "labels", "states"):
+        with pytest.raises(AttributeError):
+            delattr(t, field)
+    assert t == HistoryTree(entries) and t.states == ("p", "q") and not hasattr(t, "__dict__")
 
 
 def test_labels_render_as_names_sorted_as_strings():
@@ -604,7 +636,7 @@ def per_tree_census(trees, n):
 
 
 def skeleton_fresh(engine, t):
-    skeleton = engine._skeleton(tuple(name for name, _ in t.entries))
+    skeleton = engine._shape(t.shape).skeleton
     return tuple(skeleton.names[p] for p in skeleton.fresh)
 
 
@@ -614,7 +646,7 @@ def test_fresh_names_are_one_past_each_nodes_last_child(e1_nbw):
     engine = Determinizer(e1_nbw)
     t = tree(e1_nbw, {(): {"p", "q"}, (1,): {"q"}, (1, 1): {"q"}})
     assert skeleton_fresh(engine, t) == fresh_children(t) == ((2,), (1, 2), (1, 1, 1))
-    skeleton = engine._skeleton(((), (1,), (1, 1)))
+    skeleton = engine._shape(((), (1,), (1, 1))).skeleton
     assert skeleton.names == [(), (1,), (1, 1), (1, 1, 1), (1, 2), (2,)]
     ones = engine._ones
     assert [(p, q, name, index // ones) for p, q, name, index in skeleton.below] == [
@@ -720,8 +752,9 @@ def test_skeleton_census_equals_the_per_tree_formula(all_fixtures):
         trees = d.payloads
         n, k = len(a.states), len(a.alphabet)
         shapes = {tuple(node for node, _ in t.entries) for t in trees}
-        assert set(engine._skeletons) == shapes, name
-        assert sorted(tuple(s.names[p] for p in s.slots) for s in engine._skeletons.values()) == sorted(shapes), name
+        assert set(engine._shapes) == shapes, name
+        skeletons = [record.skeleton for record in engine._shapes.values()]
+        assert sorted(tuple(s.names[p] for p in s.slots) for s in skeletons) == sorted(shapes), name
         assert (d.stats.max_tree_nodes, d.stats.off_table_intermediate_names) == per_tree_census(trees, n), name
         edges = list(chain.from_iterable(zip(*d.targets)))  # edge targets in (tree id, letter) order
         for limit in {1, 2, len(trees) // 2}:
@@ -743,13 +776,59 @@ def test_one_skeleton_per_shape(all_fixtures):
     engine.build_drtw()
     engine.build_drw("baseline")
     trees = engine.build_drtw("baseline").payloads
-    assert (len(trees), len(engine._skeletons)) == (2163, 6)
-    assert set(engine._skeletons) == {tuple(name for name, _ in t.entries) for t in trees}
+    assert (len(trees), len(engine._shapes)) == (2163, 6)
+    assert set(engine._shapes) == {tuple(name for name, _ in t.entries) for t in trees}
     for a in all_fixtures.values():
         engine = Determinizer(a)
         engine.build_drtw()
         shapes = {tuple(name for name, _ in t.entries) for t in engine.build_drtw("baseline").payloads}
-        assert set(engine._skeletons) == shapes
+        assert set(engine._shapes) == shapes
+
+
+def _michel5():
+    return parse_nbw((Path(__file__).parent / "fixtures" / "michel5.hoa").read_text(encoding="utf-8"))
+
+
+def test_trees_of_one_shape_share_one_name_tuple():
+    """Michel m=5's 2,163 DRTW payloads hold 6 `shape` objects, each the
+    name tuple of its shape's record."""
+    engine = Determinizer(_michel5())
+    trees = engine.build_drtw().payloads
+    shapes = {id(t.shape): t.shape for t in trees}
+    assert (len(trees), len(shapes)) == (2163, 6)
+    assert all(shape is engine._shapes[shape].names for shape in shapes.values())
+
+
+# Bytes that Michel m=5's canonical DRTW build may keep per state,
+# counting the engine that built it: a packed tree keeps its labels
+# tuple, and shares its shape's name tuple, so the build keeps 364 B per
+# state on CPython 3.11, against 604 B when each tree kept its own
+# (name, label) entry tuples and a `__dict__`.
+MICHEL5_BYTES_PER_STATE = 450
+
+
+def test_a_build_keeps_few_bytes_per_state():
+    """The memory a canonical DRTW build of Michel m=5 keeps, with its
+    engine, traced by tracemalloc after a first build has set up the
+    interpreter's own caches, is at most `MICHEL5_BYTES_PER_STATE` per
+    state."""
+    a = _michel5()
+    Determinizer(a).build_drtw()
+    gc.collect()
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        engine = Determinizer(a)
+        d = engine.build_drtw()
+        gc.collect()
+        per_state = (tracemalloc.get_traced_memory()[0] - before) / len(d.payloads)
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert len(d.payloads) == 2163
+    assert per_state <= MICHEL5_BYTES_PER_STATE, per_state
 
 
 def test_one_census_walk_serves_every_build(monkeypatch, all_fixtures):
@@ -771,7 +850,7 @@ def test_one_census_walk_serves_every_build(monkeypatch, all_fixtures):
     engine = Determinizer(a)
     for (mode, build), text in expected.items():
         assert getattr(engine, build)(mode).stats.to_text() == text
-    assert walks == [len(engine._skeletons)]
+    assert walks == [len(engine._shapes)]
 
 
 def test_canonical_drtw_shares_the_baseline_drtws_trees_and_targets(all_fixtures, corpus_sample):

@@ -259,9 +259,14 @@ def test_label_images_stay_with_their_engine():
     assert sum(images[0][mask] != images[1][mask] for mask in shared) >= 10
 
 
+def _known_trees(engine):
+    return sum(len(record.trees) for record in engine._shapes.values())
+
+
 def test_one_step_interns_every_lane(all_fixtures, corpus_sample):
     """One `successor_trace` call decodes every letter: each lane's result
-    is the engine's interned tree for its entries and its marks the
+    is the engine's one tree for its value, the tree its shape's record
+    holds for its labels, with the record's name tuple, and its marks the
     interned annotation, and stepping the other letters then builds no
     tree."""
     for name, a in _differential_inputs(all_fixtures, corpus_sample):
@@ -273,14 +278,16 @@ def test_one_step_interns_every_lane(all_fixtures, corpus_sample):
             lanes = engine._last_phases.lanes
             assert len(lanes) == len(a.alphabet)
             for result, marks in lanes:
-                assert engine._trees[result.entries] is result, name
+                record = engine._shapes[tuple(node for node, _ in result.entries)]
+                assert record.trees[tuple(label for _, label in result.entries)] is result, name
+                assert result.shape is record.names, name
                 key = tuple(tuple(sorted(names)) for names in (marks.accepting, marks.unstable, marks.stable))
                 assert engine._marks[key] is marks, name
-            known = len(engine._trees)
+            known = _known_trees(engine)
             for symbol, (result, marks) in zip(a.alphabet, lanes):
                 step = engine.successor_trace(tree, symbol)
                 assert step.result is result and step.marks is marks, name
-            assert len(engine._trees) == known, name
+            assert _known_trees(engine) == known, name
 
 
 def test_other_lanes_make_their_trees_known(monkeypatch):

@@ -568,7 +568,7 @@ def _count_mask_computations(monkeypatch):
     calls = []
     real = histree.oracle._period_masks
     monkeypatch.setattr(histree.oracle, "_period_masks",
-                        lambda a, max_v: calls.append((a, max_v)) or real(a, max_v))
+                        lambda a, max_v, roots: calls.append((a, max_v)) or real(a, max_v, roots))
     return calls
 
 
@@ -592,13 +592,22 @@ def test_equal_automata_parsed_apart_compute_their_own_masks(monkeypatch):
     assert len(calls) == 2 and calls[0][0] is first and calls[1][0] is second
 
 
+def test_a_table_build_computes_the_power_roots_once(monkeypatch):
+    calls = []
+    real = histree.oracle._power_roots
+    monkeypatch.setattr(histree.oracle, "_power_roots",
+                        lambda width, max_v: calls.append((width, max_v)) or real(width, max_v))
+    assert bounded_equiv(spawn_die_respawn(), build_drtw(spawn_die_respawn()), 4, 4).equivalent
+    assert calls == [(2, 4)]
+
+
 def test_kept_masks_serve_shorter_and_longer_bounds(monkeypatch):
     """The NBW keeps the table of compared periods, (index, letter
     indices, mask) for each period that is no power: a shorter bound reads
     a prefix of it, a longer bound recomputes it once."""
     a = spawn_die_respawn()
     fresh = histree.oracle._compared_periods(spawn_die_respawn(), 4)
-    masks = histree.oracle._period_masks(spawn_die_respawn(), 4)
+    masks = histree.oracle._period_masks(spawn_die_respawn(), 4, histree.oracle._power_roots(2, 4))
     primitive = [(i, v) for i, v in enumerate(histree.oracle._periods((0, 1), 4)) if _reread(LassoWord((), v)) is None]
     assert fresh == tuple((i, v, masks[i]) for i, v in primitive)
     count = {v: lasso_count(len(a.alphabet), 0, v) for v in (2, 4)}
@@ -625,7 +634,8 @@ def _mask_inputs():
 def test_period_masks_match_one_closure_per_period():
     for a, max_v in _mask_inputs():
         expected = tuple(_accepting_states(word_profile(a, v)) for v in histree.oracle._periods(a.alphabet, max_v))
-        assert histree.oracle._period_masks(a, max_v) == expected
+        roots = histree.oracle._power_roots(len(a.alphabet), max_v)
+        assert histree.oracle._period_masks(a, max_v, roots) == expected
 
 
 def test_period_masks_close_each_compared_profile_once(monkeypatch):
@@ -637,7 +647,7 @@ def test_period_masks_close_each_compared_profile_once(monkeypatch):
     closed = []
     real = histree.oracle._accepting_states
     monkeypatch.setattr(histree.oracle, "_accepting_states", lambda profile: closed.append(profile) or real(profile))
-    histree.oracle._period_masks(a, 4)
+    histree.oracle._period_masks(a, 4, histree.oracle._power_roots(len(a.alphabet), 4))
     assert len(compared) == 22
     assert len(closed) == len(distinct) < 22
     assert set(closed) == distinct
